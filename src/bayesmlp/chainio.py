@@ -43,7 +43,7 @@ def save_chain(chain: Chain, csv_path, metadata_path=None, config: dict | None =
     np.savetxt(csv_path, chain.draws, fmt="%.17g", delimiter=",")
     if metadata_path is not None:
         Path(metadata_path).write_text(
-            json.dumps(chain_metadata(chain, config), indent=2) + "\n"
+            json.dumps(chain_metadata(chain, config), indent=2, allow_nan=False) + "\n"
         )
 
 

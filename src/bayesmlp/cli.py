@@ -198,6 +198,12 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
+def _json_text(doc, indent: int | None = 2) -> str:
+    """A JSON document plus newline. NaN and infinities raise ValueError
+    rather than being written as tokens that strict JSON parsers reject."""
+    return json.dumps(doc, indent=indent, allow_nan=False) + "\n"
+
+
 def _out_dir(args) -> Path:
     path = Path(args.out_dir or os.environ.get(OUTPUT_DIR_ENV, "."))
     path.mkdir(parents=True, exist_ok=True)
@@ -235,7 +241,7 @@ def cmd_generate_data(args) -> int:
             "seed": cfg.seed,
         },
     }
-    (out_dir / "noisy_xor_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    (out_dir / "noisy_xor_manifest.json").write_text(_json_text(manifest))
     print(f"wrote {len(train)} train and {len(test)} test rows to {out_dir}")
     return 0
 
@@ -264,7 +270,7 @@ def cmd_sample(args) -> int:
             paths = list(pool.map(_sample_worker, [doc] * cfg.num_chains, indices, [str(out_dir)] * cfg.num_chains))
     else:
         paths = [_sample_worker(doc, i, str(out_dir)) for i in indices]
-    (out_dir / "experiment.json").write_text(json.dumps(doc, indent=2) + "\n")
+    (out_dir / "experiment.json").write_text(_json_text(doc))
     for path in paths:
         print(path)
     return 0
@@ -292,7 +298,7 @@ def cmd_diagnose(args) -> int:
         print(f"{tag:<10}{report['psrf']:>10.4f}{report['ess_mean']:>12.1f}")
     out = reports if len(reports) > 1 else next(iter(reports.values()))
     if args.out:
-        Path(args.out).write_text(json.dumps(out, indent=2) + "\n")
+        Path(args.out).write_text(_json_text(out))
     return 0
 
 
@@ -304,6 +310,8 @@ def _predictive_setup(args):
 
 
 def cmd_predict(args) -> int:
+    if not args.prior_baseline and not args.chains:
+        raise ConfigError("predict needs --chains, or --prior-baseline")
     cfg, arch, test = _predictive_setup(args)
     out_dir = _out_dir(args)
     if args.prior_baseline:
@@ -312,7 +320,7 @@ def cmd_predict(args) -> int:
         )
         print(f"prior baseline accuracy {100 * acc:.2f}")
         (out_dir / "prior_baseline.json").write_text(
-            json.dumps({"accuracy": acc, "num_draws": args.num_draws, "seed": cfg.seed}) + "\n"
+            _json_text({"accuracy": acc, "num_draws": args.num_draws, "seed": cfg.seed}, indent=None)
         )
         return 0
     chains = _load_chains(args.chains)
@@ -331,7 +339,7 @@ def cmd_predict(args) -> int:
                 writer.writerow([i, int(y), int(yhat), f"{pp:.17g}", f"{pt:.17g}"])
     mean_acc = float(np.mean(accs))
     summary = {"per_chain_accuracy": accs, "mean_accuracy": mean_acc}
-    (out_dir / "accuracy_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    (out_dir / "accuracy_summary.json").write_text(_json_text(summary))
     print(f"mean accuracy {100 * mean_acc:.2f}")
     return 0
 
@@ -505,9 +513,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - map to categorized exit codes
         for types, category, code in _ERROR_CATEGORIES:
             if isinstance(exc, types):
-                print(json.dumps({"error": category, "message": str(exc)}), file=sys.stderr)
+                sys.stderr.write(_json_text({"error": category, "message": str(exc)}, indent=None))
                 return code
-        print(json.dumps({"error": "internal", "message": str(exc)}), file=sys.stderr)
+        sys.stderr.write(_json_text({"error": "internal", "message": str(exc)}, indent=None))
         return 1
 
 

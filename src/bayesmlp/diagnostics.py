@@ -1,6 +1,10 @@
 """Convergence and effectiveness diagnostics: lag autocovariances, the
 multivariate initial monotone sequence estimator (MINSE) of Monte Carlo
 covariance, multivariate PSRF across chains and multivariate ESS per chain.
+
+MINSE dominates the cost: its scan takes one O(v n^2) product per lag pair.
+diagnostics_report therefore computes each chain's MINSE once and hands it
+to both the PSRF's within-chain covariance and that chain's ESS.
 """
 
 from __future__ import annotations
@@ -8,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 #: Relative ridge added to a singular within-chain covariance before the
 #: PSRF eigenproblem; falls back to an absolute 1e-10 when the trace is zero.
@@ -85,13 +88,31 @@ def empirical_covariance(draws) -> CovarianceEstimate:
     return CovarianceEstimate(centered.T @ centered / (v - 1), "empirical", v)
 
 
-def _chol_logdet(matrix) -> float | None:
-    """Log-determinant via Cholesky, or None when not positive definite."""
+def _cholesky(matrix) -> np.ndarray | None:
+    """Lower Cholesky factor, or None when not positive definite."""
     try:
-        chol = np.linalg.cholesky(matrix)
+        return np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError:
         return None
+
+
+def _chol_logdet(matrix) -> float | None:
+    """Log-determinant via Cholesky, or None when not positive definite."""
+    chol = _cholesky(matrix)
+    if chol is None:
+        return None
     return 2.0 * float(np.sum(np.log(np.diag(chol))))
+
+
+def _lag_pair(centered, pairs, k: int) -> np.ndarray:
+    """v (Sig_k + Sig_{k+1}) of centered draws as a single product.
+
+    pairs holds centered[:-1] + centered[1:], so for k + 1 < v
+    sum_i c_i c_{i+k}^T + sum_i c_i c_{i+k+1}^T
+    = c[:v-k-1]^T (c[k:v-1] + c[k+1:]) + c_{v-k-1} c_{v-1}^T.
+    """
+    v = centered.shape[0]
+    return centered[: v - k - 1].T @ pairs[k:] + np.outer(centered[v - k - 1], centered[v - 1])
 
 
 def minse(draws) -> CovarianceEstimate:
@@ -114,15 +135,13 @@ def minse(draws) -> CovarianceEstimate:
             f"zero-variance coordinate(s) {dead.tolist()}: MINSE is undefined"
         )
     centered = draws - draws.mean(axis=0)
+    pairs = centered[:-1] + centered[1:]
 
-    def sig(k: int) -> np.ndarray:
-        return centered[: v - k].T @ centered[k:] / v
-
-    current = -sig(0)
+    current = -(centered.T @ centered / v)
     prev = None
     prev_logdet = -np.inf
     for t in range(v // 2):
-        gamma = sig(2 * t) + sig(2 * t + 1)
+        gamma = _lag_pair(centered, pairs, 2 * t) / v
         current = current + gamma + gamma.T  # 2 * symmetrized Gamma_t
         logdet = _chol_logdet(current)
         if logdet is None or logdet <= prev_logdet:
@@ -145,6 +164,48 @@ def _stack_chains(chains) -> np.ndarray:
     return np.stack(mats)
 
 
+def _minse_or_none(draws) -> CovarianceEstimate | None:
+    try:
+        return minse(draws)
+    except DegenerateChainError:
+        return None  # constant chain: zero Monte Carlo covariance
+
+
+def _psrf(stacked) -> tuple[PsrfResult, list[CovarianceEstimate | None]]:
+    """PSRF of stacked (m, v, n) chains, with the per-chain MINSE it used
+    (None for a degenerate chain)."""
+    m, v, n = stacked.shape
+    if m < 2:
+        raise ValueError("PSRF needs at least two chains")
+
+    estimates = [_minse_or_none(chain) for chain in stacked]
+    within = np.zeros((n, n))
+    for est in estimates:
+        if est is not None:
+            within += est.matrix
+    within /= m
+
+    means = stacked.mean(axis=1)
+    grand = means.mean(axis=0)
+    b_over_v = (means - grand).T @ (means - grand) / (m - 1)
+
+    chol = _cholesky(within)
+    regularized = chol is None
+    if regularized:
+        ridge = RIDGE_FACTOR * np.trace(within) / n
+        if ridge <= 0.0:
+            ridge = RIDGE_FACTOR
+        chol = np.linalg.cholesky(within + ridge * np.eye(n))
+
+    # With W = L L^T, W^-1 B/v has the eigenvalues of the symmetric
+    # L^-1 (B/v) L^-T: the reduction LAPACK's generalized sygvd makes.
+    inv_chol = np.linalg.inv(chol)
+    lam = float(np.linalg.eigvalsh(inv_chol @ b_over_v @ inv_chol.T)[-1])
+    value = float(np.sqrt((v - 1) / v + (m + 1) / m * lam))
+    degenerate = tuple(i for i, est in enumerate(estimates) if est is None)
+    return PsrfResult(value, m, v, regularized, degenerate), estimates
+
+
 def multivariate_psrf(chains) -> PsrfResult:
     """Multivariate potential scale reduction factor.
 
@@ -154,35 +215,24 @@ def multivariate_psrf(chains) -> PsrfResult:
     constant in some coordinate contributes a zero matrix to W, and a
     singular W is ridged before the eigenproblem; both are flagged.
     """
-    stacked = _stack_chains(chains)
-    m, v, n = stacked.shape
-    if m < 2:
-        raise ValueError("PSRF needs at least two chains")
+    return _psrf(_stack_chains(chains))[0]
 
-    within = np.zeros((n, n))
-    degenerate = []
-    for idx in range(m):
-        try:
-            within += minse(stacked[idx]).matrix
-        except DegenerateChainError:
-            degenerate.append(idx)  # constant chain: zero Monte Carlo covariance
-    within /= m
 
-    means = stacked.mean(axis=1)
-    grand = means.mean(axis=0)
-    b_over_v = (means - grand).T @ (means - grand) / (m - 1)
-
-    regularized = False
-    if _chol_logdet(within) is None:
-        ridge = RIDGE_FACTOR * np.trace(within) / n
-        if ridge <= 0.0:
-            ridge = RIDGE_FACTOR
-        within = within + ridge * np.eye(n)
-        regularized = True
-
-    lam = float(scipy.linalg.eigh(b_over_v, within, eigvals_only=True)[-1])
-    value = float(np.sqrt((v - 1) / v + (m + 1) / m * lam))
-    return PsrfResult(value, m, v, regularized, tuple(degenerate))
+def _ess(draws, estimate: CovarianceEstimate | None = None) -> EssResult:
+    """ESS of v x n draws; estimate is their MINSE, computed here if None."""
+    v, n = draws.shape
+    if v <= n:
+        raise DegenerateChainError(f"need more draws ({v}) than dimensions ({n})")
+    sign_e, logdet_e = np.linalg.slogdet(empirical_covariance(draws).matrix)
+    if sign_e <= 0:
+        raise EstimatorError("empirical covariance has nonpositive determinant")
+    if estimate is None:
+        estimate = minse(draws)
+    sign_c, logdet_c = np.linalg.slogdet(estimate.matrix)
+    if sign_c <= 0:
+        raise EstimatorError("MINSE covariance has nonpositive determinant")
+    value = float(v * np.exp((logdet_e - logdet_c) / n))
+    return EssResult(value, v)
 
 
 def multivariate_ess(draws) -> EssResult:
@@ -191,24 +241,17 @@ def multivariate_ess(draws) -> EssResult:
     E is the empirical covariance (divisor v - 1) and C the MINSE; the
     ratio is evaluated through log-determinants.
     """
-    draws = _as_draws(draws)
-    v, n = draws.shape
-    if v <= n:
-        raise DegenerateChainError(f"need more draws ({v}) than dimensions ({n})")
-    sign_e, logdet_e = np.linalg.slogdet(empirical_covariance(draws).matrix)
-    if sign_e <= 0:
-        raise EstimatorError("empirical covariance has nonpositive determinant")
-    sign_c, logdet_c = np.linalg.slogdet(minse(draws).matrix)
-    if sign_c <= 0:
-        raise EstimatorError("MINSE covariance has nonpositive determinant")
-    value = float(v * np.exp((logdet_e - logdet_c) / n))
-    return EssResult(value, v)
+    return _ess(_as_draws(draws))
 
 
 def diagnostics_report(chains, burnin: int = 0) -> dict:
     """PSRF across chains plus per-chain ESS on post-burn-in draws.
 
-    Returns the report dictionary {psrf, ess_per_chain, ess_mean, v, m, n}.
+    Each chain's MINSE is computed once and serves both the PSRF and that
+    chain's ESS. Returns the report dictionary {psrf, regularized,
+    degenerate_chains, ess_per_chain, ess_mean, v, m, n}; regularized says
+    whether the PSRF ridged a singular W, degenerate_chains lists the
+    chains constant in some coordinate.
     """
     stacked = _stack_chains(chains)
     if burnin:
@@ -216,10 +259,13 @@ def diagnostics_report(chains, burnin: int = 0) -> dict:
             raise ValueError("burn-in leaves no draws")
         stacked = stacked[:, burnin:, :]
     m, v, n = stacked.shape
-    psrf = multivariate_psrf(stacked)
-    ess = [multivariate_ess(stacked[i]).value for i in range(m)]
+    psrf, estimates = _psrf(stacked)
+    # for a degenerate chain (None) _ess reruns minse and so raises as multivariate_ess does
+    ess = [_ess(chain, est).value for chain, est in zip(stacked, estimates)]
     return {
         "psrf": psrf.value,
+        "regularized": psrf.regularized,
+        "degenerate_chains": list(psrf.degenerate_chains),
         "ess_per_chain": ess,
         "ess_mean": float(np.mean(ess)),
         "v": v,

@@ -98,14 +98,20 @@ def unpack_parameters(arch: Architecture, theta) -> list[tuple[np.ndarray, np.nd
             f"parameter vector of length {theta.shape} does not match "
             f"expected ({n},) for architecture {arch.layer_widths}"
         )
+    return _layer_views(arch, theta)
+
+
+def _layer_views(arch, theta):
+    """Per-layer (W, b) views of the last axis of theta; leading axes carry over."""
+    lead = theta.shape[:-1]
     layers = []
     offset = 0
     widths = arch.layer_widths
     for j in range(1, len(widths)):
         rows, cols = widths[j], widths[j - 1]
-        W = theta[offset : offset + rows * cols].reshape(rows, cols)
+        W = theta[..., offset : offset + rows * cols].reshape(lead + (rows, cols))
         offset += rows * cols
-        b = theta[offset : offset + rows]
+        b = theta[..., offset : offset + rows]
         offset += rows
         layers.append((W, b))
     return layers
@@ -124,13 +130,12 @@ def pack_parameters(arch: Architecture, layers) -> np.ndarray:
 
 
 def _sigmoid(x):
-    # piecewise form avoids overflow in exp for large |x|
-    out = np.empty_like(x)
+    # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) otherwise, so exp
+    # never overflows. NaN takes the second branch with its sign bit intact
+    # (-|x| would flip it), which keeps every output bit of the masked form.
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.where(pos, -x, x))
+    return np.where(pos, 1.0, e) / (1.0 + e)
 
 
 def _softmax(x):
@@ -163,13 +168,16 @@ def _hidden_derivative(kind: ActivationKind, g, h):
     return np.ones_like(g)
 
 
-def _forward_cached(arch, theta, X):
-    """Forward pass over a batch, keeping pre/post-activations per layer."""
-    layers = unpack_parameters(arch, theta)
+def _forward_cached(arch, layers, X):
+    """Forward pass over a batch, keeping pre/post-activations per layer.
+
+    Layers with a leading draw axis (a stack of d parameter vectors) run as
+    one batched matmul each and give activations of shape (d, s, k_j).
+    """
     H = X
     gs, hs = [], [X]
     for j, (W, b) in enumerate(layers):
-        G = H @ W.T + b
+        G = H @ np.swapaxes(W, -1, -2) + b[..., None, :]
         kind = arch.output_activation if j == len(layers) - 1 else arch.hidden_activation
         H = _apply_activation(kind, G)
         gs.append(G)
@@ -196,9 +204,27 @@ def forward(arch: Architecture, theta, x) -> np.ndarray:
     a softmax output is a probability vector over the classes.
     """
     X, single = _as_batch(arch, x)
-    _, hs = _forward_cached(arch, theta, X)
+    _, hs = _forward_cached(arch, unpack_parameters(arch, theta), X)
     out = hs[-1]
     return out[0] if single else out
+
+
+def forward_stack(arch: Architecture, thetas, X) -> np.ndarray:
+    """Network outputs of d parameter vectors on an (s, k_0) input batch.
+
+    thetas has shape (d, n); the result has shape (d, s, k_rho), row i
+    equal to forward(arch, thetas[i], X) up to rounding.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    n = parameter_count(arch)
+    if thetas.ndim != 2 or thetas.shape[1] != n:
+        raise DimensionError(
+            f"parameter stack of shape {thetas.shape} does not match "
+            f"expected (d, {n}) for architecture {arch.layer_widths}"
+        )
+    X, _ = _as_batch(arch, X)
+    _, hs = _forward_cached(arch, _layer_views(arch, thetas), X)
+    return hs[-1]
 
 
 def event_probabilities(arch: Architecture, theta, x) -> np.ndarray:
@@ -296,7 +322,7 @@ def grad_log_likelihood(arch: Architecture, theta, data: LabeledDataset) -> np.n
     if X.shape[1] != arch.input_dim:
         raise DimensionError("feature width does not match input width")
     layers = unpack_parameters(arch, theta)
-    gs, hs = _forward_cached(arch, theta, X)
+    gs, hs = _forward_cached(arch, layers, X)
 
     # dl/dg at the output layer: residual form for both link functions
     y = data.labels

@@ -1,5 +1,10 @@
 """Posterior predictive classification by Bayesian marginalization over a
-chain tail, plus the prior-predictive baseline and grid evaluation."""
+chain tail, plus the prior-predictive baseline and grid evaluation.
+
+The predictive evaluates the tail in chunks of PREDICTIVE_CHUNK draws, each
+chunk one forward pass of a (draws, points, width) stack, so the work per
+draw is a slice of a batched matmul rather than a Python-level call.
+"""
 
 from __future__ import annotations
 
@@ -13,6 +18,13 @@ from .data import LabeledDataset
 
 #: Default chain-tail length used for predictive approximations.
 DEFAULT_TAIL = 10000
+
+#: Draws per batched forward pass. On the hawks test set (295 points,
+#: MLP(6,2,2,3)), on a Xeon with 2 MB of L2 per core and one BLAS thread,
+#: chunks of 16 to 64 draws ran equally fast and 128 or more about 40%
+#: slower, once a chunk's (draws, points, width) activations outgrow the
+#: cache. Memory stays flat in the tail length.
+PREDICTIVE_CHUNK = 32
 
 #: Grid defaults for the two-feature heatmap.
 DEFAULT_GRID_BOUNDS = (-0.5, 1.5)
@@ -39,16 +51,19 @@ def _tail_matrix(chain_tail) -> np.ndarray:
 def predictive_distribution(arch: mlp.Architecture, chain_tail, x) -> np.ndarray:
     """Monte Carlo posterior predictive probabilities at input(s) x.
 
-    Averages the per-draw event probabilities over the chain tail.
-    Returns (K,) for a single input and (s, K) for a batch; binary
-    models report K = 2 columns (1 - h, h).
+    Averages the per-draw event probabilities over the chain tail, one
+    batched forward pass per PREDICTIVE_CHUNK draws. Returns (K,) for a
+    single input and (s, K) for a batch; binary models average h and
+    report K = 2 columns (1 - mean h, mean h).
     """
     tail = _tail_matrix(chain_tail)
     X, single = mlp._as_batch(arch, x)
-    total = np.zeros((X.shape[0], 2 if arch.is_binary else arch.output_dim))
-    for theta in tail:
-        total += mlp.event_probabilities(arch, theta, X)
+    total = np.zeros((X.shape[0], arch.output_dim))
+    for lo in range(0, tail.shape[0], PREDICTIVE_CHUNK):
+        total += mlp.forward_stack(arch, tail[lo : lo + PREDICTIVE_CHUNK], X).sum(axis=0)
     probs = total / tail.shape[0]
+    if arch.is_binary:
+        probs = np.column_stack([1.0 - probs[:, 0], probs[:, 0]])
     return probs[0] if single else probs
 
 

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import mlp
+from . import mlp, predictive
 from .data import LabeledDataset
 
 #: HMC energy-error threshold beyond which a trajectory counts as divergent.
@@ -485,10 +485,7 @@ def run_posterior_chain(
 def _point_accuracy(arch, theta, data: LabeledDataset) -> float:
     """Plain classification accuracy of a single parameter vector."""
     probs = mlp.event_probabilities(arch, theta, data.features)
-    if arch.is_binary:
-        predicted = (probs[:, 1] >= 0.5).astype(int)
-    else:
-        predicted = probs.argmax(axis=1) + 1
+    predicted = predictive.classify(probs, "binary" if arch.is_binary else "multiclass")
     return float(np.mean(predicted == data.labels))
 
 

@@ -255,6 +255,7 @@ def test_criterion_4_diagnostics_oracles():
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_noisy_xor_desk_scale(xor_data, xor_mh_chains, xor_pp_chains):
     """MH accuracy band, prior baseline band and PP-vs-MH ordering."""
     _, test = xor_data
@@ -285,6 +286,7 @@ def test_criterion_5_noisy_xor_desk_scale(xor_data, xor_mh_chains, xor_pp_chains
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_real_data_desk_scale():
     """HMC accuracy floors and prior baselines on penguins and hawks."""
     results = {}
@@ -310,6 +312,7 @@ def test_criterion_6_real_data_desk_scale():
     report(6, ok, f"{detail}, {total:.0f}s (< 2700s)")
 
 
+@pytest.mark.slow
 def test_criterion_7_convergence_failure_reproduction(xor_mh_chains):
     """Desk-scale XOR MH: PSRF above threshold and sign-separated modes."""
     chains, _ = xor_mh_chains
@@ -330,6 +333,7 @@ def test_criterion_7_convergence_failure_reproduction(xor_mh_chains):
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_uncertainty_structure(xor_mh_chains):
     """Near-boundary cells are less certain than far cells, per chain."""
     chains, _ = xor_mh_chains

@@ -1,8 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from bayesmlp.chainio import chain_metadata, format_hms, load_chain, save_chain
-from bayesmlp.samplers import Chain
+from bayesmlp.data import NoisyXorConfig, generate_noisy_xor, load_vendored
+from bayesmlp.mlp import Architecture
+from bayesmlp.samplers import Chain, HmcConfig, MhConfig, PpConfig, run_posterior_chain
 
 
 @pytest.fixture
@@ -66,3 +70,30 @@ class TestHms:
         assert format_hms(0) == "0:00:00"
         assert format_hms(2574) == "0:42:54"
         assert format_hms(4248) == "1:10:48"
+
+
+#: SHA-256 of chain CSVs at seed 7: (architecture, dataset, sampler, iterations, digest).
+#: MH and PP draws move only when an accept decision flips; the HMC state
+#: carries every gradient bit through its leapfrog steps, so that pin also
+#: fixes the floating-point path of the forward pass and backprop.
+CHAIN_PINS = {
+    "MH": ((2, 2, 1), "xor", MhConfig(0.05), 300,
+           "71ee4f615826740941474549dba25303e7137f257f1b8907ccf89152a2ae31d5"),
+    "HMC": ((6, 2, 2, 3), "penguins", HmcConfig(5, 0.05), 40,
+            "efbc9106bd200384173c64181f9b438d9caab3357a96069b191f7b9f3fff21e3"),
+    "PP": ((2, 2, 1), "xor", PpConfig((0.1, 0.5, 1.0), beta=0.5, within_chain=MhConfig(0.05)), 60,
+           "398bc771819d6ed4e3605efeeef0498a6920d1140039924d7853649166bc62fb"),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(CHAIN_PINS))
+def test_chain_csv_bytes_pinned(tmp_path, tag):
+    widths, dataset, config, iterations, digest = CHAIN_PINS[tag]
+    if dataset == "xor":
+        train, _ = generate_noisy_xor(NoisyXorConfig(train_per_corner=10, test_per_corner=1, seed=0))
+    else:
+        train, _ = load_vendored(dataset)
+    chain = run_posterior_chain(Architecture(widths), train, 10.0, config, iterations, seed=7)
+    path = tmp_path / f"{tag}.csv"
+    save_chain(chain, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -253,8 +256,26 @@ class TestErrors:
             "sample", "--config", xor_config, "--burnin", 400, "--out-dir", tmp_path,
         ]) == 2
 
+    def test_predict_without_chains(self, tmp_path, xor_config, capsys):
+        """An empty chain set is a config error, not a NaN accuracy."""
+        pred = tmp_path / "pred"
+        assert run(["predict", "--config", xor_config, "--out-dir", pred]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+        assert not (pred / "accuracy_summary.json").exists()
+
+    def test_json_output_rejects_nan(self):
+        with pytest.raises(ValueError):
+            cli._json_text({"mean_accuracy": float("nan")})
+
     def test_output_dir_env(self, tmp_path, xor_config, monkeypatch):
         env_dir = tmp_path / "env_out"
         monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(env_dir))
         assert run(["generate-data", "--train-per-corner", 2, "--test-per-corner", 1]) == 0
         assert (env_dir / "noisy_xor_train.csv").exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, bayesmlp.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -215,10 +215,72 @@ class TestDiagnosticsReport:
         rng = np.random.default_rng(61)
         chains = [rng.standard_normal((8000, 3)) for _ in range(4)]
         report = diagnostics.diagnostics_report(chains, burnin=1000)
-        assert set(report) == {"psrf", "ess_per_chain", "ess_mean", "v", "m", "n"}
+        assert set(report) == {
+            "psrf", "regularized", "degenerate_chains", "ess_per_chain", "ess_mean", "v", "m", "n",
+        }
+        assert report["regularized"] is False
+        assert report["degenerate_chains"] == []
         assert report["v"] == 7000
         assert report["m"] == 4
         assert report["n"] == 3
         assert report["psrf"] < 1.01
         assert report["ess_mean"] == pytest.approx(7000, rel=0.2)
         assert len(report["ess_per_chain"]) == 4
+
+    def test_matches_separate_psrf_and_ess(self):
+        """One MINSE per chain gives the same numbers as the public calls."""
+        rng = np.random.default_rng(67)
+        chains = [ar1_chain(rng, 0.6, 3000, dim=3) for _ in range(3)]
+        report = diagnostics.diagnostics_report(chains)
+        assert report["psrf"] == multivariate_psrf(chains).value
+        assert report["ess_per_chain"] == [multivariate_ess(c).value for c in chains]
+
+    def test_minse_once_per_chain(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        chains = [rng.standard_normal((500, 2)) for _ in range(3)]
+        calls = []
+        original = diagnostics.minse
+
+        def counted(draws):
+            calls.append(1)
+            return original(draws)
+
+        monkeypatch.setattr(diagnostics, "minse", counted)
+        diagnostics.diagnostics_report(chains)
+        assert len(calls) == 3
+
+
+class TestFusedLagPair:
+    def test_matches_separate_lags(self):
+        rng = np.random.default_rng(73)
+        draws = ar1_chain(rng, 0.8, 301, dim=4)
+        v = draws.shape[0]
+        centered = draws - draws.mean(axis=0)
+        pairs = centered[:-1] + centered[1:]
+        for t in (0, 1, 7, v // 2 - 1):
+            fused = diagnostics._lag_pair(centered, pairs, 2 * t) / v
+            separate = lag_autocovariance(draws, 2 * t) + lag_autocovariance(draws, 2 * t + 1)
+            np.testing.assert_allclose(fused, separate, rtol=1e-12, atol=1e-14)
+
+
+class TestPsrfEigenproblem:
+    def _scipy_psrf(self, chains, scipy_linalg):
+        """Reference PSRF from the generalized symmetric eigensolver."""
+        stacked = np.stack(chains)
+        m, v, n = stacked.shape
+        within = sum(minse(c).matrix for c in stacked) / m
+        means = stacked.mean(axis=1)
+        centered = means - means.mean(axis=0)
+        b_over_v = centered.T @ centered / (m - 1)
+        lam = scipy_linalg.eigh(b_over_v, within, eigvals_only=True)[-1]
+        return math.sqrt((v - 1) / v + (m + 1) / m * lam)
+
+    @pytest.mark.parametrize("shift", [0.0, 0.05, 1.0])
+    def test_matches_scipy_generalized_eigh(self, shift):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(79)
+        mixing = rng.normal(size=(5, 5))  # correlated coordinates, W far from diagonal
+        chains = [ar1_chain(rng, 0.7, 2000, dim=5) @ mixing + shift * i for i in range(4)]
+        assert multivariate_psrf(chains).value == pytest.approx(
+            self._scipy_psrf(chains, scipy_linalg), rel=1e-10
+        )

@@ -18,7 +18,7 @@ from bayesmlp import (
     log_prior,
     parameter_count,
 )
-from bayesmlp.mlp import pack_parameters, unpack_parameters
+from bayesmlp.mlp import _sigmoid, forward_stack, pack_parameters, unpack_parameters
 
 from conftest import random_instance
 
@@ -46,6 +46,27 @@ class TestParameterCount:
     )
     def test_known_counts(self, widths, expected):
         assert parameter_count(Architecture(widths)) == expected
+
+
+def masked_sigmoid(x):
+    """Reference piecewise sigmoid: each branch evaluated on its masked subset."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    def test_bits_match_masked_form(self, rng):
+        special = np.array(
+            [np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, 750.0, -750.0, 709.8, -709.8, 36.8, -36.8]
+        )
+        for x in (special, 20.0 * rng.normal(size=10001), rng.normal(size=(7, 3))):
+            np.testing.assert_array_equal(
+                _sigmoid(x).view(np.uint64), masked_sigmoid(x).view(np.uint64)
+            )
 
 
 class TestForward:
@@ -98,6 +119,19 @@ class TestForward:
         theta[6] = 1000.0
         out = forward(arch, theta, np.array([1.0, 0.0]))
         assert np.isfinite(out).all()
+
+    def test_stack_matches_single(self, rng, deep_arch):
+        thetas = rng.normal(size=(4, parameter_count(deep_arch)))
+        X = rng.normal(size=(7, 6))
+        stacked = forward_stack(deep_arch, thetas, X)
+        assert stacked.shape == (4, 7, 3)
+        for theta, out in zip(thetas, stacked):
+            np.testing.assert_allclose(out, forward(deep_arch, theta, X), rtol=1e-12)
+
+    def test_stack_rejects_wrong_shape(self, xor_arch):
+        for thetas in (np.zeros(9), np.zeros((2, 8)), np.zeros((1, 2, 9))):
+            with pytest.raises(DimensionError):
+                forward_stack(xor_arch, thetas, np.zeros((1, 2)))
 
     def test_binary_event_probabilities_sum_exactly(self, rng, xor_arch):
         theta = rng.normal(size=9)

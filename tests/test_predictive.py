@@ -6,6 +6,7 @@ import pytest
 from bayesmlp import Architecture, LabeledDataset, event_probabilities, parameter_count
 from bayesmlp.mlp import DimensionError
 from bayesmlp.predictive import (
+    PREDICTIVE_CHUNK,
     accuracy,
     classify,
     grid_cell_centers,
@@ -57,6 +58,19 @@ class TestPredictiveDistribution:
     def test_empty_tail_rejected(self, xor_arch):
         with pytest.raises(ValueError):
             predictive_distribution(xor_arch, np.empty((0, 9)), np.zeros(2))
+
+    def test_wrong_tail_width_rejected(self, xor_arch):
+        with pytest.raises(DimensionError):
+            predictive_distribution(xor_arch, np.zeros((3, 8)), np.zeros(2))
+
+    @pytest.mark.parametrize("draws", [1, PREDICTIVE_CHUNK - 1, PREDICTIVE_CHUNK + 1])
+    @pytest.mark.parametrize("widths", [(2, 2, 1), (6, 2, 2, 3)])
+    def test_chunks_match_per_draw_loop(self, rng, widths, draws):
+        arch = Architecture(widths)
+        tail = 2.0 * rng.normal(size=(draws, parameter_count(arch)))
+        X = rng.normal(size=(13, arch.input_dim))
+        loop = sum(event_probabilities(arch, theta, X) for theta in tail) / draws
+        np.testing.assert_allclose(predictive_distribution(arch, tail, X), loop, rtol=0, atol=1e-12)
 
 
 class TestClassify:
