@@ -19,7 +19,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,7 @@ class ConfigError(ValueError):
 # exit codes by error category; argparse itself exits with 2 on bad usage
 _ERROR_CATEGORIES = (
     (ConfigError, "config", 2),
-    ((FileNotFoundError, OSError), "io", 3),
+    ((FileNotFoundError, OSError, chainio.ChainFileError), "io", 3),
     (mlp.DimensionError, "dimension", 4),
     (samplers.SamplerStartupError, "sampler", 5),
     ((diagnostics.DegenerateChainError, diagnostics.EstimatorError), "diagnostics", 6),
@@ -45,9 +45,64 @@ _ERROR_CATEGORIES = (
 )
 
 
+#: Optional keys of each config section with their defaults. A section
+#: accepts these keys and its required ones; the builders read every value
+#: from the section merged over these defaults, so the keys accepted and the
+#: keys read cannot drift apart.
+SAMPLER_DEFAULTS = {
+    "MH": {"proposal_variance": 0.02},
+    "HMC": {"leapfrog_steps": 10, "step_size": 0.01},
+    "PP": {"temperatures": [1.0] * 10, "beta": 0.5, "proposal_variance": 0.02},
+}
+ARCHITECTURE_DEFAULTS = {"hidden_activation": "sigmoid"}
+NOISY_XOR_DEFAULTS = {"c": 0.55, "train_per_corner": 125, "test_per_corner": 30, "seed": 0}
+CSV_DATASET_DEFAULTS = {
+    "name": None,  # accepted as a label and ignored when it names no dataset
+    "manifest": None,
+    "feature_columns": None,
+    "label_column": "label",
+    "label_mapping": {"0": 0, "1": 1},
+}
+
+_SECTIONS = ("dataset", "architecture", "sampler")
+_INTEGER_FIELDS = ("num_chains", "iterations", "burnin", "tail", "seed")
+
+
+def _section(name: str, doc: dict, defaults: dict, required=()) -> dict:
+    """doc merged over defaults; a key neither defaulted nor required is a
+    config error."""
+    allowed = set(defaults) | set(required)
+    unknown = set(doc) - allowed
+    if unknown:
+        raise ConfigError(f"unknown {name} fields: {sorted(unknown)}; expected {sorted(allowed)}")
+    return {**defaults, **doc}
+
+
+def _sampler_kind(doc: dict) -> str:
+    kind = doc.get("kind", "MH")
+    if not isinstance(kind, str) or kind.upper() not in SAMPLER_DEFAULTS:
+        raise ConfigError(f"unknown sampler kind {kind!r}; expected MH, HMC or PP")
+    return kind.upper()
+
+
+def _dataset_fields(doc: dict) -> tuple[str, dict]:
+    """The form of a dataset section (generated noisy XOR, vendored, or
+    train/test CSV files) and its fields merged over that form's defaults."""
+    name = doc.get("name")
+    if name == "noisy-xor":
+        return "noisy-xor", _section("dataset", doc, NOISY_XOR_DEFAULTS, required=("name",))
+    if name in data.VENDORED_DATASETS:
+        return "vendored", _section("dataset", doc, {}, required=("name",))
+    return "files", _section("dataset", doc, CSV_DATASET_DEFAULTS, required=("train", "test"))
+
+
 @dataclass
 class ExperimentConfig:
-    """One sampling experiment: dataset, model, sampler and run protocol."""
+    """One sampling experiment: dataset, model, sampler and run protocol.
+
+    Validation builds ``arch`` and ``sampler_config`` from their sections;
+    rerun ``__post_init__`` after changing a field.
+    """
 
     dataset: dict = field(default_factory=dict)
     architecture: dict = field(default_factory=lambda: {"layer_widths": [2, 2, 1]})
@@ -58,8 +113,19 @@ class ExperimentConfig:
     burnin: int = 10000
     tail: int = 10000
     seed: int = 0
+    arch: mlp.Architecture = field(init=False, repr=False, compare=False)
+    sampler_config: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in _SECTIONS:
+            if not isinstance(getattr(self, name), dict):
+                raise ConfigError(f"{name} must be a JSON object")
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.prior_variance, (int, float)) or isinstance(self.prior_variance, bool):
+            raise ConfigError(f"prior_variance must be a number, got {self.prior_variance!r}")
         if self.num_chains < 1:
             raise ConfigError("num_chains must be >= 1")
         if self.iterations < 1:
@@ -70,10 +136,15 @@ class ExperimentConfig:
             raise ConfigError("tail must satisfy 0 < tail <= iterations")
         if self.prior_variance <= 0:
             raise ConfigError("prior_variance must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        _dataset_fields(self.dataset)
+        self.arch = build_architecture(self.architecture)
+        self.sampler_config = build_sampler_config(self.sampler)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
+        known = {f.name for f in fields(cls) if f.init}
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -94,63 +165,58 @@ class ExperimentConfig:
 
 
 def build_architecture(doc: dict) -> mlp.Architecture:
+    doc = _section("architecture", doc, ARCHITECTURE_DEFAULTS, required=("layer_widths",))
     try:
         widths = tuple(int(w) for w in doc["layer_widths"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"architecture.layer_widths invalid: {exc}") from None
-    hidden = mlp.ActivationKind(doc.get("hidden_activation", "sigmoid"))
     try:
+        hidden = mlp.ActivationKind(doc["hidden_activation"])
         return mlp.Architecture(widths, hidden_activation=hidden)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
 def build_sampler_config(doc: dict):
-    kind = doc.get("kind", "MH").upper()
+    kind = _sampler_kind(doc)
+    doc = _section("sampler", doc, {"kind": kind, **SAMPLER_DEFAULTS[kind]})
     try:
         if kind == "MH":
-            return samplers.MhConfig(float(doc.get("proposal_variance", 0.02)))
+            return samplers.MhConfig(float(doc["proposal_variance"]))
         if kind == "HMC":
-            return samplers.HmcConfig(
-                int(doc.get("leapfrog_steps", 10)), float(doc.get("step_size", 0.01))
-            )
-        if kind == "PP":
-            temps = doc.get("temperatures", [1.0] * 10)
-            return samplers.PpConfig(
-                tuple(float(t) for t in temps),
-                beta=float(doc.get("beta", 0.5)),
-                within_chain=samplers.MhConfig(float(doc.get("proposal_variance", 0.02))),
-            )
-    except ValueError as exc:
+            return samplers.HmcConfig(int(doc["leapfrog_steps"]), float(doc["step_size"]))
+        return samplers.PpConfig(
+            tuple(float(t) for t in doc["temperatures"]),
+            beta=float(doc["beta"]),
+            within_chain=samplers.MhConfig(float(doc["proposal_variance"])),
+        )
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"sampler config invalid: {exc}") from None
-    raise ConfigError(f"unknown sampler kind {kind!r}; expected MH, HMC or PP")
 
 
 def resolve_dataset(doc: dict) -> tuple[data.LabeledDataset, data.LabeledDataset]:
     """Materialize the (train, test) pair a config refers to."""
-    name = doc.get("name")
-    if name == "noisy-xor":
+    form, doc = _dataset_fields(doc)
+    if form == "noisy-xor":
         cfg = data.NoisyXorConfig(
-            c=float(doc.get("c", 0.55)),
-            train_per_corner=int(doc.get("train_per_corner", 125)),
-            test_per_corner=int(doc.get("test_per_corner", 30)),
-            seed=int(doc.get("seed", 0)),
+            c=float(doc["c"]),
+            train_per_corner=int(doc["train_per_corner"]),
+            test_per_corner=int(doc["test_per_corner"]),
+            seed=int(doc["seed"]),
         )
         return data.generate_noisy_xor(cfg)
-    if name in data.VENDORED_DATASETS:
-        return data.load_vendored(name)
+    if form == "vendored":
+        return data.load_vendored(doc["name"])
     if "train" in doc and "test" in doc:
-        manifest = json.loads(Path(doc["manifest"]).read_text()) if "manifest" in doc else {}
+        manifest = json.loads(Path(doc["manifest"]).read_text()) if doc["manifest"] is not None else {}
         out = []
         for role in ("train", "test"):
             out.append(
                 data.load_csv_dataset(
                     doc[role],
-                    manifest.get("feature_columns", doc.get("feature_columns")),
-                    manifest.get("label_column", doc.get("label_column", "label")),
-                    {str(k): v for k, v in manifest.get(
-                        "label_mapping", doc.get("label_mapping", {"0": 0, "1": 1})
-                    ).items()},
+                    manifest.get("feature_columns", doc["feature_columns"]),
+                    manifest.get("label_column", doc["label_column"]),
+                    {str(k): v for k, v in manifest.get("label_mapping", doc["label_mapping"]).items()},
                     role=role,
                     encodings=manifest.get("encodings"),
                 )
@@ -177,8 +243,8 @@ def _load_config(args) -> ExperimentConfig:
             "layer_widths": [int(w) for w in args.arch.split(",")],
             "hidden_activation": cfg.architecture.get("hidden_activation", "sigmoid"),
         }
-    if getattr(args, "sampler", None):
-        cfg.sampler["kind"] = args.sampler
+    if getattr(args, "sampler", None) and args.sampler != _sampler_kind(cfg.sampler):
+        cfg.sampler = {"kind": args.sampler}  # another kind starts from its own defaults
     for flag, key in (
         ("proposal_variance", "proposal_variance"),
         ("leapfrog_steps", "leapfrog_steps"),
@@ -192,8 +258,9 @@ def _load_config(args) -> ExperimentConfig:
     for flag in ("train", "test", "manifest"):
         value = getattr(args, flag, None)
         if value is not None:
+            if "name" in cfg.dataset:
+                cfg.dataset = {}  # file flags replace a named dataset and its settings
             cfg.dataset[flag] = value
-            cfg.dataset.pop("name", None)
     ExperimentConfig.__post_init__(cfg)  # revalidate after overrides
     return cfg
 
@@ -249,10 +316,8 @@ def cmd_generate_data(args) -> int:
 def _sample_worker(config_doc: dict, index: int, out_dir: str) -> str:
     cfg = ExperimentConfig.from_dict(config_doc)
     train, _ = resolve_dataset(cfg.dataset)
-    arch = build_architecture(cfg.architecture)
-    sampler_cfg = build_sampler_config(cfg.sampler)
     chain = samplers.run_posterior_chain(
-        arch, train, cfg.prior_variance, sampler_cfg, cfg.iterations,
+        cfg.arch, train, cfg.prior_variance, cfg.sampler_config, cfg.iterations,
         samplers.derive_chain_seed(cfg.seed, index), burnin=cfg.burnin,
     )
     csv_path, meta_path = _chain_paths(Path(out_dir), index)
@@ -304,9 +369,8 @@ def cmd_diagnose(args) -> int:
 
 def _predictive_setup(args):
     cfg = _load_config(args)
-    arch = build_architecture(cfg.architecture)
     _, test = resolve_dataset(cfg.dataset)
-    return cfg, arch, test
+    return cfg, cfg.arch, test
 
 
 def cmd_predict(args) -> int:
@@ -398,7 +462,7 @@ def cmd_boxplot_data(args) -> int:
 
 def cmd_sgd_ensemble(args) -> int:
     cfg = _load_config(args)
-    arch = build_architecture(cfg.architecture)
+    arch = cfg.arch
     train, test = resolve_dataset(cfg.dataset)
     out_dir = _out_dir(args)
     sgd_cfg = samplers.SgdConfig(

@@ -139,10 +139,21 @@ def _sigmoid(x):
 
 
 def _softmax(x):
-    # max-subtraction for overflow safety; rows sum to 1
-    z = x - x.max(axis=-1, keepdims=True)
-    ez = np.exp(z)
-    return ez / ez.sum(axis=-1, keepdims=True)
+    # max-subtraction for overflow safety; rows sum to 1. The row max and row
+    # sum run one column at a time, about twice as fast as reductions over a
+    # short last axis. Below 8 classes this keeps the bits of the reduction
+    # form (numpy adds fewer than 8 elements in order, 8 or more pairwise),
+    # except the sign or payload of a NaN output: the max reduction returns a
+    # canonical NaN where np.maximum passes the input NaN on.
+    k = x.shape[-1]
+    m = x[..., 0]
+    for i in range(1, k):
+        m = np.maximum(m, x[..., i])
+    ez = np.exp(x - m[..., None])
+    total = ez[..., 0].copy()
+    for i in range(1, k):
+        total += ez[..., i]
+    return ez / total[..., None]
 
 
 def _apply_activation(kind: ActivationKind, g):
@@ -251,6 +262,115 @@ def _check_labels(arch, data):
             raise ValueError(f"multiclass labels must lie in {{1, ..., {k}}}")
 
 
+def _prior_constant(n: int, sigma2: float) -> float:
+    if sigma2 <= 0:
+        raise ValueError("prior variance must be positive")
+    return -0.5 * n * math.log(2.0 * math.pi * sigma2)
+
+
+class Posterior:
+    """Unnormalized MLP log-posterior on one dataset, compiled once.
+
+    Labels are checked when the object is built. A binary model keeps y
+    and 1 - y, a multiclass model the 0-based label index and the one-hot
+    label matrix; the normal prior keeps its constant. Every evaluation is
+    then one forward pass over the stored features, and value_and_grad
+    reads the log-posterior off the pass that backprop uses. The module
+    functions log_likelihood*, log_posterior and grad_log_* wrap this class.
+    """
+
+    def __init__(self, arch: Architecture, data: LabeledDataset, sigma2: float):
+        self.dim = parameter_count(arch)
+        self._prior_const = _prior_constant(self.dim, sigma2)
+        _check_labels(arch, data)
+        X = np.asarray(data.features, dtype=float)
+        if len(data) and X.shape[1] != arch.input_dim:
+            raise DimensionError("feature width does not match input width")
+        self.arch = arch
+        self.sigma2 = sigma2
+        self._X = X if len(data) else None
+        y = data.labels
+        if arch.is_binary:
+            self._y, self._not_y = y, 1 - y
+        else:
+            self._rows, self._index = np.arange(len(y)), y - 1
+            self._onehot = np.zeros((len(y), arch.output_dim))
+            self._onehot[self._rows, self._index] = 1.0
+
+    def _log_likelihood_of(self, out) -> float:
+        """Log-likelihood from the network output on the stored features,
+        with event probabilities clamped away from 0 and 1."""
+        if self.arch.is_binary:
+            p = np.clip(out[:, 0], PROB_EPS, 1.0 - PROB_EPS)
+            return float(np.sum(self._y * np.log(p) + self._not_y * np.log1p(-p)))
+        p = np.clip(out[self._rows, self._index], PROB_EPS, 1.0 - PROB_EPS)
+        return float(np.sum(np.log(p)))
+
+    def _backprop(self, layers, gs, hs) -> np.ndarray:
+        """Log-likelihood gradient by backprop over a cached forward pass.
+
+        The clamping applied inside the likelihood value is ignored here; it
+        only binds in saturated regions where the clamped value is constant.
+        """
+        # dl/dg at the output layer: residual form for both link functions
+        if self.arch.is_binary:
+            delta = (self._y - hs[-1][:, 0])[:, None]
+        else:
+            delta = self._onehot - hs[-1]
+        grads = [None] * len(layers)
+        for j in range(len(layers) - 1, -1, -1):
+            W, _ = layers[j]
+            grads[j] = (delta.T @ hs[j], delta.sum(axis=0))
+            if j > 0:
+                delta = (delta @ W) * _hidden_derivative(
+                    self.arch.hidden_activation, gs[j - 1], hs[j]
+                )
+        return pack_parameters(self.arch, grads)
+
+    def log_likelihood(self, theta) -> float:
+        """Classification log-likelihood; 0 on an empty dataset."""
+        layers = unpack_parameters(self.arch, theta)
+        if self._X is None:
+            return 0.0
+        _, hs = _forward_cached(self.arch, layers, self._X)
+        return self._log_likelihood_of(hs[-1])
+
+    def log_prior(self, theta) -> float:
+        """Log-density of the normal prior N(0, sigma2 I)."""
+        theta = np.asarray(theta, dtype=float)
+        return float(self._prior_const - theta @ theta / (2.0 * self.sigma2))
+
+    def grad_log_likelihood(self, theta) -> np.ndarray:
+        layers = unpack_parameters(self.arch, theta)
+        if self._X is None:
+            return np.zeros(self.dim)
+        gs, hs = _forward_cached(self.arch, layers, self._X)
+        return self._backprop(layers, gs, hs)
+
+    def grad(self, theta) -> np.ndarray:
+        """Gradient of the unnormalized log-posterior, flat layout."""
+        return self.grad_log_likelihood(theta) + grad_log_prior(theta, self.sigma2)
+
+    def value(self, theta) -> float:
+        """Unnormalized log-posterior: log-likelihood plus log-prior."""
+        return self.log_likelihood(theta) + self.log_prior(theta)
+
+    def value_and_grad(self, theta) -> tuple[float, np.ndarray]:
+        """Log-posterior and its gradient from one forward pass."""
+        layers = unpack_parameters(self.arch, theta)
+        if self._X is None:
+            ll, grad = 0.0, np.zeros(self.dim)
+        else:
+            gs, hs = _forward_cached(self.arch, layers, self._X)
+            ll, grad = self._log_likelihood_of(hs[-1]), self._backprop(layers, gs, hs)
+        return ll + self.log_prior(theta), grad + grad_log_prior(theta, self.sigma2)
+
+
+def _likelihood(arch: Architecture, data: LabeledDataset) -> Posterior:
+    # the prior variance plays no part in the likelihood or its gradient
+    return Posterior(arch, data, 1.0)
+
+
 def log_likelihood_binary(arch: Architecture, theta, data: LabeledDataset) -> float:
     """Bernoulli log-likelihood (negated binary cross entropy).
 
@@ -259,33 +379,19 @@ def log_likelihood_binary(arch: Architecture, theta, data: LabeledDataset) -> fl
     """
     if not arch.is_binary:
         raise DimensionError("binary likelihood needs a single output neuron")
-    _check_labels(arch, data)
-    if len(data) == 0:
-        return 0.0
-    h = forward(arch, theta, data.features)[:, 0]
-    p = np.clip(h, PROB_EPS, 1.0 - PROB_EPS)
-    y = data.labels
-    return float(np.sum(y * np.log(p) + (1 - y) * np.log1p(-p)))
+    return _likelihood(arch, data).log_likelihood(theta)
 
 
 def log_likelihood_multiclass(arch: Architecture, theta, data: LabeledDataset) -> float:
     """Categorical log-likelihood (negated cross entropy), labels 1-based."""
     if arch.is_binary:
         raise DimensionError("multiclass likelihood needs >= 2 output neurons")
-    _check_labels(arch, data)
-    if len(data) == 0:
-        return 0.0
-    H = forward(arch, theta, data.features)
-    p = H[np.arange(len(data)), data.labels - 1]
-    p = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
-    return float(np.sum(np.log(p)))
+    return _likelihood(arch, data).log_likelihood(theta)
 
 
 def log_likelihood(arch: Architecture, theta, data: LabeledDataset) -> float:
     """Classification log-likelihood matching the output layer width."""
-    if arch.is_binary:
-        return log_likelihood_binary(arch, theta, data)
-    return log_likelihood_multiclass(arch, theta, data)
+    return _likelihood(arch, data).log_likelihood(theta)
 
 
 def log_prior(theta, sigma2: float) -> float:
@@ -293,55 +399,18 @@ def log_prior(theta, sigma2: float) -> float:
 
     Fully normalized, so tempered posteriors stay well-defined.
     """
-    if sigma2 <= 0:
-        raise ValueError("prior variance must be positive")
     theta = np.asarray(theta, dtype=float)
-    n = theta.size
-    return float(-0.5 * n * math.log(2.0 * math.pi * sigma2) - theta @ theta / (2.0 * sigma2))
+    return float(_prior_constant(theta.size, sigma2) - theta @ theta / (2.0 * sigma2))
 
 
 def log_posterior(arch: Architecture, theta, data: LabeledDataset, sigma2: float) -> float:
     """Unnormalized log-posterior: log-likelihood plus log-prior."""
-    return log_likelihood(arch, theta, data) + log_prior(theta, sigma2)
+    return Posterior(arch, data, sigma2).value(theta)
 
 
 def grad_log_likelihood(arch: Architecture, theta, data: LabeledDataset) -> np.ndarray:
-    """Exact gradient of the classification log-likelihood via backprop.
-
-    The clamping applied inside the likelihood value is ignored here; it
-    only binds in saturated regions where the clamped value is constant.
-    """
-    _check_labels(arch, data)
-    theta = np.asarray(theta, dtype=float)
-    n = parameter_count(arch)
-    if theta.shape != (n,):
-        raise DimensionError("parameter vector length does not match architecture")
-    if len(data) == 0:
-        return np.zeros(n)
-    X = np.asarray(data.features, dtype=float)
-    if X.shape[1] != arch.input_dim:
-        raise DimensionError("feature width does not match input width")
-    layers = unpack_parameters(arch, theta)
-    gs, hs = _forward_cached(arch, layers, X)
-
-    # dl/dg at the output layer: residual form for both link functions
-    y = data.labels
-    if arch.is_binary:
-        delta = (y - hs[-1][:, 0])[:, None]
-    else:
-        onehot = np.zeros_like(hs[-1])
-        onehot[np.arange(len(data)), y - 1] = 1.0
-        delta = onehot - hs[-1]
-
-    grads = [None] * len(layers)
-    for j in range(len(layers) - 1, -1, -1):
-        W, _ = layers[j]
-        grads[j] = (delta.T @ hs[j], delta.sum(axis=0))
-        if j > 0:
-            delta = (delta @ W) * _hidden_derivative(
-                arch.hidden_activation, gs[j - 1], hs[j]
-            )
-    return pack_parameters(arch, grads)
+    """Exact gradient of the classification log-likelihood via backprop."""
+    return _likelihood(arch, data).grad_log_likelihood(theta)
 
 
 def grad_log_prior(theta, sigma2: float) -> np.ndarray:
@@ -352,4 +421,4 @@ def grad_log_prior(theta, sigma2: float) -> np.ndarray:
 
 def grad_log_posterior(arch: Architecture, theta, data: LabeledDataset, sigma2: float) -> np.ndarray:
     """Exact gradient of the unnormalized log-posterior, flat layout."""
-    return grad_log_likelihood(arch, theta, data) + grad_log_prior(theta, sigma2)
+    return Posterior(arch, data, sigma2).grad(theta)

@@ -140,11 +140,16 @@ class Chain:
 
 @dataclass(frozen=True)
 class Target:
-    """A log-density to sample from, with optional gradient."""
+    """A log-density to sample from, with optional gradient.
+
+    ``value_and_grad``, when given, returns the log-density and its gradient
+    from one evaluation; HMC uses it in place of two separate calls.
+    """
 
     log_density: Callable[[np.ndarray], float]
     dim: int
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
+    value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]] | None = None
 
 
 @dataclass(frozen=True)
@@ -161,20 +166,19 @@ class TemperedFamily:
 
 def posterior_target(arch: mlp.Architecture, data: LabeledDataset, sigma2: float) -> Target:
     """Unnormalized MLP parameter log-posterior as a sampling target."""
+    post = mlp.Posterior(arch, data, sigma2)
     return Target(
-        log_density=lambda th: mlp.log_posterior(arch, th, data, sigma2),
-        dim=mlp.parameter_count(arch),
-        gradient=lambda th: mlp.grad_log_posterior(arch, th, data, sigma2),
+        log_density=post.value,
+        dim=post.dim,
+        gradient=post.grad,
+        value_and_grad=post.value_and_grad,
     )
 
 
 def posterior_family(arch: mlp.Architecture, data: LabeledDataset, sigma2: float) -> TemperedFamily:
     """Likelihood/prior split of the MLP posterior for power-posterior runs."""
-    return TemperedFamily(
-        log_likelihood=lambda th: mlp.log_likelihood(arch, th, data),
-        log_prior=lambda th: mlp.log_prior(th, sigma2),
-        dim=mlp.parameter_count(arch),
-    )
+    post = mlp.Posterior(arch, data, sigma2)
+    return TemperedFamily(log_likelihood=post.log_likelihood, log_prior=post.log_prior, dim=post.dim)
 
 
 def _accept(rng: np.random.Generator, delta_log: float) -> bool:
@@ -225,9 +229,11 @@ def leapfrog(gradient, theta, momentum, steps: int, step_size: float):
     """Leapfrog integration of H(theta, r) = -log p(theta) + ||r||^2 / 2.
 
     Returns (theta, momentum, ok); ok is False when a non-finite value
-    appears during the trajectory.
+    appears during the trajectory. The gradient is called first at theta
+    itself (the same array object when theta is a float array) and last at
+    the returned point.
     """
-    theta = np.array(theta, dtype=float)
+    theta = np.asarray(theta, dtype=float)
     g = gradient(theta)
     if not np.all(np.isfinite(g)):
         return theta, momentum, False
@@ -241,6 +247,23 @@ def leapfrog(gradient, theta, momentum, steps: int, step_size: float):
     return theta, r, True
 
 
+class _LastPass:
+    """Gradient callable for leapfrog that keeps the log-density and
+    gradient of the last point it evaluated, and answers that same point
+    again without evaluating the target. The log-density is None when the
+    evaluation gives only a gradient."""
+
+    def __init__(self, evaluate):
+        self._evaluate = evaluate
+        self.theta = self.value = self.grad = None
+
+    def __call__(self, theta):
+        if theta is not self.theta:
+            self.value, self.grad = self._evaluate(theta)
+            self.theta = theta
+        return self.grad
+
+
 def hmc_chain(target: Target, init, config: HmcConfig, iterations: int, seed: int) -> Chain:
     """Hamiltonian Monte Carlo with identity mass matrix.
 
@@ -248,37 +271,47 @@ def hmc_chain(target: Target, init, config: HmcConfig, iterations: int, seed: in
     L leapfrog steps of size eps, accepted with min{1, exp(-dH)}.
     Non-finite trajectories and |dH| above DIVERGENCE_THRESHOLD count
     as rejections and are flagged as divergences.
+
+    A trajectory costs L target evaluations: the gradient at its start is
+    carried over from the previous iteration, and the log-density of its
+    end comes from the evaluation that gave the final gradient (a target
+    without ``value_and_grad`` adds one log-density call there).
     """
-    if target.gradient is None:
+    if target.gradient is None and target.value_and_grad is None:
         raise ValueError("HMC requires a target gradient")
+    # a target without value_and_grad gives its log-density at the endpoint only
+    evaluate = target.value_and_grad or (lambda th: (None, target.gradient(th)))
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     theta = np.array(init, dtype=float)
     if theta.shape != (target.dim,):
         raise ValueError(f"init must have shape ({target.dim},)")
-    logp = target.log_density(theta)
+    logp, grad = evaluate(theta)
+    if logp is None:
+        logp = target.log_density(theta)
     if not math.isfinite(logp):
         raise SamplerStartupError(f"log-target is {logp} at the initial state")
-    grad0 = target.gradient(theta)
-    if not np.all(np.isfinite(grad0)):
+    if not np.all(np.isfinite(grad)):
         raise SamplerStartupError("log-target gradient is non-finite at the initial state")
+    last = _LastPass(evaluate)
     draws = np.empty((iterations, target.dim))
     accepted = 0
     divergences = 0
     for it in range(iterations):
         r0 = rng.standard_normal(target.dim)
-        prop, r1, ok = leapfrog(
-            target.gradient, theta, r0, config.leapfrog_steps, config.step_size
-        )
+        last.theta, last.value, last.grad = theta, logp, grad
+        prop, r1, ok = leapfrog(last, theta, r0, config.leapfrog_steps, config.step_size)
         if ok:
-            logp_prop = target.log_density(prop)
+            logp_prop = last.value  # leapfrog evaluates prop last
+            if logp_prop is None:
+                logp_prop = target.log_density(prop)
             h0 = -logp + 0.5 * (r0 @ r0)
             h1 = -logp_prop + 0.5 * (r1 @ r1)
             delta_h = h1 - h0
             if not math.isfinite(delta_h) or abs(delta_h) > DIVERGENCE_THRESHOLD:
                 divergences += 1
             elif _accept(rng, -delta_h):
-                theta, logp = prop, logp_prop
+                theta, logp, grad = prop, logp_prop, last.grad
                 accepted += 1
         else:
             divergences += 1

@@ -1,9 +1,10 @@
 import hashlib
+import os
 
 import numpy as np
 import pytest
 
-from bayesmlp.chainio import chain_metadata, format_hms, load_chain, save_chain
+from bayesmlp.chainio import ChainFileError, chain_metadata, format_hms, load_chain, save_chain
 from bayesmlp.data import NoisyXorConfig, generate_noisy_xor, load_vendored
 from bayesmlp.mlp import Architecture
 from bayesmlp.samplers import Chain, HmcConfig, MhConfig, PpConfig, run_posterior_chain
@@ -65,6 +66,38 @@ class TestPersistence:
         assert load_chain(path).draws.shape == (1, 4)
 
 
+class TestCompleteOrAbsent:
+    def test_truncated_csv_rejected(self, tmp_path, chain):
+        csv_path, meta_path = tmp_path / "c.csv", tmp_path / "c.json"
+        save_chain(chain, csv_path, meta_path)
+        lines = csv_path.read_text().splitlines(keepends=True)
+        csv_path.write_text("".join(lines[:25]))  # cut at a row boundary
+        with pytest.raises(ChainFileError, match="25 rows"):
+            load_chain(csv_path, meta_path)
+        assert load_chain(csv_path).draws.shape == (25, 3)  # no sidecar, no check
+
+    def test_no_temporary_files_left(self, tmp_path, chain):
+        save_chain(chain, tmp_path / "c.csv", tmp_path / "c.json")
+        save_chain(chain, tmp_path / "c.csv", tmp_path / "c.json")  # replaces in place
+        assert sorted(os.listdir(tmp_path)) == ["c.csv", "c.json"]
+
+    def test_failed_write_leaves_nothing(self, tmp_path, chain, monkeypatch):
+        def half_write(path, draws, **kwargs):
+            with open(path, "w") as fh:
+                fh.write("0.5,0.")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savetxt", half_write)
+        with pytest.raises(OSError):
+            save_chain(chain, tmp_path / "c.csv", tmp_path / "c.json")
+        assert os.listdir(tmp_path) == []
+
+    def test_unserializable_metadata_writes_nothing(self, tmp_path, chain):
+        with pytest.raises(ValueError):
+            save_chain(chain, tmp_path / "c.csv", tmp_path / "c.json", config={"c": float("nan")})
+        assert os.listdir(tmp_path) == []
+
+
 class TestHms:
     def test_format(self):
         assert format_hms(0) == "0:00:00"
@@ -72,28 +105,35 @@ class TestHms:
         assert format_hms(4248) == "1:10:48"
 
 
-#: SHA-256 of chain CSVs at seed 7: (architecture, dataset, sampler, iterations, digest).
+#: SHA-256 of chain CSVs: (architecture, dataset, sampler, iterations, seed, digest).
 #: MH and PP draws move only when an accept decision flips; the HMC state
-#: carries every gradient bit through its leapfrog steps, so that pin also
-#: fixes the floating-point path of the forward pass and backprop.
+#: carries every gradient bit through its leapfrog steps, so those pins also
+#: fix the floating-point path of the forward pass and backprop. The penguins
+#: HMC chain accepts every move; the hawks chains at seeds 3 and 2 are the
+#: ones that stall (all 60 iterations divergent, and 1 accept with 10
+#: divergences), so they pin the gradient carried across rejections.
 CHAIN_PINS = {
-    "MH": ((2, 2, 1), "xor", MhConfig(0.05), 300,
+    "MH": ((2, 2, 1), "xor", MhConfig(0.05), 300, 7,
            "71ee4f615826740941474549dba25303e7137f257f1b8907ccf89152a2ae31d5"),
-    "HMC": ((6, 2, 2, 3), "penguins", HmcConfig(5, 0.05), 40,
+    "HMC": ((6, 2, 2, 3), "penguins", HmcConfig(5, 0.05), 40, 7,
             "efbc9106bd200384173c64181f9b438d9caab3357a96069b191f7b9f3fff21e3"),
-    "PP": ((2, 2, 1), "xor", PpConfig((0.1, 0.5, 1.0), beta=0.5, within_chain=MhConfig(0.05)), 60,
+    "PP": ((2, 2, 1), "xor", PpConfig((0.1, 0.5, 1.0), beta=0.5, within_chain=MhConfig(0.05)), 60, 7,
            "398bc771819d6ed4e3605efeeef0498a6920d1140039924d7853649166bc62fb"),
+    "HMC-hawks-3": ((6, 2, 2, 3), "hawks", HmcConfig(5, 0.1), 60, 3,
+                    "cf5ac3bd0816b4be6b336c97078ab3affaac31fd06dd73994a675e078d901762"),
+    "HMC-hawks-2": ((6, 2, 2, 3), "hawks", HmcConfig(5, 0.1), 60, 2,
+                    "e013bf86aafb205d7ce72e1b0f222df8875f398d1380eff61b60c76fea99135b"),
 }
 
 
 @pytest.mark.parametrize("tag", sorted(CHAIN_PINS))
 def test_chain_csv_bytes_pinned(tmp_path, tag):
-    widths, dataset, config, iterations, digest = CHAIN_PINS[tag]
+    widths, dataset, config, iterations, seed, digest = CHAIN_PINS[tag]
     if dataset == "xor":
         train, _ = generate_noisy_xor(NoisyXorConfig(train_per_corner=10, test_per_corner=1, seed=0))
     else:
         train, _ = load_vendored(dataset)
-    chain = run_posterior_chain(Architecture(widths), train, 10.0, config, iterations, seed=7)
+    chain = run_posterior_chain(Architecture(widths), train, 10.0, config, iterations, seed=seed)
     path = tmp_path / f"{tag}.csv"
     save_chain(chain, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -61,6 +61,9 @@ class TestSample:
         meta = json.loads((out / "chain_00.json").read_text())
         assert meta["sampler"] == "MH"
         assert meta["burnin"] == 100
+        assert sorted(os.listdir(out)) == [
+            "chain_00.csv", "chain_00.json", "chain_01.csv", "chain_01.json", "experiment.json",
+        ]
 
     def test_rerun_is_byte_identical(self, tmp_path, xor_config):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -92,6 +95,36 @@ class TestSample:
             "sample", "--config", xor_config, "--out-dir", out, "--iterations", 150,
         ]) == 0
         assert len((out / "chain_00.csv").read_text().strip().splitlines()) == 150
+
+
+    def test_file_dataset_may_carry_a_name(self, tmp_path, xor_config):
+        """A name that is no known dataset labels a train/test file section."""
+        data_dir = tmp_path / "data"
+        assert run(["generate-data", "--out-dir", data_dir, "--train-per-corner", 5, "--test-per-corner", 2]) == 0
+        doc = json.loads(xor_config.read_text())
+        doc["dataset"] = {
+            "name": "my-xor",
+            "train": str(data_dir / "noisy_xor_train.csv"),
+            "test": str(data_dir / "noisy_xor_test.csv"),
+            "manifest": str(data_dir / "noisy_xor_manifest.json"),
+        }
+        xor_config.write_text(json.dumps(doc))
+        assert run(["sample", "--config", xor_config, "--iterations", 150, "--out-dir", tmp_path / "o"]) == 0
+
+    def test_file_flags_replace_named_dataset(self, tmp_path, xor_config):
+        data_dir = tmp_path / "data"
+        assert run(["generate-data", "--out-dir", data_dir, "--train-per-corner", 5, "--test-per-corner", 2]) == 0
+        out = tmp_path / "o"
+        assert run([
+            "sample", "--config", xor_config, "--out-dir", out,
+            "--train", data_dir / "noisy_xor_train.csv", "--test", data_dir / "noisy_xor_test.csv",
+            "--manifest", data_dir / "noisy_xor_manifest.json",
+        ]) == 0
+        assert json.loads((out / "experiment.json").read_text())["dataset"] == {
+            "train": str(data_dir / "noisy_xor_train.csv"),
+            "test": str(data_dir / "noisy_xor_test.csv"),
+            "manifest": str(data_dir / "noisy_xor_manifest.json"),
+        }
 
 
 class TestDiagnose:
@@ -246,6 +279,85 @@ class TestErrors:
         assert run(["sample", "--config", path, "--out-dir", tmp_path]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
+
+    @pytest.mark.parametrize("section,patch", [
+        ("sampler", {"kind": "MH", "proposal_varaince": 0.5}),
+        ("sampler", {"kind": "HMC", "leapfrog_steps": 5, "step_size": 0.1, "proposal_variance": 0.5}),
+        ("sampler", {"kind": "PP", "temperatures": [0.5, 1.0], "leapfrog_steps": 5}),
+        ("sampler", {"kind": "NUTS"}),
+        ("sampler", {"kind": 3}),
+        ("sampler", {"kind": "MH", "proposal_variance": None}),
+        ("dataset", {"name": "noisy-xor", "seed": 0, "train_per_corne": 10}),
+        ("dataset", {"name": "hawks", "seed": 0}),
+        ("dataset", {"train": "a.csv", "test": "b.csv", "labels": "y"}),
+        ("architecture", {"layer_widths": [2, 2, 1], "activation": "tanh"}),
+        ("architecture", {"layer_widths": [2, 2, 1], "hidden_activation": "swish"}),
+    ])
+    def test_bad_section_is_config_error(self, tmp_path, xor_config, capsys, section, patch):
+        doc = json.loads(xor_config.read_text())
+        doc[section] = patch
+        xor_config.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run(["sample", "--config", xor_config, "--out-dir", out]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field,value", [
+        ("iterations", "100"),
+        ("iterations", 100.0),
+        ("num_chains", True),
+        ("burnin", None),
+        ("tail", [10]),
+        ("seed", -1),
+        ("seed", "3"),
+        ("prior_variance", "10"),
+        ("sampler", "MH"),
+        ("dataset", ["noisy-xor"]),
+        ("architecture", [2, 2, 1]),
+    ])
+    def test_bad_field_type_is_config_error(self, tmp_path, xor_config, capsys, field, value):
+        doc = json.loads(xor_config.read_text())
+        doc[field] = value
+        xor_config.write_text(json.dumps(doc))
+        assert run(["sample", "--config", xor_config, "--out-dir", tmp_path / "out"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+    def test_sampler_flag_of_another_kind_starts_a_fresh_section(self, tmp_path, xor_config):
+        """--sampler HMC on a config with an MH sampler section drops the MH
+        keys; the same kind keeps the section."""
+        out = tmp_path / "hmc"
+        assert run([
+            "sample", "--config", xor_config, "--sampler", "HMC", "--leapfrog-steps", 2,
+            "--iterations", 150, "--out-dir", out,
+        ]) == 0
+        assert json.loads((out / "experiment.json").read_text())["sampler"] == {
+            "kind": "HMC", "leapfrog_steps": 2,
+        }
+        assert json.loads((out / "chain_00.json").read_text())["sampler"] == "HMC"
+        out = tmp_path / "mh"
+        assert run(["sample", "--config", xor_config, "--sampler", "MH", "--iterations", 150, "--out-dir", out]) == 0
+        assert json.loads((out / "experiment.json").read_text())["sampler"] == {
+            "kind": "MH", "proposal_variance": 0.05,
+        }
+
+    def test_sampler_flags_without_config(self, tmp_path):
+        """The built-in MH section gives way to --sampler HMC and its flags."""
+        out = tmp_path / "out"
+        assert run([
+            "sample", "--dataset", "noisy-xor", "--sampler", "HMC", "--leapfrog-steps", 2,
+            "--step-size", 0.1, "--num-chains", 1, "--iterations", 20, "--burnin", 5, "--tail", 10,
+            "--out-dir", out,
+        ]) == 0
+        assert np.loadtxt(out / "chain_00.csv", delimiter=",").shape == (20, 9)
+
+    def test_truncated_chain_is_io_error(self, tmp_path, xor_config, capsys):
+        out = tmp_path / "chains"
+        assert run(["sample", "--config", xor_config, "--out-dir", out]) == 0
+        csv_path = out / "chain_01.csv"
+        csv_path.write_text("".join(csv_path.read_text().splitlines(keepends=True)[:300]))
+        assert run(["diagnose", "--chains", out / "chain_00.csv", csv_path]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "io" and "300 rows" in err["message"]
 
     def test_missing_chain_file(self, tmp_path, capsys):
         assert run(["diagnose", "--chains", tmp_path / "nope.csv"]) == 3

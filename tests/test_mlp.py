@@ -18,7 +18,15 @@ from bayesmlp import (
     log_prior,
     parameter_count,
 )
-from bayesmlp.mlp import _sigmoid, forward_stack, pack_parameters, unpack_parameters
+from bayesmlp.mlp import (
+    Posterior,
+    _sigmoid,
+    _softmax,
+    forward_stack,
+    grad_log_likelihood,
+    pack_parameters,
+    unpack_parameters,
+)
 
 from conftest import random_instance
 
@@ -67,6 +75,55 @@ class TestSigmoid:
             np.testing.assert_array_equal(
                 _sigmoid(x).view(np.uint64), masked_sigmoid(x).view(np.uint64)
             )
+
+
+def reduced_softmax(x):
+    """Reference softmax: max and sum as reductions over the class axis."""
+    z = x - x.max(axis=-1, keepdims=True)
+    ez = np.exp(z)
+    return ez / ez.sum(axis=-1, keepdims=True)
+
+
+class TestSoftmax:
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_bits_match_reduction_form(self, rng, k):
+        special = (np.inf, -np.inf, 0.0, -0.0, 800.0, -800.0)
+        for shape in ((k,), (1, k), (596, k), (32, 295, k)):
+            x = 30.0 * rng.normal(size=shape)
+            rows = x.reshape(-1, k)
+            if len(rows) > 4:
+                rows[0] = np.inf
+                rows[1] = -np.inf
+                rows[2, 0] = np.inf
+                rows[3, -1] = -np.inf
+                for r in range(4, len(rows), 3):
+                    rows[r, rng.integers(k)] = special[rng.integers(len(special))]
+            with np.errstate(invalid="ignore"):
+                got, want = _softmax(x), reduced_softmax(x)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_nan_rows_keep_nan_positions(self, rng, k):
+        """A NaN input gives NaN outputs in the same places; every other
+        output keeps its bits (a NaN's sign and payload may differ)."""
+        x = rng.normal(size=(6, 5, k))
+        x[0, 0, 0] = np.nan
+        x[1, 2, k - 1] = -np.nan
+        x[2, 4, :] = np.nan
+        x[3, 1, 0] = np.nan
+        x[3, 1, 1] = np.inf
+        with np.errstate(invalid="ignore"):
+            got, want = _softmax(x), reduced_softmax(x)
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+        finite = ~np.isnan(want)
+        np.testing.assert_array_equal(got[finite].view(np.uint64), want[finite].view(np.uint64))
+
+    @pytest.mark.parametrize("k", [8, 11, 40])
+    def test_wide_rows_match_within_rounding(self, rng, k):
+        """From 8 classes numpy's reduction sums pairwise, so only rounding
+        separates the two forms."""
+        x = 30.0 * rng.normal(size=(9, 7, k))
+        np.testing.assert_allclose(_softmax(x), reduced_softmax(x), rtol=1e-13, atol=1e-300)
 
 
 class TestForward:
@@ -267,6 +324,48 @@ class TestLogPosterior:
             + (theta_b @ theta_b) / 20
         )
         assert ratio == pytest.approx(unnormalized, rel=1e-10)
+
+
+POSTERIOR_CASES = [
+    ((2, 2, 1), ActivationKind.SIGMOID, 12),
+    ((6, 2, 2, 3), ActivationKind.SIGMOID, 12),
+    ((3, 4, 1), ActivationKind.TANH, 10),
+    ((3, 4, 3), ActivationKind.TANH, 10),
+    ((3, 4, 1), ActivationKind.RELU, 10),
+    ((3, 4, 3), ActivationKind.RELU, 10),
+    ((6, 2, 2, 3), ActivationKind.SIGMOID, 0),
+    ((2, 2, 1), ActivationKind.SIGMOID, 0),
+]
+
+
+class TestPosterior:
+    @pytest.mark.parametrize("widths,hidden,samples", POSTERIOR_CASES)
+    def test_bits_match_module_functions(self, rng, widths, hidden, samples):
+        arch = Architecture(widths, hidden_activation=hidden)
+        theta, ds = random_instance(rng, arch, samples=samples, theta_scale=2.0)
+        post = Posterior(arch, ds, 10.0)
+        value, grad = post.value_and_grad(theta)
+        assert post.value(theta) == value == log_posterior(arch, theta, ds, 10.0)
+        np.testing.assert_array_equal(grad.view(np.uint64), grad_log_posterior(arch, theta, ds, 10.0).view(np.uint64))
+        assert post.log_prior(theta) == log_prior(theta, 10.0)
+        assert post.log_likelihood(theta) + post.log_prior(theta) == value
+        np.testing.assert_array_equal(post.grad_log_likelihood(theta), grad_log_likelihood(arch, theta, ds))
+
+    def test_labels_checked_when_built(self, xor_arch):
+        bad = LabeledDataset(np.zeros((2, 2)), np.array([0, 2]))
+        with pytest.raises(ValueError):
+            Posterior(xor_arch, bad, 10.0)
+
+    def test_rejects_bad_inputs(self, rng, xor_arch):
+        _, ds = random_instance(rng, xor_arch)
+        with pytest.raises(ValueError):
+            Posterior(xor_arch, ds, 0.0)
+        with pytest.raises(DimensionError):
+            Posterior(Architecture((3, 2, 1)), ds, 10.0)
+        post = Posterior(xor_arch, ds, 10.0)
+        for method in (post.value, post.value_and_grad, post.log_likelihood):
+            with pytest.raises(DimensionError):
+                method(np.zeros(8))
 
 
 def finite_difference_gradient(func, theta, step=1e-5):

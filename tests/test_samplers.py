@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bayesmlp import Architecture, NoisyXorConfig, generate_noisy_xor
+from bayesmlp import Architecture, NoisyXorConfig, generate_noisy_xor, mlp
 from bayesmlp.mlp import log_likelihood_binary, unpack_parameters
 from bayesmlp import samplers
 from bayesmlp.samplers import (
@@ -148,6 +148,64 @@ class TestHmc:
         a = hmc_chain(standard_normal_target(2), np.zeros(2), HmcConfig(5, 0.3), 200, seed=21)
         b = hmc_chain(standard_normal_target(2), np.zeros(2), HmcConfig(5, 0.3), 200, seed=21)
         np.testing.assert_array_equal(a.draws, b.draws)
+
+    @pytest.mark.parametrize("steps", [1, 5])
+    def test_one_model_pass_per_leapfrog_step(self, monkeypatch, xor_arch, steps):
+        """An L-step trajectory costs L forward passes: the start gradient is
+        carried over and the end value comes from the last gradient pass."""
+        train, _ = generate_noisy_xor(NoisyXorConfig(train_per_corner=10, test_per_corner=1, seed=0))
+        passes = []
+        forward_cached = mlp._forward_cached
+
+        def counting(*args):
+            passes.append(1)
+            return forward_cached(*args)
+
+        monkeypatch.setattr(mlp, "_forward_cached", counting)
+        iterations = 40
+        chain = run_posterior_chain(xor_arch, train, 10.0, HmcConfig(steps, 0.5), iterations, seed=5)
+        assert chain.divergences == 0 and 0 < chain.accepted < iterations
+        assert len(passes) == 1 + steps * iterations
+
+    def test_gradient_only_target_evaluates_density_at_endpoint(self):
+        """A target without value_and_grad costs L gradient calls and one
+        log-density call per iteration, plus one of each at the start."""
+        calls = {"density": 0, "gradient": 0}
+
+        def density(th):
+            calls["density"] += 1
+            return -0.5 * float(th @ th)
+
+        def gradient(th):
+            calls["gradient"] += 1
+            return -th
+
+        iterations, steps = 30, 4
+        chain = hmc_chain(Target(density, 3, gradient=gradient), np.ones(3), HmcConfig(steps, 0.3),
+                          iterations, seed=1)
+        assert chain.divergences == 0
+        assert calls == {"density": 1 + iterations, "gradient": 1 + steps * iterations}
+        fused = Target(density, 3, value_and_grad=lambda th: (-0.5 * float(th @ th), -th))
+        np.testing.assert_array_equal(
+            chain.draws, hmc_chain(fused, np.ones(3), HmcConfig(steps, 0.3), iterations, seed=1).draws
+        )
+
+    def test_carried_gradient_matches_separate_calls(self, xor_arch):
+        """The posterior target's one-pass path gives the draws that separate
+        log-posterior and gradient calls give, on a run with rejections."""
+        train, _ = generate_noisy_xor(NoisyXorConfig(train_per_corner=10, test_per_corner=1, seed=0))
+        separate = Target(
+            log_density=lambda th: mlp.log_posterior(xor_arch, th, train, 10.0),
+            dim=9,
+            gradient=lambda th: mlp.grad_log_posterior(xor_arch, th, train, 10.0),
+        )
+        init = np.random.default_rng(3).normal(0.0, 3.0, 9)
+        config = HmcConfig(5, 0.4)
+        a = hmc_chain(samplers.posterior_target(xor_arch, train, 10.0), init, config, 150, seed=8)
+        b = hmc_chain(separate, init, config, 150, seed=8)
+        assert 0 < a.accepted < 150
+        np.testing.assert_array_equal(a.draws, b.draws)
+        assert (a.accepted, a.divergences) == (b.accepted, b.divergences)
 
 
 def direct_normalizer(i, m, beta):
