@@ -151,17 +151,7 @@ class ExperimentConfig:
         return cls(**doc)
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "architecture": self.architecture,
-            "prior_variance": self.prior_variance,
-            "sampler": self.sampler,
-            "num_chains": self.num_chains,
-            "iterations": self.iterations,
-            "burnin": self.burnin,
-            "tail": self.tail,
-            "seed": self.seed,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
 
 
 def build_architecture(doc: dict) -> mlp.Architecture:
@@ -245,14 +235,10 @@ def _load_config(args) -> ExperimentConfig:
         }
     if getattr(args, "sampler", None) and args.sampler != _sampler_kind(cfg.sampler):
         cfg.sampler = {"kind": args.sampler}  # another kind starts from its own defaults
-    for flag, key in (
-        ("proposal_variance", "proposal_variance"),
-        ("leapfrog_steps", "leapfrog_steps"),
-        ("step_size", "step_size"),
-    ):
-        value = getattr(args, flag, None)
+    for name in ("proposal_variance", "leapfrog_steps", "step_size"):
+        value = getattr(args, name, None)
         if value is not None:
-            cfg.sampler[key] = value
+            cfg.sampler[name] = value
     if getattr(args, "dataset", None):
         cfg.dataset = {"name": args.dataset}
     for flag in ("train", "test", "manifest"):
@@ -326,11 +312,13 @@ def _sample_worker(config_doc: dict, index: int, out_dir: str) -> str:
 
 
 def cmd_sample(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = _load_config(args)
     out_dir = _out_dir(args)
     doc = cfg.to_dict()
     indices = range(cfg.num_chains)
-    if args.jobs and args.jobs > 1:
+    if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             paths = list(pool.map(_sample_worker, [doc] * cfg.num_chains, indices, [str(out_dir)] * cfg.num_chains))
     else:
@@ -423,8 +411,10 @@ def cmd_grid(args) -> int:
 
 def cmd_traces(args) -> int:
     chains = _load_chains(args.chains)
-    out_dir = _out_dir(args)
     burnin = args.burnin if args.burnin is not None else max(c.burnin for c in chains)
+    if burnin < 0:
+        raise ValueError(f"burn-in must be >= 0, got {burnin}")
+    out_dir = _out_dir(args)
     length = min(len(c) for c in chains)
     for coord in args.coords:
         if not 0 <= coord < chains[0].dim:

@@ -253,6 +253,8 @@ def diagnostics_report(chains, burnin: int = 0) -> dict:
     whether the PSRF ridged a singular W, degenerate_chains lists the
     chains constant in some coordinate.
     """
+    if burnin < 0:
+        raise ValueError(f"burn-in must be >= 0, got {burnin}")
     stacked = _stack_chains(chains)
     if burnin:
         if burnin >= stacked.shape[1]:

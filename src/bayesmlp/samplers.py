@@ -2,8 +2,12 @@
 Hamiltonian Monte Carlo and power-posterior population sampling, plus an
 SGD ensemble trainer for comparison runs.
 
-All acceptance decisions are taken in log space. Samplers are seeded and
-bit-reproducible; a chain never stores a state with non-finite log-target.
+A sampler target has ``dim``, ``log_likelihood(theta)`` and
+``log_prior(theta)``; HMC also needs ``value_and_grad(theta)``, the
+log-posterior and its gradient. ``mlp.Posterior`` is the target of every
+posterior run. All acceptance decisions are taken in log space. Samplers
+are seeded and bit-reproducible; a chain never stores a state with
+non-finite log-target.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -138,49 +142,6 @@ class Chain:
         return self.draws[-length:]
 
 
-@dataclass(frozen=True)
-class Target:
-    """A log-density to sample from, with optional gradient.
-
-    ``value_and_grad``, when given, returns the log-density and its gradient
-    from one evaluation; HMC uses it in place of two separate calls.
-    """
-
-    log_density: Callable[[np.ndarray], float]
-    dim: int
-    gradient: Callable[[np.ndarray], np.ndarray] | None = None
-    value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]] | None = None
-
-
-@dataclass(frozen=True)
-class TemperedFamily:
-    """Separable log-likelihood/log-prior pair defining p^t = t*ll + lp."""
-
-    log_likelihood: Callable[[np.ndarray], float]
-    log_prior: Callable[[np.ndarray], float]
-    dim: int
-
-    def log_target(self, theta, t: float) -> float:
-        return t * self.log_likelihood(theta) + self.log_prior(theta)
-
-
-def posterior_target(arch: mlp.Architecture, data: LabeledDataset, sigma2: float) -> Target:
-    """Unnormalized MLP parameter log-posterior as a sampling target."""
-    post = mlp.Posterior(arch, data, sigma2)
-    return Target(
-        log_density=post.value,
-        dim=post.dim,
-        gradient=post.grad,
-        value_and_grad=post.value_and_grad,
-    )
-
-
-def posterior_family(arch: mlp.Architecture, data: LabeledDataset, sigma2: float) -> TemperedFamily:
-    """Likelihood/prior split of the MLP posterior for power-posterior runs."""
-    post = mlp.Posterior(arch, data, sigma2)
-    return TemperedFamily(log_likelihood=post.log_likelihood, log_prior=post.log_prior, dim=post.dim)
-
-
 def _accept(rng: np.random.Generator, delta_log: float) -> bool:
     # log-space Metropolis test; delta_log of -inf or nan never accepts
     if math.isnan(delta_log):
@@ -190,7 +151,21 @@ def _accept(rng: np.random.Generator, delta_log: float) -> bool:
     return math.log(rng.uniform()) < delta_log
 
 
-def mh_chain(target: Target, init, config: MhConfig, iterations: int, seed: int) -> Chain:
+def _metropolis_step(rng: np.random.Generator, target, scale: float, t: float, theta, ll, lp):
+    """One random-walk Metropolis move on the tempered target t * ll + lp.
+
+    Proposes theta* ~ N(theta, scale^2 I) and returns (theta, ll, lp,
+    accepted) for the state the chain holds afterwards.
+    """
+    proposal = theta + scale * rng.standard_normal(theta.shape[0])
+    ll_prop = target.log_likelihood(proposal)
+    lp_prop = target.log_prior(proposal)
+    if _accept(rng, (t * ll_prop + lp_prop) - (t * ll + lp)):
+        return proposal, ll_prop, lp_prop, True
+    return theta, ll, lp, False
+
+
+def mh_chain(target, init, config: MhConfig, iterations: int, seed: int) -> Chain:
     """Random-walk Metropolis with proposals theta* ~ N(theta, lambda I).
 
     Records one row per iteration; rejected steps repeat the current
@@ -202,18 +177,15 @@ def mh_chain(target: Target, init, config: MhConfig, iterations: int, seed: int)
     theta = np.array(init, dtype=float)
     if theta.shape != (target.dim,):
         raise ValueError(f"init must have shape ({target.dim},)")
-    logp = target.log_density(theta)
-    if not math.isfinite(logp):
-        raise SamplerStartupError(f"log-target is {logp} at the initial state")
+    ll, lp = target.log_likelihood(theta), target.log_prior(theta)
+    if not math.isfinite(ll + lp):
+        raise SamplerStartupError(f"log-target is {ll + lp} at the initial state")
     scale = math.sqrt(config.proposal_variance)
     draws = np.empty((iterations, target.dim))
     accepted = 0
     for it in range(iterations):
-        proposal = theta + scale * rng.standard_normal(target.dim)
-        logp_prop = target.log_density(proposal)
-        if _accept(rng, logp_prop - logp):
-            theta, logp = proposal, logp_prop
-            accepted += 1
+        theta, ll, lp, ok = _metropolis_step(rng, target, scale, 1.0, theta, ll, lp)
+        accepted += ok
         draws[it] = theta
     return Chain(
         draws,
@@ -250,21 +222,20 @@ def leapfrog(gradient, theta, momentum, steps: int, step_size: float):
 class _LastPass:
     """Gradient callable for leapfrog that keeps the log-density and
     gradient of the last point it evaluated, and answers that same point
-    again without evaluating the target. The log-density is None when the
-    evaluation gives only a gradient."""
+    again without evaluating the target."""
 
-    def __init__(self, evaluate):
-        self._evaluate = evaluate
+    def __init__(self, value_and_grad):
+        self._value_and_grad = value_and_grad
         self.theta = self.value = self.grad = None
 
     def __call__(self, theta):
         if theta is not self.theta:
-            self.value, self.grad = self._evaluate(theta)
+            self.value, self.grad = self._value_and_grad(theta)
             self.theta = theta
         return self.grad
 
 
-def hmc_chain(target: Target, init, config: HmcConfig, iterations: int, seed: int) -> Chain:
+def hmc_chain(target, init, config: HmcConfig, iterations: int, seed: int) -> Chain:
     """Hamiltonian Monte Carlo with identity mass matrix.
 
     Momentum is refreshed from N(0, I) every iteration; the proposal is
@@ -272,28 +243,23 @@ def hmc_chain(target: Target, init, config: HmcConfig, iterations: int, seed: in
     Non-finite trajectories and |dH| above DIVERGENCE_THRESHOLD count
     as rejections and are flagged as divergences.
 
-    A trajectory costs L target evaluations: the gradient at its start is
-    carried over from the previous iteration, and the log-density of its
-    end comes from the evaluation that gave the final gradient (a target
-    without ``value_and_grad`` adds one log-density call there).
+    A trajectory costs L calls of ``target.value_and_grad``: the gradient
+    at its start is carried over from the previous iteration, and the
+    log-density of its end comes from the call that gave the final gradient.
     """
-    if target.gradient is None and target.value_and_grad is None:
-        raise ValueError("HMC requires a target gradient")
-    # a target without value_and_grad gives its log-density at the endpoint only
-    evaluate = target.value_and_grad or (lambda th: (None, target.gradient(th)))
+    if not callable(getattr(target, "value_and_grad", None)):
+        raise ValueError("HMC requires a target with value_and_grad")
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     theta = np.array(init, dtype=float)
     if theta.shape != (target.dim,):
         raise ValueError(f"init must have shape ({target.dim},)")
-    logp, grad = evaluate(theta)
-    if logp is None:
-        logp = target.log_density(theta)
+    logp, grad = target.value_and_grad(theta)
     if not math.isfinite(logp):
         raise SamplerStartupError(f"log-target is {logp} at the initial state")
     if not np.all(np.isfinite(grad)):
         raise SamplerStartupError("log-target gradient is non-finite at the initial state")
-    last = _LastPass(evaluate)
+    last = _LastPass(target.value_and_grad)
     draws = np.empty((iterations, target.dim))
     accepted = 0
     divergences = 0
@@ -303,8 +269,6 @@ def hmc_chain(target: Target, init, config: HmcConfig, iterations: int, seed: in
         prop, r1, ok = leapfrog(last, theta, r0, config.leapfrog_steps, config.step_size)
         if ok:
             logp_prop = last.value  # leapfrog evaluates prop last
-            if logp_prop is None:
-                logp_prop = target.log_density(prop)
             h0 = -logp + 0.5 * (r0 @ r0)
             h1 = -logp_prop + 0.5 * (r1 @ r1)
             delta_h = h1 - h0
@@ -371,37 +335,17 @@ class PopulationRecord:
     swap_attempts: int
 
 
-def _mh_step_kernel(proposal_variance: float):
-    scale = math.sqrt(proposal_variance)
-
-    def step(rng, family, t, theta, ll, lp):
-        proposal = theta + scale * rng.standard_normal(theta.shape[0])
-        ll_prop = family.log_likelihood(proposal)
-        lp_prop = family.log_prior(proposal)
-        delta = (t * ll_prop + lp_prop) - (t * ll + lp)
-        if _accept(rng, delta):
-            return proposal, ll_prop, lp_prop, True
-        return theta, ll, lp, False
-
-    return step
-
-
 def pp_chain(
-    family: TemperedFamily,
-    inits: Sequence[np.ndarray],
-    config: PpConfig,
-    iterations: int,
-    seed: int,
-    step_kernel=None,
+    target, inits: Sequence[np.ndarray], config: PpConfig, iterations: int, seed: int
 ) -> tuple[Chain, PopulationRecord]:
     """Population sampling from tempered targets t_i * ll + lp.
 
-    Per iteration every chain advances by one within-chain move (the
-    kernel defaults to random-walk Metropolis with the configured
-    proposal variance), then a single swap is attempted: a chain index
-    i is drawn uniformly, a partner j from pp_swap_pmf(i), and the
-    state exchange is accepted by a Metropolis test on the tempered
-    targets. Returns the t_m = 1 chain plus the full population record.
+    Per iteration every chain advances by one random-walk Metropolis move
+    with the configured proposal variance, then a single swap is
+    attempted: a chain index i is drawn uniformly, a partner j from
+    pp_swap_pmf(i), and the state exchange is accepted by a Metropolis
+    test on the tempered targets. Returns the t_m = 1 chain plus the full
+    population record.
     """
     start = time.perf_counter()
     temps = config.temperatures
@@ -409,20 +353,20 @@ def pp_chain(
     if len(inits) != num_chains:
         raise ValueError(f"need one init per chain ({num_chains})")
     rng = np.random.default_rng(seed)
-    step = step_kernel or _mh_step_kernel(config.within_chain.proposal_variance)
+    scale = math.sqrt(config.within_chain.proposal_variance)
 
     states = [np.array(x, dtype=float) for x in inits]
     lls = np.empty(num_chains)
     lps = np.empty(num_chains)
     for c, theta in enumerate(states):
-        if theta.shape != (family.dim,):
-            raise ValueError(f"init {c} must have shape ({family.dim},)")
-        lls[c] = family.log_likelihood(theta)
-        lps[c] = family.log_prior(theta)
+        if theta.shape != (target.dim,):
+            raise ValueError(f"init {c} must have shape ({target.dim},)")
+        lls[c] = target.log_likelihood(theta)
+        lps[c] = target.log_prior(theta)
         if not math.isfinite(temps[c] * lls[c] + lps[c]):
             raise SamplerStartupError(f"log-target of chain {c} is non-finite at its init")
 
-    draws = np.empty((num_chains, iterations, family.dim))
+    draws = np.empty((num_chains, iterations, target.dim))
     within_accepted = np.zeros(num_chains, dtype=int)
     swap_accepted = 0
     # swap partner distributions are iteration-independent; precompute
@@ -430,7 +374,9 @@ def pp_chain(
 
     for it in range(iterations):
         for c in range(num_chains):
-            states[c], lls[c], lps[c], ok = step(rng, family, temps[c], states[c], lls[c], lps[c])
+            states[c], lls[c], lps[c], ok = _metropolis_step(
+                rng, target, scale, temps[c], states[c], lls[c], lps[c]
+            )
             within_accepted[c] += ok
         i = int(rng.integers(num_chains))
         j = int(rng.choice(num_chains, p=pmfs[i]))
@@ -489,21 +435,19 @@ def run_posterior_chain(
     burn-in count is recorded on the returned chain.
     """
     rng = np.random.default_rng(seed)
-    n = mlp.parameter_count(arch)
+    post = mlp.Posterior(arch, data, sigma2)
     if isinstance(sampler_config, PpConfig):
-        family = posterior_family(arch, data, sigma2)
         if init is None:
-            inits = [prior_draw(rng, n, sigma2) for _ in sampler_config.temperatures]
+            inits = [prior_draw(rng, post.dim, sigma2) for _ in sampler_config.temperatures]
         else:
             inits = [np.array(init, dtype=float) for _ in sampler_config.temperatures]
-        chain, _ = pp_chain(family, inits, sampler_config, iterations, seed)
+        chain, _ = pp_chain(post, inits, sampler_config, iterations, seed)
     else:
-        target = posterior_target(arch, data, sigma2)
-        start = prior_draw(rng, n, sigma2) if init is None else np.asarray(init, dtype=float)
+        start = prior_draw(rng, post.dim, sigma2) if init is None else np.asarray(init, dtype=float)
         if isinstance(sampler_config, MhConfig):
-            chain = mh_chain(target, start, sampler_config, iterations, seed)
+            chain = mh_chain(post, start, sampler_config, iterations, seed)
         elif isinstance(sampler_config, HmcConfig):
-            chain = hmc_chain(target, start, sampler_config, iterations, seed)
+            chain = hmc_chain(post, start, sampler_config, iterations, seed)
         else:
             raise TypeError(f"unknown sampler config {type(sampler_config).__name__}")
     chain.burnin = burnin

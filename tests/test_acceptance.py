@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from toy_targets import ToyTarget
 
 from bayesmlp import cli
 from bayesmlp.data import NoisyXorConfig, generate_noisy_xor, load_vendored
@@ -35,7 +36,6 @@ from bayesmlp.samplers import (
     HmcConfig,
     MhConfig,
     PpConfig,
-    Target,
     derive_chain_seed,
     hmc_chain,
     leapfrog,
@@ -158,7 +158,7 @@ def test_criterion_1_gradient_correctness():
 
 def test_criterion_2_samplers_on_analytic_target():
     """MH and HMC recover the standard 3-D normal; leapfrog reverses."""
-    target = Target(lambda th: -0.5 * float(th @ th), 3, gradient=lambda th: -th)
+    target = ToyTarget(lambda th: -0.5 * float(th @ th), 3, gradient=lambda th: -th)
     start = time.perf_counter()
     results = {}
     for tag, chain in (

@@ -111,7 +111,9 @@ class TestHms:
 #: fix the floating-point path of the forward pass and backprop. The penguins
 #: HMC chain accepts every move; the hawks chains at seeds 3 and 2 are the
 #: ones that stall (all 60 iterations divergent, and 1 accept with 10
-#: divergences), so they pin the gradient carried across rejections.
+#: divergences), so they pin the gradient carried across rejections. The
+#: hawks MH and PP pins (187 of 300 accepted; 32 within-chain accepts and 7
+#: swaps) cover the Metropolis step on the multiclass likelihood.
 CHAIN_PINS = {
     "MH": ((2, 2, 1), "xor", MhConfig(0.05), 300, 7,
            "71ee4f615826740941474549dba25303e7137f257f1b8907ccf89152a2ae31d5"),
@@ -123,6 +125,10 @@ CHAIN_PINS = {
                     "cf5ac3bd0816b4be6b336c97078ab3affaac31fd06dd73994a675e078d901762"),
     "HMC-hawks-2": ((6, 2, 2, 3), "hawks", HmcConfig(5, 0.1), 60, 2,
                     "e013bf86aafb205d7ce72e1b0f222df8875f398d1380eff61b60c76fea99135b"),
+    "MH-hawks": ((6, 2, 2, 3), "hawks", MhConfig(1e-4), 300, 7,
+                 "008374b188836e87c35cfbac071d38ff32b9f978c16187a05311fccfadb48c51"),
+    "PP-hawks": ((6, 2, 2, 3), "hawks", PpConfig((0.1, 0.5, 1.0)), 60, 7,
+                 "435d24da4a360e55af93fe8e42aa5fe3a8b1460a928cd14611dcc25d710d776f"),
 }
 
 

@@ -141,6 +141,16 @@ class TestDiagnose:
         assert report["psrf"] < 1.0
         assert report["m"] == 3
 
+    def test_negative_burnin_is_invalid_input(self, tmp_path, rng, capsys):
+        chain = Chain(rng.normal(size=(100, 2)), burnin=0, seed=0, accepted=1, sampler_tag="MH")
+        paths = [tmp_path / f"c{i}.csv" for i in range(2)]
+        for path in paths:
+            save_chain(chain, path, path.with_suffix(".json"))
+        report_path = tmp_path / "report.json"
+        assert run(["diagnose", "--chains", *paths, "--burnin", -30, "--out", report_path]) == 4
+        assert json.loads(capsys.readouterr().err)["error"] == "invalid-input"
+        assert not report_path.exists()
+
     def test_table_rows_per_sampler(self, tmp_path, rng, capsys):
         paths = []
         for tag in ("MH", "HMC"):
@@ -238,6 +248,17 @@ class TestTracesAndBoxplot:
         markers = [int(line.split(",")[1]) for line in lines[1:]]
         assert sum(markers) == 100  # burn-in from metadata
         assert markers[:100] == [1] * 100
+
+    def test_traces_negative_burnin(self, tmp_path, xor_config, capsys):
+        out = tmp_path / "chains"
+        run(["sample", "--config", xor_config, "--out-dir", out])
+        trace_dir = tmp_path / "traces"
+        assert run([
+            "traces", "--chains", out / "chain_00.csv", "--coords", 8, "--burnin", -5,
+            "--out-dir", trace_dir,
+        ]) == 4
+        assert json.loads(capsys.readouterr().err)["error"] == "invalid-input"
+        assert not trace_dir.exists()
 
     def test_traces_coordinate_bounds(self, tmp_path, xor_config):
         out = tmp_path / "chains"
@@ -367,6 +388,13 @@ class TestErrors:
         assert run([
             "sample", "--config", xor_config, "--burnin", 400, "--out-dir", tmp_path,
         ]) == 2
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_is_config_error(self, tmp_path, xor_config, capsys, jobs):
+        out = tmp_path / "out"
+        assert run(["sample", "--config", xor_config, "--jobs", jobs, "--out-dir", out]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+        assert not out.exists()
 
     def test_predict_without_chains(self, tmp_path, xor_config, capsys):
         """An empty chain set is a config error, not a NaN accuracy."""

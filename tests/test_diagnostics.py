@@ -249,6 +249,13 @@ class TestDiagnosticsReport:
         diagnostics.diagnostics_report(chains)
         assert len(calls) == 3
 
+    def test_negative_burnin_rejected(self):
+        """A negative burn-in is an error, not a slice of the last draws."""
+        rng = np.random.default_rng(73)
+        chains = [rng.standard_normal((500, 2)) for _ in range(3)]
+        with pytest.raises(ValueError, match="burn-in must be >= 0"):
+            diagnostics.diagnostics_report(chains, burnin=-30)
+
 
 class TestFusedLagPair:
     def test_matches_separate_lags(self):

@@ -1,7 +1,9 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from toy_targets import ToyTarget
 
 from bayesmlp import Architecture, NoisyXorConfig, generate_noisy_xor, mlp
 from bayesmlp.mlp import log_likelihood_binary, unpack_parameters
@@ -13,8 +15,6 @@ from bayesmlp.samplers import (
     PpConfig,
     SamplerStartupError,
     SgdConfig,
-    Target,
-    TemperedFamily,
     derive_chain_seed,
     hmc_chain,
     leapfrog,
@@ -28,11 +28,7 @@ from bayesmlp.samplers import (
 
 
 def standard_normal_target(dim):
-    return Target(
-        log_density=lambda th: -0.5 * float(th @ th),
-        dim=dim,
-        gradient=lambda th: -th,
-    )
+    return ToyTarget(lambda th: -0.5 * float(th @ th), dim, gradient=lambda th: -th)
 
 
 class TestConfigs:
@@ -75,13 +71,15 @@ class TestMetropolisHastings:
 
     def test_rejected_steps_repeat_state(self):
         # a spike target: nearly every proposal is rejected
-        target = Target(lambda th: -1e8 * float(th @ th), 2)
+        target = ToyTarget(lambda th: -1e8 * float(th @ th), 2)
         chain = mh_chain(target, np.zeros(2), MhConfig(1.0), 500, seed=3)
         repeats = (chain.draws[1:] == chain.draws[:-1]).all(axis=1).sum()
-        assert repeats == 499 - chain.accepted + 1 or repeats >= 490
+        # row i + 1 repeats row i exactly when iteration i + 1 rejects
+        moved_at_iteration_0 = int((chain.draws[0] != 0.0).any())
+        assert repeats == 499 - (chain.accepted - moved_at_iteration_0)
 
     def test_non_finite_init_rejected(self):
-        target = Target(lambda th: -math.inf, 2)
+        target = ToyTarget(lambda th: -math.inf, 2)
         with pytest.raises(SamplerStartupError):
             mh_chain(target, np.zeros(2), MhConfig(1.0), 10, seed=0)
 
@@ -96,7 +94,7 @@ class TestMetropolisHastings:
         def boxed(th):
             return 0.0 if np.abs(th).max() < 1.0 else -math.inf
 
-        chain = mh_chain(Target(boxed, 2), np.zeros(2), MhConfig(4.0), 2000, seed=5)
+        chain = mh_chain(ToyTarget(boxed, 2), np.zeros(2), MhConfig(4.0), 2000, seed=5)
         assert (np.abs(chain.draws) < 1.0).all()
 
 
@@ -133,7 +131,7 @@ class TestHmc:
 
     def test_divergences_flagged_and_rejected(self):
         # extremely stiff target: unit steps explode the energy error
-        target = Target(
+        target = ToyTarget(
             lambda th: -0.5e8 * float(th @ th), 1, gradient=lambda th: -1e8 * th
         )
         chain = hmc_chain(target, np.array([1e-4]), HmcConfig(10, 1.0), 50, seed=4)
@@ -142,7 +140,7 @@ class TestHmc:
 
     def test_requires_gradient(self):
         with pytest.raises(ValueError):
-            hmc_chain(Target(lambda th: 0.0, 1), np.zeros(1), HmcConfig(2, 0.1), 5, seed=0)
+            hmc_chain(ToyTarget(lambda th: 0.0, 1), np.zeros(1), HmcConfig(2, 0.1), 5, seed=0)
 
     def test_seed_reproducible(self):
         a = hmc_chain(standard_normal_target(2), np.zeros(2), HmcConfig(5, 0.3), 200, seed=21)
@@ -167,41 +165,38 @@ class TestHmc:
         assert chain.divergences == 0 and 0 < chain.accepted < iterations
         assert len(passes) == 1 + steps * iterations
 
-    def test_gradient_only_target_evaluates_density_at_endpoint(self):
-        """A target without value_and_grad costs L gradient calls and one
-        log-density call per iteration, plus one of each at the start."""
-        calls = {"density": 0, "gradient": 0}
+    def test_one_value_and_grad_call_per_leapfrog_step(self):
+        """HMC calls only value_and_grad: once at the start and L times per
+        iteration, never log_likelihood or log_prior."""
+        target = standard_normal_target(3)
+        calls = Counter()
 
-        def density(th):
-            calls["density"] += 1
-            return -0.5 * float(th @ th)
+        def counted(name, method):
+            def call(th):
+                calls[name] += 1
+                return method(th)
 
-        def gradient(th):
-            calls["gradient"] += 1
-            return -th
+            return call
 
+        for name in ("log_likelihood", "log_prior", "value_and_grad"):
+            setattr(target, name, counted(name, getattr(target, name)))
         iterations, steps = 30, 4
-        chain = hmc_chain(Target(density, 3, gradient=gradient), np.ones(3), HmcConfig(steps, 0.3),
-                          iterations, seed=1)
+        chain = hmc_chain(target, np.ones(3), HmcConfig(steps, 0.3), iterations, seed=1)
         assert chain.divergences == 0
-        assert calls == {"density": 1 + iterations, "gradient": 1 + steps * iterations}
-        fused = Target(density, 3, value_and_grad=lambda th: (-0.5 * float(th @ th), -th))
-        np.testing.assert_array_equal(
-            chain.draws, hmc_chain(fused, np.ones(3), HmcConfig(steps, 0.3), iterations, seed=1).draws
-        )
+        assert calls == {"value_and_grad": 1 + steps * iterations}
 
     def test_carried_gradient_matches_separate_calls(self, xor_arch):
-        """The posterior target's one-pass path gives the draws that separate
+        """The posterior's one-pass path gives the draws that separate
         log-posterior and gradient calls give, on a run with rejections."""
         train, _ = generate_noisy_xor(NoisyXorConfig(train_per_corner=10, test_per_corner=1, seed=0))
-        separate = Target(
-            log_density=lambda th: mlp.log_posterior(xor_arch, th, train, 10.0),
-            dim=9,
+        separate = ToyTarget(
+            lambda th: mlp.log_posterior(xor_arch, th, train, 10.0),
+            9,
             gradient=lambda th: mlp.grad_log_posterior(xor_arch, th, train, 10.0),
         )
         init = np.random.default_rng(3).normal(0.0, 3.0, 9)
         config = HmcConfig(5, 0.4)
-        a = hmc_chain(samplers.posterior_target(xor_arch, train, 10.0), init, config, 150, seed=8)
+        a = hmc_chain(mlp.Posterior(xor_arch, train, 10.0), init, config, 150, seed=8)
         b = hmc_chain(separate, init, config, 150, seed=8)
         assert 0 < a.accepted < 150
         np.testing.assert_array_equal(a.draws, b.draws)
@@ -268,7 +263,7 @@ class TestSwapPmf:
             pp_normalizer(0, 0, 0.5)
 
 
-def mixture_family():
+def mixture_target():
     """Two well-separated normal modes at +-5 with sd 0.5, flat prior."""
 
     def log_mix(th):
@@ -278,52 +273,50 @@ def mixture_family():
         top = max(a, b)
         return top + math.log(0.5 * math.exp(a - top) + 0.5 * math.exp(b - top))
 
-    return TemperedFamily(log_mix, lambda th: 0.0, 1)
+    return ToyTarget(log_mix, 1)
 
 
 class TestPowerPosterior:
     def test_unit_temperatures_always_swap(self):
-        family = mixture_family()
+        target = mixture_target()
         config = PpConfig((1.0, 1.0), within_chain=MhConfig(0.5))
-        _, record = pp_chain(family, [np.array([5.0]), np.array([-5.0])], config, 300, seed=6)
+        _, record = pp_chain(target, [np.array([5.0]), np.array([-5.0])], config, 300, seed=6)
         assert record.swap_accepted == record.swap_attempts == 300
 
     def test_tempering_crosses_modes_where_mh_cannot(self):
         """The t=1 chain of the population reaches both mixture modes; a
         plain MH chain with the same proposal stays in its starting mode."""
-        family = mixture_family()
+        target = mixture_target()
         lam = 2.25
         config = PpConfig((0.1, 0.5, 1.0), beta=0.5, within_chain=MhConfig(lam))
-        chain, _ = pp_chain(family, [np.array([5.0])] * 3, config, 50000, seed=2)
+        chain, _ = pp_chain(target, [np.array([5.0])] * 3, config, 50000, seed=2)
         x = chain.draws[:, 0]
         assert (x > 2).any() and (x < -2).any()
 
-        plain = mh_chain(
-            Target(family.log_likelihood, 1), np.array([5.0]), MhConfig(lam), 50000, seed=2
-        )
+        plain = mh_chain(target, np.array([5.0]), MhConfig(lam), 50000, seed=2)
         assert not (plain.draws[:, 0] < -2).any()
 
     def test_population_record_shape(self):
-        family = mixture_family()
+        target = mixture_target()
         config = PpConfig((0.5, 1.0), within_chain=MhConfig(0.5))
-        chain, record = pp_chain(family, [np.zeros(1), np.zeros(1)], config, 100, seed=0)
+        chain, record = pp_chain(target, [np.zeros(1), np.zeros(1)], config, 100, seed=0)
         assert record.draws.shape == (2, 100, 1)
         np.testing.assert_array_equal(record.draws[-1], chain.draws)
         assert record.temperatures == (0.5, 1.0)
 
     def test_seed_reproducible(self):
-        family = mixture_family()
+        target = mixture_target()
         config = PpConfig((0.5, 1.0), within_chain=MhConfig(0.5))
         inits = [np.array([1.0]), np.array([2.0])]
-        a, _ = pp_chain(family, inits, config, 200, seed=14)
-        b, _ = pp_chain(family, inits, config, 200, seed=14)
+        a, _ = pp_chain(target, inits, config, 200, seed=14)
+        b, _ = pp_chain(target, inits, config, 200, seed=14)
         np.testing.assert_array_equal(a.draws, b.draws)
 
     def test_init_count_must_match(self):
-        family = mixture_family()
+        target = mixture_target()
         config = PpConfig((0.5, 1.0), within_chain=MhConfig(0.5))
         with pytest.raises(ValueError):
-            pp_chain(family, [np.zeros(1)], config, 10, seed=0)
+            pp_chain(target, [np.zeros(1)], config, 10, seed=0)
 
 
 class TestWeightSymmetry:
