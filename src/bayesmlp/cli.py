@@ -329,17 +329,28 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _load_chains(paths) -> list[samplers.Chain]:
+def _load_chains(paths, start: int = 0) -> list[samplers.Chain]:
+    """Rows draws[start:] of each chain, checked against its sidecar when
+    one sits beside it."""
     chains = []
     for path in paths:
         meta = Path(path).with_suffix(".json")
-        chains.append(chainio.load_chain(path, meta if meta.exists() else None))
+        chains.append(chainio.load_chain(path, meta if meta.exists() else None, start=start))
     return chains
 
 
 def cmd_diagnose(args) -> int:
-    chains = _load_chains(args.chains)
-    burnin = args.burnin if args.burnin is not None else max(c.burnin for c in chains)
+    if args.burnin is None:
+        chains = _load_chains(args.chains)
+        burnin = max(c.burnin for c in chains)
+    else:
+        if args.burnin < 0:
+            raise ValueError(f"burn-in must be >= 0, got {args.burnin}")
+        # the rows of an explicit burn-in are not parsed at all
+        chains = _load_chains(args.chains, start=args.burnin)
+        if any(len(c) == 0 for c in chains):
+            raise ValueError("burn-in leaves no draws")
+        burnin = 0
     groups: dict[str, list[samplers.Chain]] = {}
     for chain in chains:
         groups.setdefault(chain.sampler_tag, []).append(chain)
@@ -375,11 +386,10 @@ def cmd_predict(args) -> int:
             _json_text({"accuracy": acc, "num_draws": args.num_draws, "seed": cfg.seed}, indent=None)
         )
         return 0
-    chains = _load_chains(args.chains)
+    chains = _load_chains(args.chains, start=-cfg.tail)
     accs = []
     for index, chain in enumerate(chains):
-        tail = chain.tail(min(cfg.tail, len(chain)))
-        acc, report = predictive.accuracy(arch, tail, test)
+        acc, report = predictive.accuracy(arch, chain.draws, test)
         accs.append(acc)
         path = out_dir / f"predictions_chain_{index:02d}.csv"
         with path.open("w", newline="") as fh:
@@ -399,9 +409,9 @@ def cmd_predict(args) -> int:
 def cmd_grid(args) -> int:
     cfg, arch, _ = _predictive_setup(args)
     out_dir = _out_dir(args)
-    chain = _load_chains([args.chain])[0]
+    chain = _load_chains([args.chain], start=-cfg.tail)[0]
     bounds = tuple(args.bounds)
-    grid = predictive.grid_predictive(arch, chain.tail(min(cfg.tail, len(chain))), bounds, args.resolution)
+    grid = predictive.grid_predictive(arch, chain.draws, bounds, args.resolution)
     truth = predictive.xor_truth_grid(bounds, args.resolution)
     np.savetxt(out_dir / "grid.csv", grid, fmt="%.17g", delimiter=",")
     np.savetxt(out_dir / "grid_truth.csv", truth, fmt="%d", delimiter=",")
@@ -412,10 +422,12 @@ def cmd_grid(args) -> int:
 def cmd_traces(args) -> int:
     chains = _load_chains(args.chains)
     burnin = args.burnin if args.burnin is not None else max(c.burnin for c in chains)
+    length = min(len(c) for c in chains)
     if burnin < 0:
         raise ValueError(f"burn-in must be >= 0, got {burnin}")
+    if burnin >= length:
+        raise ValueError("burn-in leaves no draws")
     out_dir = _out_dir(args)
-    length = min(len(c) for c in chains)
     for coord in args.coords:
         if not 0 <= coord < chains[0].dim:
             raise ValueError(f"coordinate {coord} outside [0, {chains[0].dim})")
@@ -438,13 +450,13 @@ def cmd_traces(args) -> int:
 def cmd_boxplot_data(args) -> int:
     cfg, arch, test = _predictive_setup(args)
     out_dir = _out_dir(args)
-    chains = _load_chains(args.chains)
+    chains = _load_chains(args.chains, start=-cfg.tail)
     path = out_dir / "boxplot_accuracies.csv"
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["chain", "accuracy"])
         for index, chain in enumerate(chains):
-            acc, _ = predictive.accuracy(arch, chain.tail(min(cfg.tail, len(chain))), test)
+            acc, _ = predictive.accuracy(arch, chain.draws, test)
             writer.writerow([index, f"{acc:.17g}"])
     print(path)
     return 0

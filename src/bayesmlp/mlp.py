@@ -138,29 +138,31 @@ def _sigmoid(x):
     return np.where(pos, 1.0, e) / (1.0 + e)
 
 
-def _softmax(x):
-    # max-subtraction for overflow safety; rows sum to 1. The row max and row
-    # sum run one column at a time, about twice as fast as reductions over a
-    # short last axis. Below 8 classes this keeps the bits of the reduction
-    # form (numpy adds fewer than 8 elements in order, 8 or more pairwise),
-    # except the sign or payload of a NaN output: the max reduction returns a
-    # canonical NaN where np.maximum passes the input NaN on.
-    k = x.shape[-1]
-    m = x[..., 0]
-    for i in range(1, k):
-        m = np.maximum(m, x[..., i])
-    ez = np.exp(x - m[..., None])
-    total = ez[..., 0].copy()
-    for i in range(1, k):
-        total += ez[..., i]
-    return ez / total[..., None]
+def _softmax(x, axis=-1):
+    # max-subtraction for overflow safety; sums to 1 along the class axis.
+    # The max and sum run one class at a time, about twice as fast as
+    # reductions over a short axis. Below 8 classes this keeps the bits of the
+    # reduction form (numpy adds fewer than 8 elements in order, 8 or more
+    # pairwise), except the sign or payload of a NaN output: the max
+    # reduction returns a canonical NaN where np.maximum passes the input on.
+    axis %= x.ndim
+    lead = (slice(None),) * axis
+    m = x[lead + (0,)]
+    for i in range(1, x.shape[axis]):
+        m = np.maximum(m, x[lead + (i,)])
+    ez = np.exp(x - m[lead + (None,)])
+    total = ez[lead + (0,)].copy()
+    for i in range(1, x.shape[axis]):
+        total += ez[lead + (i,)]
+    return ez / total[lead + (None,)]
 
 
-def _apply_activation(kind: ActivationKind, g):
+def _apply_activation(kind: ActivationKind, g, axis=-1):
+    """Activation of pre-activations g; a softmax normalizes along axis."""
     if kind is ActivationKind.SIGMOID:
         return _sigmoid(g)
     if kind is ActivationKind.SOFTMAX:
-        return _softmax(g)
+        return _softmax(g, axis)
     if kind is ActivationKind.TANH:
         return np.tanh(g)
     if kind is ActivationKind.RELU:
@@ -179,18 +181,18 @@ def _hidden_derivative(kind: ActivationKind, g, h):
     return np.ones_like(g)
 
 
-def _forward_cached(arch, layers, X):
-    """Forward pass over a batch, keeping pre/post-activations per layer.
+def _layer_kind(arch, j: int) -> ActivationKind:
+    return arch.output_activation if j == arch.num_layers - 1 else arch.hidden_activation
 
-    Layers with a leading draw axis (a stack of d parameter vectors) run as
-    one batched matmul each and give activations of shape (d, s, k_j).
-    """
+
+def _forward_cached(arch, layers, X):
+    """Forward pass of one parameter vector over an (s, k_0) batch, keeping
+    the pre- and post-activations of every layer, each of shape (s, k_j)."""
     H = X
     gs, hs = [], [X]
     for j, (W, b) in enumerate(layers):
-        G = H @ np.swapaxes(W, -1, -2) + b[..., None, :]
-        kind = arch.output_activation if j == len(layers) - 1 else arch.hidden_activation
-        H = _apply_activation(kind, G)
+        G = H @ W.T + b
+        H = _apply_activation(_layer_kind(arch, j), G)
         gs.append(G)
         hs.append(H)
     return gs, hs
@@ -225,6 +227,11 @@ def forward_stack(arch: Architecture, thetas, X) -> np.ndarray:
 
     thetas has shape (d, n); the result has shape (d, s, k_rho), row i
     equal to forward(arch, thetas[i], X) up to rounding.
+
+    The pass runs feature-major: (d, k_j, k_{j-1}) weights times (d,
+    k_{j-1}, s) activations, so bias adds, activations and the softmax run
+    along the s points rather than along the 1 to 3 units of a layer. The
+    result is a transposed view of the (d, k_rho, s) output.
     """
     thetas = np.asarray(thetas, dtype=float)
     n = parameter_count(arch)
@@ -234,8 +241,10 @@ def forward_stack(arch: Architecture, thetas, X) -> np.ndarray:
             f"expected (d, {n}) for architecture {arch.layer_widths}"
         )
     X, _ = _as_batch(arch, X)
-    _, hs = _forward_cached(arch, _layer_views(arch, thetas), X)
-    return hs[-1]
+    H = np.ascontiguousarray(X.T)
+    for j, (W, b) in enumerate(_layer_views(arch, thetas)):
+        H = _apply_activation(_layer_kind(arch, j), W @ H + b[..., None], axis=-2)
+    return np.swapaxes(H, -1, -2)
 
 
 def event_probabilities(arch: Architecture, theta, x) -> np.ndarray:

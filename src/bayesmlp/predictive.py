@@ -2,8 +2,9 @@
 chain tail, plus the prior-predictive baseline and grid evaluation.
 
 The predictive evaluates the tail in chunks of PREDICTIVE_CHUNK draws, each
-chunk one forward pass of a (draws, points, width) stack, so the work per
-draw is a slice of a batched matmul rather than a Python-level call.
+chunk one feature-major forward pass of a draw stack (mlp.forward_stack), so
+the work per draw is a slice of a batched matmul rather than a Python-level
+call.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ from .data import LabeledDataset
 DEFAULT_TAIL = 10000
 
 #: Draws per batched forward pass. On the hawks test set (295 points,
-#: MLP(6,2,2,3)), on a Xeon with 2 MB of L2 per core and one BLAS thread,
-#: chunks of 16 to 64 draws ran equally fast and 128 or more about 40%
-#: slower, once a chunk's (draws, points, width) activations outgrow the
-#: cache. Memory stays flat in the tail length.
+#: MLP(6,2,2,3)), 2500 draws, on a Xeon with 2 MB of L2 per core and one
+#: BLAS thread, the feature-major pass took 48 to 56 ms (best of three) for
+#: chunks of 8 to 128 draws and 80 ms or more from 256 on, once a chunk's
+#: (draws, width, points) activations outgrow the cache. Memory stays flat
+#: in the tail length.
 PREDICTIVE_CHUNK = 32
 
 #: Grid defaults for the two-feature heatmap.

@@ -103,7 +103,12 @@ class SgdConfig:
 
 @dataclass
 class Chain:
-    """A realized chain: all iterations (burn-in included), one per row."""
+    """A realized chain, one iteration per row.
+
+    draws holds the iterations from first_row on: all of them (burn-in
+    included) for a sampled chain, a tail for a partially loaded one.
+    burnin and accepted always count over the whole chain.
+    """
 
     draws: np.ndarray
     burnin: int
@@ -114,16 +119,24 @@ class Chain:
     swap_accepted: int | None = None
     swap_attempts: int | None = None
     divergences: int = 0
+    first_row: int = 0
 
     def __post_init__(self):
         self.draws = np.atleast_2d(np.asarray(self.draws, dtype=float))
-        if not 0 <= self.burnin < self.draws.shape[0]:
+        if self.first_row < 0:
+            raise ValueError("first row must be >= 0")
+        if not 0 <= self.burnin < self.iterations:
             raise ValueError("burn-in must be smaller than the chain length")
-        if not 0 <= self.accepted <= self.draws.shape[0]:
+        if not 0 <= self.accepted <= self.iterations:
             raise ValueError("accepted count cannot exceed the chain length")
 
     def __len__(self) -> int:
         return self.draws.shape[0]
+
+    @property
+    def iterations(self) -> int:
+        """Length of the whole chain, rows before first_row included."""
+        return self.first_row + len(self)
 
     @property
     def dim(self) -> int:
@@ -131,10 +144,10 @@ class Chain:
 
     @property
     def acceptance_rate(self) -> float:
-        return self.accepted / len(self)
+        return self.accepted / self.iterations
 
     def post_burnin(self) -> np.ndarray:
-        return self.draws[self.burnin :]
+        return self.draws[max(self.burnin - self.first_row, 0) :]
 
     def tail(self, length: int) -> np.ndarray:
         if not 0 < length <= len(self):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from bayesmlp import samplers
+from bayesmlp import chainio, samplers
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -36,3 +36,8 @@ def test_hmc_chain_looks_up_leapfrog_as_module_global():
     """A traced samplers.leapfrog only sees HMC trajectories if hmc_chain
     reads the name from the module at call time."""
     assert "leapfrog" in samplers.hmc_chain.__code__.co_names
+
+
+def test_load_chain_takes_paths_first():
+    """The tracer sizes a load from its first two positional arguments."""
+    assert list(inspect.signature(chainio.load_chain).parameters)[:2] == ["csv_path", "metadata_path"]

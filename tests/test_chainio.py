@@ -1,8 +1,13 @@
 import hashlib
+import json
 import os
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bayesmlp.chainio import ChainFileError, chain_metadata, format_hms, load_chain, save_chain
 from bayesmlp.data import NoisyXorConfig, generate_noisy_xor, load_vendored
@@ -29,6 +34,7 @@ class TestPersistence:
         save_chain(chain, csv_path, meta_path, config={"proposal_variance": 0.02})
         back = load_chain(csv_path, meta_path)
         np.testing.assert_array_equal(back.draws, chain.draws)
+        assert json.loads(meta_path.read_text())["crc32"] == zlib.crc32(csv_path.read_bytes())
         assert back.burnin == 10
         assert back.seed == 77
         assert back.accepted == 25
@@ -64,6 +70,61 @@ class TestPersistence:
         path = tmp_path / "one.csv"
         save_chain(chain, path)
         assert load_chain(path).draws.shape == (1, 4)
+
+
+@st.composite
+def chains_and_starts(draw):
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    values = arrays(np.float64, (rows, cols), elements=st.floats(allow_nan=False, allow_infinity=False))
+    chain = Chain(
+        draw(values), burnin=draw(st.integers(0, rows - 1)), seed=draw(st.integers(0, 99)),
+        accepted=draw(st.integers(0, rows)), sampler_tag="MH",
+    )
+    return chain, draw(st.integers(-rows - 2, rows + 2))
+
+
+class TestPartialLoad:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(chains_and_starts(), st.booleans())
+    def test_round_trip_from_any_start(self, tmp_path, case, sidecar):
+        chain, start = case
+        csv_path = tmp_path / "c.csv"
+        meta_path = tmp_path / "c.json" if sidecar else None
+        save_chain(chain, csv_path, meta_path)
+        back = load_chain(csv_path, meta_path, start=start)
+        want = chain.draws[start:]
+        assert back.draws.shape == want.shape
+        np.testing.assert_array_equal(back.draws.view(np.uint64), want.view(np.uint64))
+        assert back.first_row == len(chain) - len(want)
+        if sidecar:
+            assert (back.burnin, back.accepted, back.iterations) == (chain.burnin, chain.accepted, len(chain))
+
+    def test_edit_in_skipped_rows_rejected(self, tmp_path, chain):
+        csv_path, meta_path = tmp_path / "c.csv", tmp_path / "c.json"
+        save_chain(chain, csv_path, meta_path)
+        text = bytearray(csv_path.read_bytes())
+        at = text.index(b"\n", text.index(b"\n") + 1) - 1  # last digit of row 1
+        text[at] = ord("7") if text[at] != ord("7") else ord("3")
+        csv_path.write_bytes(bytes(text))
+        with pytest.raises(ChainFileError, match="CRC-32"):
+            load_chain(csv_path, meta_path, start=-10)
+
+    def test_sidecar_without_checksum_loads(self, tmp_path, chain):
+        csv_path, meta_path = tmp_path / "c.csv", tmp_path / "c.json"
+        save_chain(chain, csv_path, meta_path)
+        meta = json.loads(meta_path.read_text())
+        del meta["crc32"]
+        meta_path.write_text(json.dumps(meta))
+        back = load_chain(csv_path, meta_path, start=-10)
+        np.testing.assert_array_equal(back.draws, chain.draws[-10:])
+        assert (back.first_row, back.burnin, back.accepted) == (30, 10, 25)
+
+    def test_partial_chain_cannot_be_saved(self, tmp_path, chain):
+        save_chain(chain, tmp_path / "c.csv", tmp_path / "c.json")
+        tail = load_chain(tmp_path / "c.csv", tmp_path / "c.json", start=-5)
+        with pytest.raises(ValueError):
+            save_chain(tail, tmp_path / "t.csv", tmp_path / "t.json")
+        assert sorted(os.listdir(tmp_path)) == ["c.csv", "c.json"]
 
 
 class TestCompleteOrAbsent:

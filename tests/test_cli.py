@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from bayesmlp import cli
-from bayesmlp.chainio import save_chain
+from bayesmlp.chainio import load_chain, save_chain
+from bayesmlp.diagnostics import diagnostics_report
 from bayesmlp.samplers import Chain
 
 
@@ -151,6 +152,27 @@ class TestDiagnose:
         assert json.loads(capsys.readouterr().err)["error"] == "invalid-input"
         assert not report_path.exists()
 
+    def test_burnin_report_equals_full_chain_report(self, tmp_path, xor_config):
+        """Burn-in rows are skipped unparsed; the report is the one computed
+        on whole chains with that burn-in."""
+        out = tmp_path / "chains"
+        run(["sample", "--config", xor_config, "--out-dir", out])
+        paths = [out / "chain_00.csv", out / "chain_01.csv"]
+        report_path = tmp_path / "report.json"
+        assert run(["diagnose", "--chains", *paths, "--burnin", 150, "--out", report_path]) == 0
+        whole = [load_chain(p, p.with_suffix(".json")).draws for p in paths]
+        assert report_path.read_text() == cli._json_text(diagnostics_report(whole, burnin=150))
+
+    @pytest.mark.parametrize("burnin", [500, 501, 10**6])
+    def test_burnin_past_chain_is_invalid_input(self, tmp_path, rng, capsys, burnin):
+        chain = Chain(rng.normal(size=(500, 2)), burnin=0, seed=0, accepted=1, sampler_tag="MH")
+        paths = [tmp_path / f"c{i}.csv" for i in range(2)]
+        for path in paths:
+            save_chain(chain, path, path.with_suffix(".json"))
+        assert run(["diagnose", "--chains", *paths, "--burnin", burnin]) == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "invalid-input", "message": "burn-in leaves no draws"}
+
     def test_table_rows_per_sampler(self, tmp_path, rng, capsys):
         paths = []
         for tag in ("MH", "HMC"):
@@ -195,6 +217,21 @@ class TestPredict:
             "--tail", 50, "--chains", path, "--out-dir", tmp_path / "pred",
         ]) == 0
         assert "mean accuracy 100.00" in capsys.readouterr().out
+
+    def test_edit_before_tail_is_io_error(self, tmp_path, xor_config, capsys):
+        """predict parses only the last 100 rows, yet a one-byte edit in row 0
+        fails the sidecar's checksum."""
+        out = tmp_path / "chains"
+        run(["sample", "--config", xor_config, "--out-dir", out])
+        csv_path = out / "chain_00.csv"
+        text = bytearray(csv_path.read_bytes())
+        at = text.index(b"\n") - 1  # last digit of row 0
+        text[at] = ord("7") if text[at] != ord("7") else ord("3")
+        csv_path.write_bytes(bytes(text))
+        pred = tmp_path / "pred"
+        assert run(["predict", "--config", xor_config, "--chains", csv_path, "--out-dir", pred]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "io"
+        assert not (pred / "accuracy_summary.json").exists()
 
     def test_prior_baseline_routing(self, tmp_path, xor_config, capsys):
         pred = tmp_path / "prior"
@@ -258,6 +295,19 @@ class TestTracesAndBoxplot:
             "--out-dir", trace_dir,
         ]) == 4
         assert json.loads(capsys.readouterr().err)["error"] == "invalid-input"
+        assert not trace_dir.exists()
+
+    @pytest.mark.parametrize("burnin", [400, 4000])
+    def test_traces_burnin_past_chain(self, tmp_path, xor_config, capsys, burnin):
+        out = tmp_path / "chains"
+        run(["sample", "--config", xor_config, "--out-dir", out])
+        trace_dir = tmp_path / "traces"
+        assert run([
+            "traces", "--chains", out / "chain_00.csv", "--coords", 8, "--burnin", burnin,
+            "--out-dir", trace_dir,
+        ]) == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "invalid-input", "message": "burn-in leaves no draws"}
         assert not trace_dir.exists()
 
     def test_traces_coordinate_bounds(self, tmp_path, xor_config):
@@ -415,7 +465,9 @@ class TestErrors:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    code = "import sys, bayesmlp.cli; print('scipy' in sys.modules)"
+    """Neither scipy nor OpenSSL's _hashlib (each a few MB of resident
+    memory in every command) is loaded by the CLI."""
+    code = "import sys, bayesmlp.cli; print([m for m in ('scipy', '_hashlib') if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

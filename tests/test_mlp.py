@@ -100,7 +100,9 @@ class TestSoftmax:
                     rows[r, rng.integers(k)] = special[rng.integers(len(special))]
             with np.errstate(invalid="ignore"):
                 got, want = _softmax(x), reduced_softmax(x)
+                classes_first = _softmax(np.moveaxis(x, -1, 0), axis=0)
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            np.testing.assert_array_equal(np.moveaxis(classes_first, 0, -1).view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("k", range(2, 8))
     def test_nan_rows_keep_nan_positions(self, rng, k):

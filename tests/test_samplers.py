@@ -386,6 +386,21 @@ class TestChainContainer:
         assert chain.tail(10).shape == (10, 3)
         np.testing.assert_array_equal(chain.tail(10), chain.draws[-10:])
 
+    def test_first_row_keeps_whole_chain_counts(self, rng):
+        """A chain tail starting at first_row keeps the whole chain's
+        burn-in and acceptance count, and the checks hold on the whole."""
+        tail = rng.normal(size=(10, 3))
+        chain = Chain(tail, burnin=15, seed=0, accepted=18, sampler_tag="MH", first_row=10)
+        assert (len(chain), chain.iterations) == (10, 20)
+        assert chain.acceptance_rate == 18 / 20
+        np.testing.assert_array_equal(chain.post_burnin(), tail[5:])
+        late = Chain(tail, burnin=5, seed=0, accepted=0, sampler_tag="MH", first_row=10)
+        np.testing.assert_array_equal(late.post_burnin(), tail)
+        for bad in ({"burnin": 20}, {"accepted": 21}, {"first_row": -1}):
+            kwargs = {"burnin": 0, "accepted": 0, "first_row": 10, **bad}
+            with pytest.raises(ValueError):
+                Chain(tail, seed=0, sampler_tag="MH", **kwargs)
+
     def test_invariants(self, rng):
         with pytest.raises(ValueError):
             Chain(rng.normal(size=(10, 2)), burnin=10, seed=0, accepted=0, sampler_tag="MH")
