@@ -2,9 +2,11 @@
 diagnostics tables, prediction reports, grid heatmap and plot-data emission.
 
 A run is described by a JSON config document; command-line flags override
-config fields (flags > config file > built-in defaults). Defaults mirror
-the reference protocol: 10 chains, 110,000 iterations, 10,000 burn-in,
-10,000-draw predictive tail, prior variance 10.
+config fields (flags > config file > built-in defaults). Each section is
+built from the dataclass it configures, whose field defaults are the
+section's defaults. Defaults mirror the reference protocol: 10 chains,
+110,000 iterations, 10,000 burn-in, 10,000-draw predictive tail, prior
+variance 10.
 
 Every command is deterministic given (config, seed): chain i draws its
 private RNG stream from seed XOR i, so rerunning a config reproduces all
@@ -16,10 +18,13 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import asdict, dataclass, field, fields
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -45,69 +50,119 @@ _ERROR_CATEGORIES = (
 )
 
 
-#: Optional keys of each config section with their defaults. A section
-#: accepts these keys and its required ones; the builders read every value
-#: from the section merged over these defaults, so the keys accepted and the
-#: keys read cannot drift apart.
-SAMPLER_DEFAULTS = {
-    "MH": {"proposal_variance": 0.02},
-    "HMC": {"leapfrog_steps": 10, "step_size": 0.01},
-    "PP": {"temperatures": [1.0] * 10, "beta": 0.5, "proposal_variance": 0.02},
-}
-ARCHITECTURE_DEFAULTS = {"hidden_activation": "sigmoid"}
-NOISY_XOR_DEFAULTS = {"c": 0.55, "train_per_corner": 125, "test_per_corner": 30, "seed": 0}
-CSV_DATASET_DEFAULTS = {
-    "name": None,  # accepted as a label and ignored when it names no dataset
-    "manifest": None,
-    "feature_columns": None,
-    "label_column": "label",
-    "label_mapping": {"0": 0, "1": 1},
-}
-
-_SECTIONS = ("dataset", "architecture", "sampler")
-_INTEGER_FIELDS = ("num_chains", "iterations", "burnin", "tail", "seed")
+_JSON_TYPES = {int: "an integer", float: "a finite number", str: "a string", dict: "a JSON object"}
 
 
-def _section(name: str, doc: dict, defaults: dict, required=()) -> dict:
-    """doc merged over defaults; a key neither defaulted nor required is a
-    config error."""
-    allowed = set(defaults) | set(required)
-    unknown = set(doc) - allowed
+def _json_value(where: str, value, hint):
+    """value, checked against the type hint of the field it sets.
+
+    An int is a JSON integer (not a bool, not a float); a float is a finite
+    integer or float; a tuple is a JSON list of its element type; an Enum
+    is given by its value; ``X | None`` also takes null.
+    """
+    args = typing.get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return None
+        hint, args = args[0], typing.get_args(args[0])
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a JSON list, got {value!r}")
+        return tuple(_json_value(f"{where}[{i}]", v, args[0]) for i, v in enumerate(value))
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        try:
+            return hint(value)
+        except ValueError:
+            raise ConfigError(f"{where} must be one of {[m.value for m in hint]}, got {value!r}") from None
+    if hint is float:
+        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    else:
+        ok = isinstance(value, hint)
+    if not ok or isinstance(value, bool):
+        raise ConfigError(f"{where} must be {_JSON_TYPES[hint]}, got {value!r}")
+    return value
+
+
+def _from_section(cls, name: str, doc, keys=None):
+    """An instance of the dataclass cls built from the config section doc.
+
+    The section takes the init fields of cls (or those named in keys); a
+    key it leaves out takes its field's default, and every value must have
+    the JSON type of its field's annotation.
+    """
+    doc = _json_value(name, doc, dict)
+    hints = typing.get_type_hints(cls)
+    keys = keys or [f.name for f in fields(cls) if f.init]
+    unknown = set(doc) - set(keys)
     if unknown:
-        raise ConfigError(f"unknown {name} fields: {sorted(unknown)}; expected {sorted(allowed)}")
-    return {**defaults, **doc}
+        raise ConfigError(f"unknown {name} fields: {sorted(unknown)}; expected {sorted(keys)}")
+    values = {key: _json_value(f"{name}.{key}", value, hints[key]) for key, value in doc.items()}
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
+def _without(doc: dict, key: str) -> dict:
+    return {k: v for k, v in doc.items() if k != key}
+
+
+@dataclass(frozen=True)
+class CsvFiles:
+    """A dataset section naming train and test CSV files. A manifest's
+    feature_columns, label_column and label_mapping take precedence over the
+    section's; ``name``, when it names no known dataset, is a label only."""
+
+    train: str
+    test: str
+    manifest: str | None = None
+    feature_columns: tuple[str, ...] | None = None
+    label_column: str = "label"
+    label_mapping: dict = field(default_factory=lambda: {"0": 0, "1": 1})
+    name: str | None = None
+
+
+_SAMPLER_KINDS = {"MH": samplers.MhConfig, "HMC": samplers.HmcConfig, "PP": samplers.PpConfig}
 
 
 def _sampler_kind(doc: dict) -> str:
     kind = doc.get("kind", "MH")
-    if not isinstance(kind, str) or kind.upper() not in SAMPLER_DEFAULTS:
+    if not isinstance(kind, str) or kind.upper() not in _SAMPLER_KINDS:
         raise ConfigError(f"unknown sampler kind {kind!r}; expected MH, HMC or PP")
     return kind.upper()
 
 
-def _dataset_fields(doc: dict) -> tuple[str, dict]:
-    """The form of a dataset section (generated noisy XOR, vendored, or
-    train/test CSV files) and its fields merged over that form's defaults."""
-    name = doc.get("name")
+def _dataset_source(doc: dict):
+    """What a dataset section names: a NoisyXorConfig, the name of a
+    vendored dataset, or CsvFiles."""
+    name = _json_value("dataset", doc, dict).get("name")
     if name == "noisy-xor":
-        return "noisy-xor", _section("dataset", doc, NOISY_XOR_DEFAULTS, required=("name",))
+        return _from_section(data.NoisyXorConfig, "dataset", _without(doc, "name"))
     if name in data.VENDORED_DATASETS:
-        return "vendored", _section("dataset", doc, {}, required=("name",))
-    return "files", _section("dataset", doc, CSV_DATASET_DEFAULTS, required=("train", "test"))
+        if set(doc) != {"name"}:
+            raise ConfigError(f"dataset {name} takes no fields besides name, got {sorted(doc)}")
+        return name
+    if "train" not in doc or "test" not in doc:
+        raise ConfigError(
+            "dataset config needs a known name (noisy-xor, penguins, hawks) "
+            "or explicit train/test file paths"
+        )
+    return _from_section(CsvFiles, "dataset", doc)
 
 
 @dataclass
 class ExperimentConfig:
     """One sampling experiment: dataset, model, sampler and run protocol.
 
-    Validation builds ``arch`` and ``sampler_config`` from their sections;
-    rerun ``__post_init__`` after changing a field.
+    The sections stay the documents the config gave, so a run records its
+    config as written; validation builds ``arch`` and ``sampler_config``
+    from them.
     """
 
     dataset: dict = field(default_factory=dict)
     architecture: dict = field(default_factory=lambda: {"layer_widths": [2, 2, 1]})
     prior_variance: float = 10.0
-    sampler: dict = field(default_factory=lambda: {"kind": "MH", "proposal_variance": 0.02})
+    sampler: dict = field(default_factory=dict)
     num_chains: int = 10
     iterations: int = 110000
     burnin: int = 10000
@@ -117,15 +172,6 @@ class ExperimentConfig:
     sampler_config: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in _SECTIONS:
-            if not isinstance(getattr(self, name), dict):
-                raise ConfigError(f"{name} must be a JSON object")
-        for name in _INTEGER_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.prior_variance, (int, float)) or isinstance(self.prior_variance, bool):
-            raise ConfigError(f"prior_variance must be a number, got {self.prior_variance!r}")
         if self.num_chains < 1:
             raise ConfigError("num_chains must be >= 1")
         if self.iterations < 1:
@@ -134,121 +180,86 @@ class ExperimentConfig:
             raise ConfigError("burnin must satisfy 0 <= burnin < iterations")
         if not 0 < self.tail <= self.iterations:
             raise ConfigError("tail must satisfy 0 < tail <= iterations")
-        if self.prior_variance <= 0:
+        if not self.prior_variance > 0:
             raise ConfigError("prior_variance must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        _dataset_fields(self.dataset)
+        _dataset_source(self.dataset)
         self.arch = build_architecture(self.architecture)
         self.sampler_config = build_sampler_config(self.sampler)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls) if f.init}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**doc)
+        return _from_section(cls, "config", doc)
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
 
 
 def build_architecture(doc: dict) -> mlp.Architecture:
-    doc = _section("architecture", doc, ARCHITECTURE_DEFAULTS, required=("layer_widths",))
-    try:
-        widths = tuple(int(w) for w in doc["layer_widths"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"architecture.layer_widths invalid: {exc}") from None
-    try:
-        hidden = mlp.ActivationKind(doc["hidden_activation"])
-        return mlp.Architecture(widths, hidden_activation=hidden)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return _from_section(mlp.Architecture, "architecture", doc, keys=("layer_widths", "hidden_activation"))
 
 
 def build_sampler_config(doc: dict):
-    kind = _sampler_kind(doc)
-    doc = _section("sampler", doc, {"kind": kind, **SAMPLER_DEFAULTS[kind]})
-    try:
-        if kind == "MH":
-            return samplers.MhConfig(float(doc["proposal_variance"]))
-        if kind == "HMC":
-            return samplers.HmcConfig(int(doc["leapfrog_steps"]), float(doc["step_size"]))
-        return samplers.PpConfig(
-            tuple(float(t) for t in doc["temperatures"]),
-            beta=float(doc["beta"]),
-            within_chain=samplers.MhConfig(float(doc["proposal_variance"])),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"sampler config invalid: {exc}") from None
+    return _from_section(_SAMPLER_KINDS[_sampler_kind(doc)], "sampler", _without(doc, "kind"))
 
 
 def resolve_dataset(doc: dict) -> tuple[data.LabeledDataset, data.LabeledDataset]:
     """Materialize the (train, test) pair a config refers to."""
-    form, doc = _dataset_fields(doc)
-    if form == "noisy-xor":
-        cfg = data.NoisyXorConfig(
-            c=float(doc["c"]),
-            train_per_corner=int(doc["train_per_corner"]),
-            test_per_corner=int(doc["test_per_corner"]),
-            seed=int(doc["seed"]),
+    source = _dataset_source(doc)
+    if isinstance(source, data.NoisyXorConfig):
+        return data.generate_noisy_xor(source)
+    if isinstance(source, str):
+        return data.load_vendored(source)
+    manifest = json.loads(Path(source.manifest).read_text()) if source.manifest is not None else {}
+    train, test = (
+        data.load_csv_dataset(
+            getattr(source, role),
+            manifest.get("feature_columns", source.feature_columns),
+            manifest.get("label_column", source.label_column),
+            manifest.get("label_mapping", source.label_mapping),
+            role=role,
+            encodings=manifest.get("encodings"),
         )
-        return data.generate_noisy_xor(cfg)
-    if form == "vendored":
-        return data.load_vendored(doc["name"])
-    if "train" in doc and "test" in doc:
-        manifest = json.loads(Path(doc["manifest"]).read_text()) if doc["manifest"] is not None else {}
-        out = []
-        for role in ("train", "test"):
-            out.append(
-                data.load_csv_dataset(
-                    doc[role],
-                    manifest.get("feature_columns", doc["feature_columns"]),
-                    manifest.get("label_column", doc["label_column"]),
-                    {str(k): v for k, v in manifest.get("label_mapping", doc["label_mapping"]).items()},
-                    role=role,
-                    encodings=manifest.get("encodings"),
-                )
-            )
-        return out[0], out[1]
-    raise ConfigError(
-        "dataset config needs a known name (noisy-xor, penguins, hawks) "
-        "or explicit train/test file paths"
+        for role in ("train", "test")
     )
+    return train, test
+
+
+def _given(args, *names) -> dict:
+    """The flags among names that were given on the command line."""
+    return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
 
 
 def _load_config(args) -> ExperimentConfig:
+    """The config file's document with the flags merged in, validated once."""
     doc = {}
-    if getattr(args, "config", None):
-        doc = json.loads(Path(args.config).read_text())
-    cfg = ExperimentConfig.from_dict(doc)
-    # flag overrides
-    for name in ("num_chains", "iterations", "burnin", "tail", "seed", "prior_variance"):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(cfg, name, value)
-    if getattr(args, "arch", None):
-        cfg.architecture = {
-            "layer_widths": [int(w) for w in args.arch.split(",")],
-            "hidden_activation": cfg.architecture.get("hidden_activation", "sigmoid"),
-        }
-    if getattr(args, "sampler", None) and args.sampler != _sampler_kind(cfg.sampler):
-        cfg.sampler = {"kind": args.sampler}  # another kind starts from its own defaults
-    for name in ("proposal_variance", "leapfrog_steps", "step_size"):
-        value = getattr(args, name, None)
-        if value is not None:
-            cfg.sampler[name] = value
-    if getattr(args, "dataset", None):
-        cfg.dataset = {"name": args.dataset}
-    for flag in ("train", "test", "manifest"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            if "name" in cfg.dataset:
-                cfg.dataset = {}  # file flags replace a named dataset and its settings
-            cfg.dataset[flag] = value
-    ExperimentConfig.__post_init__(cfg)  # revalidate after overrides
-    return cfg
+    if args.config:
+        try:
+            doc = json.loads(Path(args.config).read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from None
+    doc = _json_value("config", doc, dict)
+    doc.update(_given(args, "num_chains", "iterations", "burnin", "tail", "seed", "prior_variance"))
+    if args.arch:
+        try:
+            widths = [int(w) for w in args.arch.split(",")]
+        except ValueError:
+            raise ConfigError(f"--arch takes comma-separated layer widths, got {args.arch!r}") from None
+        architecture = _json_value("architecture", doc.get("architecture", {}), dict)
+        doc["architecture"] = {**architecture, "layer_widths": widths}
+    sampler = _json_value("sampler", doc.get("sampler", {}), dict)
+    if getattr(args, "sampler", None) and args.sampler != _sampler_kind(sampler):
+        sampler = {"kind": args.sampler}  # another kind starts from its own defaults
+    doc["sampler"] = {**sampler, **_given(args, "proposal_variance", "leapfrog_steps", "step_size")}
+    if args.dataset:
+        doc["dataset"] = {"name": args.dataset}
+    files = _given(args, "train", "test", "manifest")
+    if files:
+        dataset = _json_value("dataset", doc.get("dataset", {}), dict)
+        # file flags replace a named dataset and its settings
+        doc["dataset"] = {**({} if "name" in dataset else dataset), **files}
+    return ExperimentConfig.from_dict(doc)
 
 
 def _json_text(doc, indent: int | None = 2) -> str:
@@ -274,10 +285,7 @@ def _chain_paths(out_dir: Path, index: int) -> tuple[Path, Path]:
 
 def cmd_generate_data(args) -> int:
     out_dir = _out_dir(args)
-    cfg = data.NoisyXorConfig(
-        c=args.c, train_per_corner=args.train_per_corner,
-        test_per_corner=args.test_per_corner, seed=args.seed if args.seed is not None else 0,
-    )
+    cfg = data.NoisyXorConfig(**_given(args, "c", "train_per_corner", "test_per_corner", "seed"))
     train, test = data.generate_noisy_xor(cfg)
     names = ("x1", "x2")
     data.write_dataset_csv(train, out_dir / "noisy_xor_train.csv", names)
@@ -287,26 +295,19 @@ def cmd_generate_data(args) -> int:
         "feature_columns": list(names),
         "label_column": "label",
         "label_mapping": {"0": 0, "1": 1},
-        "generator": {
-            "c": cfg.c,
-            "train_per_corner": cfg.train_per_corner,
-            "test_per_corner": cfg.test_per_corner,
-            "seed": cfg.seed,
-        },
+        "generator": asdict(cfg),
     }
     (out_dir / "noisy_xor_manifest.json").write_text(_json_text(manifest))
     print(f"wrote {len(train)} train and {len(test)} test rows to {out_dir}")
     return 0
 
 
-def _sample_worker(config_doc: dict, index: int, out_dir: str) -> str:
-    cfg = ExperimentConfig.from_dict(config_doc)
-    train, _ = resolve_dataset(cfg.dataset)
+def _sample_worker(cfg: ExperimentConfig, train: data.LabeledDataset, out_dir: Path, index: int) -> str:
     chain = samplers.run_posterior_chain(
         cfg.arch, train, cfg.prior_variance, cfg.sampler_config, cfg.iterations,
         samplers.derive_chain_seed(cfg.seed, index), burnin=cfg.burnin,
     )
-    csv_path, meta_path = _chain_paths(Path(out_dir), index)
+    csv_path, meta_path = _chain_paths(out_dir, index)
     chainio.save_chain(chain, csv_path, meta_path, config=cfg.to_dict())
     return str(csv_path)
 
@@ -315,15 +316,15 @@ def cmd_sample(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = _load_config(args)
+    train, _ = resolve_dataset(cfg.dataset)
     out_dir = _out_dir(args)
-    doc = cfg.to_dict()
-    indices = range(cfg.num_chains)
+    work = functools.partial(_sample_worker, cfg, train, out_dir)
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            paths = list(pool.map(_sample_worker, [doc] * cfg.num_chains, indices, [str(out_dir)] * cfg.num_chains))
+            paths = list(pool.map(work, range(cfg.num_chains)))
     else:
-        paths = [_sample_worker(doc, i, str(out_dir)) for i in indices]
-    (out_dir / "experiment.json").write_text(_json_text(doc))
+        paths = [work(i) for i in range(cfg.num_chains)]
+    (out_dir / "experiment.json").write_text(_json_text(cfg.to_dict()))
     for path in paths:
         print(path)
     return 0
@@ -464,16 +465,13 @@ def cmd_boxplot_data(args) -> int:
 
 def cmd_sgd_ensemble(args) -> int:
     cfg = _load_config(args)
-    arch = cfg.arch
+    sgd_cfg = samplers.SgdConfig(**_given(
+        args, "epochs", "batch_size", "learning_rate", "accept_threshold", "ensemble_size", "max_sessions"
+    ))
     train, test = resolve_dataset(cfg.dataset)
     out_dir = _out_dir(args)
-    sgd_cfg = samplers.SgdConfig(
-        epochs=args.epochs, batch_size=args.batch_size, learning_rate=args.learning_rate,
-        accept_threshold=args.accept_threshold, ensemble_size=args.ensemble_size,
-        max_sessions=args.max_sessions,
-    )
     solutions, accuracies = samplers.sgd_ensemble(
-        arch, train, test, sgd_cfg, cfg.seed, prior_variance=cfg.prior_variance
+        cfg.arch, train, test, sgd_cfg, cfg.seed, prior_variance=cfg.prior_variance
     )
     np.savetxt(out_dir / "sgd_solutions.csv", np.array(solutions), fmt="%.17g", delimiter=",")
     np.savetxt(out_dir / "sgd_accuracies.csv", np.array(accuracies), fmt="%.17g", delimiter=",")
@@ -494,26 +492,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=True):
+    def add_common(p):
         p.add_argument("--out-dir", default=None, help=f"output directory (default ${OUTPUT_DIR_ENV} or .)")
-        if config:
-            p.add_argument("--config", help="experiment config JSON; flags override its fields")
-            p.add_argument("--arch", help="layer widths, e.g. 2,2,1")
-            p.add_argument("--dataset", help="named dataset: noisy-xor, penguins, hawks")
-            p.add_argument("--train", help="training CSV path")
-            p.add_argument("--test", help="test CSV path")
-            p.add_argument("--manifest", help="encoding manifest JSON path")
-            p.add_argument("--prior-variance", dest="prior_variance", type=float, default=None)
-            p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--tail", type=int, default=None, help="predictive tail length")
-            p.add_argument("--burnin", type=int, default=None)
+        p.add_argument("--config", help="experiment config JSON; flags override its fields")
+        p.add_argument("--arch", help="layer widths, e.g. 2,2,1")
+        p.add_argument("--dataset", help="named dataset: noisy-xor, penguins, hawks")
+        p.add_argument("--train", help="training CSV path")
+        p.add_argument("--test", help="test CSV path")
+        p.add_argument("--manifest", help="encoding manifest JSON path")
+        p.add_argument("--prior-variance", dest="prior_variance", type=float, default=None)
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--tail", type=int, default=None, help="predictive tail length")
+        p.add_argument("--burnin", type=int, default=None)
 
     p = sub.add_parser("generate-data", help="simulate a noisy XOR dataset")
     p.add_argument("--out-dir", default=None)
-    p.add_argument("--c", type=float, default=0.55)
-    p.add_argument("--train-per-corner", type=int, default=125)
-    p.add_argument("--test-per-corner", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--c", type=float, default=None)
+    p.add_argument("--train-per-corner", type=int, default=None)
+    p.add_argument("--test-per-corner", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_generate_data)
 
     p = sub.add_parser("sample", help="realize posterior chains")
@@ -543,8 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grid", help="predictive probability heatmap data")
     add_common(p)
     p.add_argument("--chain", required=True)
-    p.add_argument("--bounds", nargs=2, type=float, default=[-0.5, 1.5])
-    p.add_argument("--resolution", type=int, default=22)
+    p.add_argument("--bounds", nargs=2, type=float, default=list(predictive.DEFAULT_GRID_BOUNDS))
+    p.add_argument("--resolution", type=int, default=predictive.DEFAULT_GRID_RESOLUTION)
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("traces", help="traceplot data for chosen coordinates")
@@ -561,12 +558,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sgd-ensemble", help="train an accepted-solution ensemble")
     add_common(p)
-    p.add_argument("--epochs", type=int, default=2000)
-    p.add_argument("--batch-size", type=int, default=50)
-    p.add_argument("--learning-rate", type=float, default=0.002)
-    p.add_argument("--accept-threshold", type=float, default=0.85)
-    p.add_argument("--ensemble-size", type=int, default=1000)
-    p.add_argument("--max-sessions", type=int, default=100000)
+    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--batch-size", type=int, default=None)
+    p.add_argument("--learning-rate", type=float, default=None)
+    p.add_argument("--accept-threshold", type=float, default=None)
+    p.add_argument("--ensemble-size", type=int, default=None)
+    p.add_argument("--max-sessions", type=int, default=None)
     p.set_defaults(func=cmd_sgd_ensemble)
 
     return parser

@@ -272,7 +272,7 @@ def _check_labels(arch, data):
 
 
 def _prior_constant(n: int, sigma2: float) -> float:
-    if sigma2 <= 0:
+    if not sigma2 > 0:
         raise ValueError("prior variance must be positive")
     return -0.5 * n * math.log(2.0 * math.pi * sigma2)
 
@@ -423,7 +423,7 @@ def grad_log_likelihood(arch: Architecture, theta, data: LabeledDataset) -> np.n
 
 
 def grad_log_prior(theta, sigma2: float) -> np.ndarray:
-    if sigma2 <= 0:
+    if not sigma2 > 0:
         raise ValueError("prior variance must be positive")
     return -np.asarray(theta, dtype=float) / sigma2
 

@@ -17,9 +17,6 @@ import numpy as np
 from . import mlp
 from .data import LabeledDataset
 
-#: Default chain-tail length used for predictive approximations.
-DEFAULT_TAIL = 10000
-
 #: Draws per batched forward pass. On the hawks test set (295 points,
 #: MLP(6,2,2,3)), 2500 draws, on a Xeon with 2 MB of L2 per core and one
 #: BLAS thread, the feature-major pass took 48 to 56 ms (best of three) for

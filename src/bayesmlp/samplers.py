@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -34,10 +34,10 @@ class SamplerStartupError(RuntimeError):
 class MhConfig:
     """Random-walk Metropolis with isotropic normal proposals N(theta, lambda I)."""
 
-    proposal_variance: float
+    proposal_variance: float = 0.02
 
     def __post_init__(self):
-        if self.proposal_variance <= 0:
+        if not self.proposal_variance > 0:
             raise ValueError("proposal variance must be positive")
 
 
@@ -45,13 +45,13 @@ class MhConfig:
 class HmcConfig:
     """Leapfrog trajectory length and step size for HMC."""
 
-    leapfrog_steps: int
-    step_size: float
+    leapfrog_steps: int = 10
+    step_size: float = 0.01
 
     def __post_init__(self):
-        if self.leapfrog_steps < 1:
+        if not self.leapfrog_steps >= 1:
             raise ValueError("need at least one leapfrog step")
-        if self.step_size <= 0:
+        if not self.step_size > 0:
             raise ValueError("step size must be positive")
 
 
@@ -60,12 +60,13 @@ class PpConfig:
     """Power-posterior population settings.
 
     ``temperatures`` is the schedule t_0..t_m with t_m = 1; ``beta``
-    controls how strongly swap partners concentrate on neighbours.
+    controls how strongly swap partners concentrate on neighbours;
+    ``proposal_variance`` is that of every chain's random-walk Metropolis move.
     """
 
-    temperatures: tuple[float, ...]
+    temperatures: tuple[float, ...] = (1.0,) * 10
     beta: float = 0.5
-    within_chain: MhConfig = field(default_factory=lambda: MhConfig(0.02))
+    proposal_variance: float = MhConfig.proposal_variance
 
     def __post_init__(self):
         object.__setattr__(self, "temperatures", tuple(float(t) for t in self.temperatures))
@@ -75,8 +76,10 @@ class PpConfig:
             raise ValueError("temperatures must lie in [0, 1]")
         if self.temperatures[-1] != 1.0:
             raise ValueError("last temperature must equal 1")
-        if self.beta <= 0:
+        if not self.beta > 0:
             raise ValueError("beta must be positive")
+        if not self.proposal_variance > 0:
+            raise ValueError("proposal variance must be positive")
 
 
 @dataclass(frozen=True)
@@ -93,7 +96,7 @@ class SgdConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.ensemble_size < 1:
             raise ValueError("epochs, batch_size and ensemble_size must be positive")
-        if self.learning_rate < 0:
+        if not self.learning_rate >= 0:
             raise ValueError("learning rate must be nonnegative")
         if not 0.0 < self.accept_threshold < 1.0:
             raise ValueError("accept threshold must lie in (0, 1)")
@@ -318,7 +321,7 @@ def pp_normalizer(i: int, m: int, beta: float) -> float:
         raise ValueError("a population of one chain has no swap partner")
     if not 0 <= i <= m:
         raise ValueError(f"chain index {i} outside 0..{m}")
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError("beta must be positive")
     eb = math.exp(-beta)
     return eb * (2.0 - math.exp(-beta * i) - math.exp(-beta * (m - i))) / (1.0 - eb)
@@ -366,7 +369,7 @@ def pp_chain(
     if len(inits) != num_chains:
         raise ValueError(f"need one init per chain ({num_chains})")
     rng = np.random.default_rng(seed)
-    scale = math.sqrt(config.within_chain.proposal_variance)
+    scale = math.sqrt(config.proposal_variance)
 
     states = [np.array(x, dtype=float) for x in inits]
     lls = np.empty(num_chains)

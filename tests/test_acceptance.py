@@ -97,7 +97,7 @@ def xor_mh_chains(xor_data):
 @pytest.fixture(scope="module")
 def xor_pp_chains(xor_data):
     train, _ = xor_data
-    config = PpConfig(tuple([1.0] * 10), beta=0.5, within_chain=MhConfig(XOR_MH_VARIANCE))
+    config = PpConfig(tuple([1.0] * 10), beta=0.5, proposal_variance=XOR_MH_VARIANCE)
     start = time.perf_counter()
     chains = [
         run_posterior_chain(

@@ -1,11 +1,17 @@
 """The benchmark's tracer (perfbench/tracer.py) wraps bayesmlp functions by
-module and attribute name. These tests read its TRACED table, without
-changing anything under perfbench/, so that renaming a traced function
-fails here instead of breaking ``perfbench/run.py --trace 1``."""
+module and attribute name, and its setup probe (perfbench/child.py setup)
+builds a config through bayesmlp.cli names. These tests read the TRACED
+table and run the probe, without changing anything under perfbench/, so
+that renaming a name either uses fails here instead of breaking
+``perfbench/run.py``."""
 
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +19,7 @@ import pytest
 from bayesmlp import chainio, samplers
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+CHILD_PATH = TRACER_PATH.with_name("child.py")
 
 
 def traced_names():
@@ -41,3 +48,26 @@ def test_hmc_chain_looks_up_leapfrog_as_module_global():
 def test_load_chain_takes_paths_first():
     """The tracer sizes a load from its first two positional arguments."""
     assert list(inspect.signature(chainio.load_chain).parameters)[:2] == ["csv_path", "metadata_path"]
+
+
+@pytest.mark.parametrize("dataset,widths,sampler", [
+    ({"name": "hawks"}, [6, 2, 2, 3], {"kind": "HMC", "leapfrog_steps": 5, "step_size": 0.1}),
+    ({"name": "noisy-xor", "seed": 1, "train_per_corner": 125, "test_per_corner": 30}, [2, 2, 1],
+     {"kind": "MH", "proposal_variance": 1e-4}),
+    ({"name": "noisy-xor", "seed": 1, "train_per_corner": 125, "test_per_corner": 30}, [2, 2, 1],
+     {"kind": "PP", "temperatures": [1.0] * 10, "beta": 0.5, "proposal_variance": 1e-4}),
+])
+def test_setup_probe_runs(tmp_path, dataset, widths, sampler):
+    """The benchmark's setup_s probe (perfbench/child.py setup) builds a
+    config through bayesmlp.cli names; configs shaped like its workloads'
+    must still build."""
+    doc = {
+        "dataset": dataset, "architecture": {"layer_widths": widths}, "prior_variance": 10.0,
+        "sampler": sampler, "num_chains": 4, "iterations": 600, "burnin": 100, "tail": 500, "seed": 1,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run([sys.executable, str(CHILD_PATH), "setup", str(path)],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

@@ -180,7 +180,7 @@ CHAIN_PINS = {
            "71ee4f615826740941474549dba25303e7137f257f1b8907ccf89152a2ae31d5"),
     "HMC": ((6, 2, 2, 3), "penguins", HmcConfig(5, 0.05), 40, 7,
             "efbc9106bd200384173c64181f9b438d9caab3357a96069b191f7b9f3fff21e3"),
-    "PP": ((2, 2, 1), "xor", PpConfig((0.1, 0.5, 1.0), beta=0.5, within_chain=MhConfig(0.05)), 60, 7,
+    "PP": ((2, 2, 1), "xor", PpConfig((0.1, 0.5, 1.0), beta=0.5, proposal_variance=0.05), 60, 7,
            "398bc771819d6ed4e3605efeeef0498a6920d1140039924d7853649166bc62fb"),
     "HMC-hawks-3": ((6, 2, 2, 3), "hawks", HmcConfig(5, 0.1), 60, 3,
                     "cf5ac3bd0816b4be6b336c97078ab3affaac31fd06dd73994a675e078d901762"),

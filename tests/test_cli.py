@@ -363,6 +363,14 @@ class TestErrors:
         ("dataset", {"train": "a.csv", "test": "b.csv", "labels": "y"}),
         ("architecture", {"layer_widths": [2, 2, 1], "activation": "tanh"}),
         ("architecture", {"layer_widths": [2, 2, 1], "hidden_activation": "swish"}),
+        ("sampler", {"kind": "HMC", "leapfrog_steps": 2.7}),
+        ("sampler", {"kind": "HMC", "leapfrog_steps": True}),
+        ("sampler", {"kind": "MH", "proposal_variance": "0.05"}),
+        ("sampler", {"kind": "MH", "proposal_variance": float("nan")}),
+        ("sampler", {"kind": "HMC", "step_size": float("inf")}),
+        ("sampler", {"kind": "PP", "temperatures": "01"}),
+        ("architecture", {"layer_widths": [2, 2.9, 1]}),
+        ("dataset", {"name": "noisy-xor", "train_per_corner": 5.9}),
     ])
     def test_bad_section_is_config_error(self, tmp_path, xor_config, capsys, section, patch):
         doc = json.loads(xor_config.read_text())
@@ -385,6 +393,7 @@ class TestErrors:
         ("sampler", "MH"),
         ("dataset", ["noisy-xor"]),
         ("architecture", [2, 2, 1]),
+        ("prior_variance", float("nan")),
     ])
     def test_bad_field_type_is_config_error(self, tmp_path, xor_config, capsys, field, value):
         doc = json.loads(xor_config.read_text())
@@ -392,6 +401,24 @@ class TestErrors:
         xor_config.write_text(json.dumps(doc))
         assert run(["sample", "--config", xor_config, "--out-dir", tmp_path / "out"]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+    def test_config_file_not_json_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"iterations": 100,')
+        assert run(["sample", "--config", path, "--out-dir", tmp_path / "out"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+    def test_config_document_not_object_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("3")
+        assert run(["sample", "--config", path, "--out-dir", tmp_path / "out"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+    def test_arch_flag_not_integers_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["sample", "--dataset", "noisy-xor", "--arch", "2,x,1", "--out-dir", out]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+        assert not out.exists()
 
     def test_sampler_flag_of_another_kind_starts_a_fresh_section(self, tmp_path, xor_config):
         """--sampler HMC on a config with an MH sampler section drops the MH

@@ -293,8 +293,11 @@ class TestLogPrior:
         assert log_prior(theta + np.sign(theta) * 0.5, 10.0) < base
 
     def test_positive_variance_required(self):
-        with pytest.raises(ValueError):
-            log_prior(np.zeros(2), 0.0)
+        for sigma2 in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                log_prior(np.zeros(2), sigma2)
+            with pytest.raises(ValueError):
+                grad_log_prior(np.zeros(2), sigma2)
 
 
 class TestLogPosterior:
@@ -360,8 +363,9 @@ class TestPosterior:
 
     def test_rejects_bad_inputs(self, rng, xor_arch):
         _, ds = random_instance(rng, xor_arch)
-        with pytest.raises(ValueError):
-            Posterior(xor_arch, ds, 0.0)
+        for sigma2 in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                Posterior(xor_arch, ds, sigma2)
         with pytest.raises(DimensionError):
             Posterior(Architecture((3, 2, 1)), ds, 10.0)
         post = Posterior(xor_arch, ds, 10.0)

@@ -52,6 +52,25 @@ class TestConfigs:
         with pytest.raises(ValueError):
             SgdConfig(accept_threshold=1.0)
 
+    @pytest.mark.parametrize("make", [
+        lambda nan: MhConfig(nan),
+        lambda nan: HmcConfig(5, nan),
+        lambda nan: HmcConfig(nan, 0.1),
+        lambda nan: PpConfig((0.5, 1.0), beta=nan),
+        lambda nan: PpConfig((0.5, 1.0), proposal_variance=nan),
+        lambda nan: SgdConfig(learning_rate=nan),
+        lambda nan: pp_normalizer(0, 2, nan),
+    ])
+    def test_nan_is_out_of_range(self, make):
+        with pytest.raises(ValueError):
+            make(float("nan"))
+
+    def test_defaults(self):
+        """The defaults a config section falls back on."""
+        assert MhConfig() == MhConfig(0.02)
+        assert HmcConfig() == HmcConfig(10, 0.01)
+        assert PpConfig() == PpConfig((1.0,) * 10, 0.5, 0.02)
+
 
 class TestMetropolisHastings:
     def test_log_ratio_equals_direct_ratio(self, rng):
@@ -279,7 +298,7 @@ def mixture_target():
 class TestPowerPosterior:
     def test_unit_temperatures_always_swap(self):
         target = mixture_target()
-        config = PpConfig((1.0, 1.0), within_chain=MhConfig(0.5))
+        config = PpConfig((1.0, 1.0), proposal_variance=0.5)
         _, record = pp_chain(target, [np.array([5.0]), np.array([-5.0])], config, 300, seed=6)
         assert record.swap_accepted == record.swap_attempts == 300
 
@@ -288,7 +307,7 @@ class TestPowerPosterior:
         plain MH chain with the same proposal stays in its starting mode."""
         target = mixture_target()
         lam = 2.25
-        config = PpConfig((0.1, 0.5, 1.0), beta=0.5, within_chain=MhConfig(lam))
+        config = PpConfig((0.1, 0.5, 1.0), beta=0.5, proposal_variance=lam)
         chain, _ = pp_chain(target, [np.array([5.0])] * 3, config, 50000, seed=2)
         x = chain.draws[:, 0]
         assert (x > 2).any() and (x < -2).any()
@@ -298,7 +317,7 @@ class TestPowerPosterior:
 
     def test_population_record_shape(self):
         target = mixture_target()
-        config = PpConfig((0.5, 1.0), within_chain=MhConfig(0.5))
+        config = PpConfig((0.5, 1.0), proposal_variance=0.5)
         chain, record = pp_chain(target, [np.zeros(1), np.zeros(1)], config, 100, seed=0)
         assert record.draws.shape == (2, 100, 1)
         np.testing.assert_array_equal(record.draws[-1], chain.draws)
@@ -306,7 +325,7 @@ class TestPowerPosterior:
 
     def test_seed_reproducible(self):
         target = mixture_target()
-        config = PpConfig((0.5, 1.0), within_chain=MhConfig(0.5))
+        config = PpConfig((0.5, 1.0), proposal_variance=0.5)
         inits = [np.array([1.0]), np.array([2.0])]
         a, _ = pp_chain(target, inits, config, 200, seed=14)
         b, _ = pp_chain(target, inits, config, 200, seed=14)
@@ -314,7 +333,7 @@ class TestPowerPosterior:
 
     def test_init_count_must_match(self):
         target = mixture_target()
-        config = PpConfig((0.5, 1.0), within_chain=MhConfig(0.5))
+        config = PpConfig((0.5, 1.0), proposal_variance=0.5)
         with pytest.raises(ValueError):
             pp_chain(target, [np.zeros(1)], config, 10, seed=0)
 
@@ -357,7 +376,7 @@ class TestPosteriorRunner:
         for cfg, tag in (
             (MhConfig(0.01), "MH"),
             (HmcConfig(3, 0.01), "HMC"),
-            (PpConfig((1.0, 1.0), within_chain=MhConfig(0.01)), "PP"),
+            (PpConfig((1.0, 1.0), proposal_variance=0.01), "PP"),
         ):
             chain = run_posterior_chain(xor_arch, train, 10.0, cfg, 50, seed=3, burnin=10)
             assert chain.sampler_tag == tag
