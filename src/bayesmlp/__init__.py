@@ -33,12 +33,9 @@ from .mlp import (
     Posterior,
     event_probabilities,
     forward,
-    grad_log_likelihood,
     grad_log_posterior,
     grad_log_prior,
     log_likelihood,
-    log_likelihood_binary,
-    log_likelihood_multiclass,
     log_posterior,
     log_prior,
     parameter_count,
@@ -92,7 +89,6 @@ __all__ = [
     "exact_xor",
     "forward",
     "generate_noisy_xor",
-    "grad_log_likelihood",
     "grad_log_posterior",
     "grad_log_prior",
     "grid_predictive",
@@ -101,8 +97,6 @@ __all__ = [
     "load_csv_dataset",
     "load_vendored",
     "log_likelihood",
-    "log_likelihood_binary",
-    "log_likelihood_multiclass",
     "log_posterior",
     "log_prior",
     "mh_chain",

@@ -212,10 +212,13 @@ def resolve_dataset(doc: dict) -> tuple[data.LabeledDataset, data.LabeledDataset
     if isinstance(source, str):
         return data.load_vendored(source)
     manifest = json.loads(Path(source.manifest).read_text()) if source.manifest is not None else {}
+    columns = manifest.get("feature_columns", source.feature_columns)
+    if columns is None:
+        raise ConfigError("a train/test dataset needs feature_columns, in its section or its manifest")
     train, test = (
         data.load_csv_dataset(
             getattr(source, role),
-            manifest.get("feature_columns", source.feature_columns),
+            columns,
             manifest.get("label_column", source.label_column),
             manifest.get("label_mapping", source.label_mapping),
             role=role,
@@ -284,8 +287,9 @@ def _chain_paths(out_dir: Path, index: int) -> tuple[Path, Path]:
 
 
 def cmd_generate_data(args) -> int:
+    flags = _given(args, *(f.name for f in fields(data.NoisyXorConfig)))
+    cfg = _from_section(data.NoisyXorConfig, "generate-data", flags)
     out_dir = _out_dir(args)
-    cfg = data.NoisyXorConfig(**_given(args, "c", "train_per_corner", "test_per_corner", "seed"))
     train, test = data.generate_noisy_xor(cfg)
     names = ("x1", "x2")
     data.write_dataset_csv(train, out_dir / "noisy_xor_train.csv", names)
@@ -465,9 +469,8 @@ def cmd_boxplot_data(args) -> int:
 
 def cmd_sgd_ensemble(args) -> int:
     cfg = _load_config(args)
-    sgd_cfg = samplers.SgdConfig(**_given(
-        args, "epochs", "batch_size", "learning_rate", "accept_threshold", "ensemble_size", "max_sessions"
-    ))
+    flags = _given(args, *(f.name for f in fields(samplers.SgdConfig)))
+    sgd_cfg = _from_section(samplers.SgdConfig, "sgd-ensemble", flags)
     train, test = resolve_dataset(cfg.dataset)
     out_dir = _out_dir(args)
     solutions, accuracies = samplers.sgd_ensemble(

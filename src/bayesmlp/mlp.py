@@ -282,10 +282,14 @@ class Posterior:
 
     Labels are checked when the object is built. A binary model keeps y
     and 1 - y, a multiclass model the 0-based label index and the one-hot
-    label matrix; the normal prior keeps its constant. Every evaluation is
-    then one forward pass over the stored features, and value_and_grad
-    reads the log-posterior off the pass that backprop uses. The module
-    functions log_likelihood*, log_posterior and grad_log_* wrap this class.
+    label matrix; the normal prior keeps its constant. An empty dataset is
+    a (0, k_0) feature matrix, whose log-likelihood is 0 and gradient 0.
+
+    Four methods: log_likelihood, log_prior, grad_log_likelihood and
+    value_and_grad (the log-posterior and its gradient, read off one
+    forward pass). Each evaluation is one forward pass over the stored
+    features. The module functions log_likelihood, log_posterior and
+    grad_log_posterior are single calls into this class.
     """
 
     def __init__(self, arch: Architecture, data: LabeledDataset, sigma2: float):
@@ -293,11 +297,13 @@ class Posterior:
         self._prior_const = _prior_constant(self.dim, sigma2)
         _check_labels(arch, data)
         X = np.asarray(data.features, dtype=float)
-        if len(data) and X.shape[1] != arch.input_dim:
+        if not len(data):
+            X = np.empty((0, arch.input_dim))
+        elif X.shape[1] != arch.input_dim:
             raise DimensionError("feature width does not match input width")
         self.arch = arch
         self.sigma2 = sigma2
-        self._X = X if len(data) else None
+        self._X = X
         y = data.labels
         if arch.is_binary:
             self._y, self._not_y = y, 1 - y
@@ -306,26 +312,33 @@ class Posterior:
             self._onehot = np.zeros((len(y), arch.output_dim))
             self._onehot[self._rows, self._index] = 1.0
 
-    def _log_likelihood_of(self, out) -> float:
-        """Log-likelihood from the network output on the stored features,
-        with event probabilities clamped away from 0 and 1."""
+    def _event_probabilities(self, out) -> np.ndarray:
+        """Per-row probability of the observed event, before clamping, from
+        the network output on the stored features: h for a binary model,
+        the true class's p for a multiclass one."""
+        return out[:, 0] if self.arch.is_binary else out[self._rows, self._index]
+
+    def _log_likelihood_of(self, p) -> float:
+        """Log-likelihood from the event probabilities p, clamped away from
+        0 and 1."""
+        p = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
         if self.arch.is_binary:
-            p = np.clip(out[:, 0], PROB_EPS, 1.0 - PROB_EPS)
             return float(np.sum(self._y * np.log(p) + self._not_y * np.log1p(-p)))
-        p = np.clip(out[self._rows, self._index], PROB_EPS, 1.0 - PROB_EPS)
         return float(np.sum(np.log(p)))
 
-    def _backprop(self, layers, gs, hs) -> np.ndarray:
-        """Log-likelihood gradient by backprop over a cached forward pass.
+    def _backprop(self, layers, gs, hs, p) -> np.ndarray:
+        """Log-likelihood gradient by backprop over a cached forward pass
+        with event probabilities p.
 
-        The clamping applied inside the likelihood value is ignored here; it
-        only binds in saturated regions where the clamped value is constant.
+        A row whose event probability is clamped adds a constant to the
+        likelihood, so its output-layer delta is zero.
         """
         # dl/dg at the output layer: residual form for both link functions
         if self.arch.is_binary:
-            delta = (self._y - hs[-1][:, 0])[:, None]
+            delta = (self._y - p)[:, None]
         else:
             delta = self._onehot - hs[-1]
+        delta[(p < PROB_EPS) | (p > 1.0 - PROB_EPS)] = 0.0
         grads = [None] * len(layers)
         for j in range(len(layers) - 1, -1, -1):
             W, _ = layers[j]
@@ -338,11 +351,8 @@ class Posterior:
 
     def log_likelihood(self, theta) -> float:
         """Classification log-likelihood; 0 on an empty dataset."""
-        layers = unpack_parameters(self.arch, theta)
-        if self._X is None:
-            return 0.0
-        _, hs = _forward_cached(self.arch, layers, self._X)
-        return self._log_likelihood_of(hs[-1])
+        _, hs = _forward_cached(self.arch, unpack_parameters(self.arch, theta), self._X)
+        return self._log_likelihood_of(self._event_probabilities(hs[-1]))
 
     def log_prior(self, theta) -> float:
         """Log-density of the normal prior N(0, sigma2 I)."""
@@ -350,57 +360,26 @@ class Posterior:
         return float(self._prior_const - theta @ theta / (2.0 * self.sigma2))
 
     def grad_log_likelihood(self, theta) -> np.ndarray:
+        """Exact gradient of the classification log-likelihood, flat layout."""
         layers = unpack_parameters(self.arch, theta)
-        if self._X is None:
-            return np.zeros(self.dim)
         gs, hs = _forward_cached(self.arch, layers, self._X)
-        return self._backprop(layers, gs, hs)
-
-    def grad(self, theta) -> np.ndarray:
-        """Gradient of the unnormalized log-posterior, flat layout."""
-        return self.grad_log_likelihood(theta) + grad_log_prior(theta, self.sigma2)
-
-    def value(self, theta) -> float:
-        """Unnormalized log-posterior: log-likelihood plus log-prior."""
-        return self.log_likelihood(theta) + self.log_prior(theta)
+        return self._backprop(layers, gs, hs, self._event_probabilities(hs[-1]))
 
     def value_and_grad(self, theta) -> tuple[float, np.ndarray]:
         """Log-posterior and its gradient from one forward pass."""
         layers = unpack_parameters(self.arch, theta)
-        if self._X is None:
-            ll, grad = 0.0, np.zeros(self.dim)
-        else:
-            gs, hs = _forward_cached(self.arch, layers, self._X)
-            ll, grad = self._log_likelihood_of(hs[-1]), self._backprop(layers, gs, hs)
+        gs, hs = _forward_cached(self.arch, layers, self._X)
+        p = self._event_probabilities(hs[-1])
+        ll, grad = self._log_likelihood_of(p), self._backprop(layers, gs, hs, p)
         return ll + self.log_prior(theta), grad + grad_log_prior(theta, self.sigma2)
 
 
-def _likelihood(arch: Architecture, data: LabeledDataset) -> Posterior:
-    # the prior variance plays no part in the likelihood or its gradient
-    return Posterior(arch, data, 1.0)
-
-
-def log_likelihood_binary(arch: Architecture, theta, data: LabeledDataset) -> float:
-    """Bernoulli log-likelihood (negated binary cross entropy).
-
-    sum_i [ y_i log h(x_i) + (1 - y_i) log(1 - h(x_i)) ], with event
-    probabilities clamped away from 0 and 1.
-    """
-    if not arch.is_binary:
-        raise DimensionError("binary likelihood needs a single output neuron")
-    return _likelihood(arch, data).log_likelihood(theta)
-
-
-def log_likelihood_multiclass(arch: Architecture, theta, data: LabeledDataset) -> float:
-    """Categorical log-likelihood (negated cross entropy), labels 1-based."""
-    if arch.is_binary:
-        raise DimensionError("multiclass likelihood needs >= 2 output neurons")
-    return _likelihood(arch, data).log_likelihood(theta)
-
-
 def log_likelihood(arch: Architecture, theta, data: LabeledDataset) -> float:
-    """Classification log-likelihood matching the output layer width."""
-    return _likelihood(arch, data).log_likelihood(theta)
+    """Classification log-likelihood matching the output layer width:
+    Bernoulli for one output neuron, categorical (labels 1-based) otherwise,
+    with event probabilities clamped away from 0 and 1."""
+    # the prior variance plays no part in the likelihood
+    return Posterior(arch, data, 1.0).log_likelihood(theta)
 
 
 def log_prior(theta, sigma2: float) -> float:
@@ -414,12 +393,8 @@ def log_prior(theta, sigma2: float) -> float:
 
 def log_posterior(arch: Architecture, theta, data: LabeledDataset, sigma2: float) -> float:
     """Unnormalized log-posterior: log-likelihood plus log-prior."""
-    return Posterior(arch, data, sigma2).value(theta)
-
-
-def grad_log_likelihood(arch: Architecture, theta, data: LabeledDataset) -> np.ndarray:
-    """Exact gradient of the classification log-likelihood via backprop."""
-    return _likelihood(arch, data).grad_log_likelihood(theta)
+    post = Posterior(arch, data, sigma2)
+    return post.log_likelihood(theta) + post.log_prior(theta)
 
 
 def grad_log_prior(theta, sigma2: float) -> np.ndarray:
@@ -430,4 +405,4 @@ def grad_log_prior(theta, sigma2: float) -> np.ndarray:
 
 def grad_log_posterior(arch: Architecture, theta, data: LabeledDataset, sigma2: float) -> np.ndarray:
     """Exact gradient of the unnormalized log-posterior, flat layout."""
-    return Posterior(arch, data, sigma2).grad(theta)
+    return Posterior(arch, data, sigma2).value_and_grad(theta)[1]

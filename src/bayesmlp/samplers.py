@@ -515,7 +515,8 @@ def sgd_ensemble(
             order = rng.permutation(s)
             for lo in range(0, s, config.batch_size):
                 batch = train.subset(order[lo : lo + config.batch_size])
-                theta = theta + config.learning_rate * mlp.grad_log_likelihood(arch, theta, batch)
+                likelihood = mlp.Posterior(arch, batch, prior_variance)
+                theta = theta + config.learning_rate * likelihood.grad_log_likelihood(theta)
         acc = _point_accuracy(arch, theta, test)
         if acc > config.accept_threshold:
             solutions.append(theta)

@@ -21,7 +21,7 @@ from bayesmlp.mlp import (
     Architecture,
     LabeledDataset,
     grad_log_posterior,
-    log_likelihood_binary,
+    log_likelihood,
     log_posterior,
     parameter_count,
     unpack_parameters,
@@ -364,8 +364,8 @@ def test_criterion_9_exact_symmetry_invariance():
         worst = max(
             worst,
             abs(
-                log_likelihood_binary(XOR_ARCH, theta, train)
-                - log_likelihood_binary(XOR_ARCH, permuted, train)
+                log_likelihood(XOR_ARCH, theta, train)
+                - log_likelihood(XOR_ARCH, permuted, train)
             ),
         )
     report(9, worst <= 1e-12, f"max log-likelihood change under permutation {worst:.1e} (<= 1e-12)")

@@ -170,11 +170,13 @@ class TestHms:
 #: MH and PP draws move only when an accept decision flips; the HMC state
 #: carries every gradient bit through its leapfrog steps, so those pins also
 #: fix the floating-point path of the forward pass and backprop. The penguins
-#: HMC chain accepts every move; the hawks chains at seeds 3 and 2 are the
-#: ones that stall (all 60 iterations divergent, and 1 accept with 10
-#: divergences), so they pin the gradient carried across rejections. The
-#: hawks MH and PP pins (187 of 300 accepted; 32 within-chain accepts and 7
-#: swaps) cover the Metropolis step on the multiclass likelihood.
+#: HMC chain accepts every move; the hawks chain at seed 3 stalls (all 60
+#: iterations divergent), so it pins the gradient carried across rejections.
+#: The hawks chain at seed 2 starts with clamped rows, whose zero gradient
+#: it pins: 43 accepts and no divergence (1 accept and 10 divergences while
+#: clamped rows kept their residual gradient). The hawks MH and PP pins (187
+#: of 300 accepted; 32 within-chain accepts and 7 swaps) cover the
+#: Metropolis step on the multiclass likelihood.
 CHAIN_PINS = {
     "MH": ((2, 2, 1), "xor", MhConfig(0.05), 300, 7,
            "71ee4f615826740941474549dba25303e7137f257f1b8907ccf89152a2ae31d5"),
@@ -185,7 +187,7 @@ CHAIN_PINS = {
     "HMC-hawks-3": ((6, 2, 2, 3), "hawks", HmcConfig(5, 0.1), 60, 3,
                     "cf5ac3bd0816b4be6b336c97078ab3affaac31fd06dd73994a675e078d901762"),
     "HMC-hawks-2": ((6, 2, 2, 3), "hawks", HmcConfig(5, 0.1), 60, 2,
-                    "e013bf86aafb205d7ce72e1b0f222df8875f398d1380eff61b60c76fea99135b"),
+                    "bcb92681bc099e4f7444f2a57a448b029a8eb6dd880803ad85fbed327c9be0bc"),
     "MH-hawks": ((6, 2, 2, 3), "hawks", MhConfig(1e-4), 300, 7,
                  "008374b188836e87c35cfbac071d38ff32b9f978c16187a05311fccfadb48c51"),
     "PP-hawks": ((6, 2, 2, 3), "hawks", PpConfig((0.1, 0.5, 1.0)), 60, 7,

@@ -420,6 +420,38 @@ class TestErrors:
         assert json.loads(capsys.readouterr().err)["error"] == "config"
         assert not out.exists()
 
+    @pytest.mark.parametrize("manifest", [None, {"label_column": "label"}])
+    def test_csv_dataset_without_feature_columns_is_config_error(self, tmp_path, capsys, manifest):
+        """Neither the section nor its manifest names the feature columns."""
+        data_dir = tmp_path / "data"
+        assert run(["generate-data", "--out-dir", data_dir, "--train-per-corner", 2, "--test-per-corner", 1]) == 0
+        dataset = {"train": str(data_dir / "noisy_xor_train.csv"), "test": str(data_dir / "noisy_xor_test.csv")}
+        if manifest is not None:
+            (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+            dataset["manifest"] = str(tmp_path / "manifest.json")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"dataset": dataset, "num_chains": 1, "iterations": 10, "burnin": 0, "tail": 5}))
+        out = tmp_path / "out"
+        assert run(["sample", "--config", path, "--out-dir", out]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "feature_columns" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["generate-data", "--c", 2.0],
+        ["generate-data", "--train-per-corner", 0],
+        ["generate-data", "--c", "nan"],
+        ["sgd-ensemble", "--dataset", "noisy-xor", "--epochs", 0],
+        ["sgd-ensemble", "--dataset", "noisy-xor", "--ensemble-size", 5, "--max-sessions", 2],
+    ])
+    def test_bad_flag_built_config_is_config_error(self, tmp_path, capsys, argv):
+        """Flags that build NoisyXorConfig or SgdConfig follow the config
+        file's rule: a bad value exits 2, before any output is written."""
+        out = tmp_path / "out"
+        assert run([*argv, "--out-dir", out]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+        assert not out.exists()
+
     def test_sampler_flag_of_another_kind_starts_a_fresh_section(self, tmp_path, xor_config):
         """--sampler HMC on a config with an MH sampler section drops the MH
         keys; the same kind keeps the section."""

@@ -12,8 +12,7 @@ from bayesmlp import (
     forward,
     grad_log_posterior,
     grad_log_prior,
-    log_likelihood_binary,
-    log_likelihood_multiclass,
+    log_likelihood,
     log_posterior,
     log_prior,
     parameter_count,
@@ -23,7 +22,6 @@ from bayesmlp.mlp import (
     _sigmoid,
     _softmax,
     forward_stack,
-    grad_log_likelihood,
     pack_parameters,
     unpack_parameters,
 )
@@ -201,7 +199,7 @@ class TestForward:
 class TestLogLikelihoodBinary:
     def test_single_point_half(self, xor_arch):
         ds = LabeledDataset(np.zeros((1, 2)), np.array([1]))
-        ll = log_likelihood_binary(xor_arch, np.zeros(9), ds)
+        ll = log_likelihood(xor_arch, np.zeros(9), ds)
         assert ll == pytest.approx(math.log(0.5), abs=1e-12)
 
     def test_two_point_formula(self, rng, xor_arch):
@@ -214,7 +212,7 @@ class TestLogLikelihoodBinary:
             theta[8] = math.log(target_p / (1 - target_p))  # output bias sets h
             single = LabeledDataset(np.zeros((1, 2)), np.array([label]))
             expected = math.log(target_p if label == 1 else 1 - target_p)
-            assert log_likelihood_binary(xor_arch, theta, single) == pytest.approx(expected, abs=1e-12)
+            assert log_likelihood(xor_arch, theta, single) == pytest.approx(expected, abs=1e-12)
 
     def test_matches_per_sample_oracle(self, rng, xor_arch):
         theta, ds = random_instance(rng, xor_arch, samples=10)
@@ -222,14 +220,14 @@ class TestLogLikelihoodBinary:
         for x, y in zip(ds.features, ds.labels):
             h = float(forward(xor_arch, theta, x)[0])
             total += math.log(h) if y == 1 else math.log(1 - h)
-        assert log_likelihood_binary(xor_arch, theta, ds) == pytest.approx(total, rel=1e-12)
+        assert log_likelihood(xor_arch, theta, ds) == pytest.approx(total, rel=1e-12)
 
     def test_never_infinite(self, xor_arch):
         """Saturated probabilities are clamped, not propagated to -inf."""
         theta = np.zeros(9)
         theta[8] = 1000.0  # h = 1 to machine precision
         ds = LabeledDataset(np.zeros((1, 2)), np.array([0]))
-        ll = log_likelihood_binary(xor_arch, theta, ds)
+        ll = log_likelihood(xor_arch, theta, ds)
         assert math.isfinite(ll)
         assert ll == pytest.approx(math.log(1e-12), rel=1e-6)
 
@@ -237,21 +235,21 @@ class TestLogLikelihoodBinary:
         theta, ds = random_instance(rng, xor_arch, samples=12)
         perm = rng.permutation(12)
         shuffled = LabeledDataset(ds.features[perm], ds.labels[perm])
-        assert log_likelihood_binary(xor_arch, theta, ds) == pytest.approx(
-            log_likelihood_binary(xor_arch, theta, shuffled), rel=1e-12
+        assert log_likelihood(xor_arch, theta, ds) == pytest.approx(
+            log_likelihood(xor_arch, theta, shuffled), rel=1e-12
         )
 
     def test_label_range_enforced(self, xor_arch):
         ds = LabeledDataset(np.zeros((1, 2)), np.array([2]))
         with pytest.raises(ValueError):
-            log_likelihood_binary(xor_arch, np.zeros(9), ds)
+            log_likelihood(xor_arch, np.zeros(9), ds)
 
 
 class TestLogLikelihoodMulticlass:
     def test_uniform_softmax(self):
         arch = Architecture((2, 2, 3))
         ds = LabeledDataset(np.zeros((1, 2)), np.array([2]))
-        ll = log_likelihood_multiclass(arch, np.zeros(parameter_count(arch)), ds)
+        ll = log_likelihood(arch, np.zeros(parameter_count(arch)), ds)
         assert ll == pytest.approx(math.log(1 / 3), abs=1e-12)
 
     def test_two_class_softmax_equals_sigmoid_on_same_probs(self, rng):
@@ -262,7 +260,7 @@ class TestLogLikelihoodMulticlass:
         X = rng.normal(size=(8, 2))
         y12 = rng.integers(1, 3, size=8)  # softmax labels in {1, 2}
         probs = forward(arch2, theta2, X)  # class-order (1, 2)
-        ll_soft = log_likelihood_multiclass(arch2, theta2, LabeledDataset(X, y12))
+        ll_soft = log_likelihood(arch2, theta2, LabeledDataset(X, y12))
         manual = sum(math.log(probs[i, y12[i] - 1]) for i in range(8))
         assert ll_soft == pytest.approx(manual, rel=1e-12)
 
@@ -271,11 +269,11 @@ class TestLogLikelihoodMulticlass:
         total = 0.0
         for x, y in zip(ds.features, ds.labels):
             total += math.log(forward(deep_arch, theta, x)[y - 1])
-        assert log_likelihood_multiclass(deep_arch, theta, ds) == pytest.approx(total, rel=1e-12)
+        assert log_likelihood(deep_arch, theta, ds) == pytest.approx(total, rel=1e-12)
 
     def test_nonpositive(self, rng, deep_arch):
         theta, ds = random_instance(rng, deep_arch, samples=30)
-        assert log_likelihood_multiclass(deep_arch, theta, ds) <= 0.0
+        assert log_likelihood(deep_arch, theta, ds) <= 0.0
 
 
 class TestLogPrior:
@@ -303,7 +301,7 @@ class TestLogPrior:
 class TestLogPosterior:
     def test_sum_of_parts(self, rng, xor_arch):
         theta, ds = random_instance(rng, xor_arch)
-        ll = log_likelihood_binary(xor_arch, theta, ds)
+        ll = log_likelihood(xor_arch, theta, ds)
         assert log_posterior(xor_arch, theta, ds, 10.0) == pytest.approx(
             ll + log_prior(theta, 10.0), rel=1e-12
         )
@@ -323,9 +321,9 @@ class TestLogPosterior:
             xor_arch, theta_b, ds, 10.0
         )
         unnormalized = (
-            log_likelihood_binary(xor_arch, theta_a, ds)
+            log_likelihood(xor_arch, theta_a, ds)
             - (theta_a @ theta_a) / 20
-            - log_likelihood_binary(xor_arch, theta_b, ds)
+            - log_likelihood(xor_arch, theta_b, ds)
             + (theta_b @ theta_b) / 20
         )
         assert ratio == pytest.approx(unnormalized, rel=1e-10)
@@ -350,11 +348,13 @@ class TestPosterior:
         theta, ds = random_instance(rng, arch, samples=samples, theta_scale=2.0)
         post = Posterior(arch, ds, 10.0)
         value, grad = post.value_and_grad(theta)
-        assert post.value(theta) == value == log_posterior(arch, theta, ds, 10.0)
+        assert value == log_posterior(arch, theta, ds, 10.0)
         np.testing.assert_array_equal(grad.view(np.uint64), grad_log_posterior(arch, theta, ds, 10.0).view(np.uint64))
         assert post.log_prior(theta) == log_prior(theta, 10.0)
         assert post.log_likelihood(theta) + post.log_prior(theta) == value
-        np.testing.assert_array_equal(post.grad_log_likelihood(theta), grad_log_likelihood(arch, theta, ds))
+        np.testing.assert_array_equal(
+            post.grad_log_likelihood(theta), Posterior(arch, ds, 1.0).grad_log_likelihood(theta)
+        )
 
     def test_labels_checked_when_built(self, xor_arch):
         bad = LabeledDataset(np.zeros((2, 2)), np.array([0, 2]))
@@ -369,7 +369,7 @@ class TestPosterior:
         with pytest.raises(DimensionError):
             Posterior(Architecture((3, 2, 1)), ds, 10.0)
         post = Posterior(xor_arch, ds, 10.0)
-        for method in (post.value, post.value_and_grad, post.log_likelihood):
+        for method in (post.value_and_grad, post.log_likelihood, post.grad_log_likelihood):
             with pytest.raises(DimensionError):
                 method(np.zeros(8))
 
@@ -416,6 +416,34 @@ class TestGradients:
         theta, ds = random_instance(rng, arch, samples=8)
         grad = grad_log_posterior(arch, theta, ds, 10.0)
         fd = finite_difference_gradient(lambda th: log_posterior(arch, th, ds, 10.0), theta)
+        rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1.0)
+        assert rel.max() < 1e-5
+
+    @pytest.mark.parametrize("classes", [1, 3])
+    def test_clamped_rows_add_no_gradient(self, rng, classes):
+        """A row whose event probability is clamped adds a constant to the
+        log-likelihood, so the gradient still matches finite differences.
+
+        Output logits near 40 (s(x1) - s(x2)) times (1, -1, 0) put the first
+        four rows deep in the clamped region, each with a label whose
+        residual is about 1, and the other eight well inside it.
+        """
+        arch = Architecture((2, 3, classes))
+        W2 = np.array([[40.0, -40.0, 0.0], [-40.0, 40.0, 0.0], [0.0, 0.0, 0.0]])[:classes]
+        layers = [([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], np.zeros(3)), (W2, np.zeros(classes))]
+        theta = pack_parameters(arch, layers) + 0.1 * rng.normal(size=parameter_count(arch))
+        X = np.vstack([[[5.0, -5.0]] * 2 + [[-5.0, 5.0]] * 2, 0.1 * rng.normal(size=(8, 2))])
+        if classes == 1:
+            y = np.concatenate([[0, 0, 1, 1], rng.integers(0, 2, size=8)])
+            p = forward(arch, theta, X)[:, 0]
+        else:
+            y = np.concatenate([[2, 3, 1, 3], rng.integers(1, 4, size=8)])
+            p = forward(arch, theta, X)[np.arange(12), y - 1]
+        assert ((p < 1e-15) | (p > 1.0 - 1e-15))[:4].all()
+        assert ((p > 1e-3) & (p < 1.0 - 1e-3))[4:].all()
+        post = Posterior(arch, LabeledDataset(X, y), 10.0)
+        _, grad = post.value_and_grad(theta)
+        fd = finite_difference_gradient(lambda th: post.log_likelihood(th) + post.log_prior(th), theta)
         rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1.0)
         assert rel.max() < 1e-5
 

@@ -6,7 +6,7 @@ import pytest
 from toy_targets import ToyTarget
 
 from bayesmlp import Architecture, NoisyXorConfig, generate_noisy_xor, mlp
-from bayesmlp.mlp import log_likelihood_binary, unpack_parameters
+from bayesmlp.mlp import Posterior, log_likelihood, unpack_parameters
 from bayesmlp import samplers
 from bayesmlp.samplers import (
     Chain,
@@ -348,8 +348,8 @@ class TestWeightSymmetry:
         permuted = np.concatenate(
             [W1[::-1].ravel(), b1[::-1], W2[:, ::-1].ravel(), b2]
         )
-        base = log_likelihood_binary(xor_arch, theta, train)
-        swapped = log_likelihood_binary(xor_arch, permuted, train)
+        base = log_likelihood(xor_arch, theta, train)
+        swapped = log_likelihood(xor_arch, permuted, train)
         assert abs(base - swapped) <= 1e-12
 
     def test_tanh_sign_flip_invariance(self, rng):
@@ -365,8 +365,8 @@ class TestWeightSymmetry:
         W2f[:, 0] *= -1.0
         flipped = np.concatenate([W1f.ravel(), b1f, W2f.ravel(), b2])
         assert abs(
-            log_likelihood_binary(arch, theta, train)
-            - log_likelihood_binary(arch, flipped, train)
+            log_likelihood(arch, theta, train)
+            - log_likelihood(arch, flipped, train)
         ) <= 1e-12
 
 
@@ -451,7 +451,7 @@ class TestSgdEnsemble:
         )
         solutions, _ = sgd_ensemble(xor_arch, train, test, config, seed=6)
         init = np.random.default_rng(6).normal(0.0, math.sqrt(10.0), 9)
-        expected = init + 0.01 * samplers.mlp.grad_log_likelihood(xor_arch, init, train)
+        expected = init + 0.01 * Posterior(xor_arch, train, 1.0).grad_log_likelihood(init)
         np.testing.assert_allclose(solutions[0], expected, rtol=1e-12)
 
     def test_session_limit_enforced(self, xor_arch, xor_data):
