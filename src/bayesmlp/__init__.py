@@ -61,6 +61,7 @@ from .samplers import (
     pp_normalizer,
     pp_swap_pmf,
     run_posterior_chain,
+    run_posterior_chains,
     sgd_ensemble,
 )
 
@@ -110,6 +111,7 @@ __all__ = [
     "predictive_distribution",
     "prior_predictive_accuracy",
     "run_posterior_chain",
+    "run_posterior_chains",
     "sgd_ensemble",
     "standardize",
 ]

@@ -306,14 +306,21 @@ def cmd_generate_data(args) -> int:
     return 0
 
 
-def _sample_worker(cfg: ExperimentConfig, train: data.LabeledDataset, out_dir: Path, index: int) -> str:
-    chain = samplers.run_posterior_chain(
-        cfg.arch, train, cfg.prior_variance, cfg.sampler_config, cfg.iterations,
-        samplers.derive_chain_seed(cfg.seed, index), burnin=cfg.burnin,
+def _sample_worker(
+    cfg: ExperimentConfig, train: data.LabeledDataset, out_dir: Path, indices: list[int]
+) -> list[str]:
+    """Sample the chains of the given indices in lockstep and write their files."""
+    seeds = [samplers.derive_chain_seed(cfg.seed, index) for index in indices]
+    chains = samplers.run_posterior_chains(
+        cfg.arch, train, cfg.prior_variance, cfg.sampler_config, cfg.iterations, seeds,
+        burnin=cfg.burnin,
     )
-    csv_path, meta_path = _chain_paths(out_dir, index)
-    chainio.save_chain(chain, csv_path, meta_path, config=cfg.to_dict())
-    return str(csv_path)
+    paths = []
+    for index, chain in zip(indices, chains):
+        csv_path, meta_path = _chain_paths(out_dir, index)
+        chainio.save_chain(chain, csv_path, meta_path, config=cfg.to_dict())
+        paths.append(str(csv_path))
+    return paths
 
 
 def cmd_sample(args) -> int:
@@ -323,11 +330,14 @@ def cmd_sample(args) -> int:
     train, _ = resolve_dataset(cfg.dataset)
     out_dir = _out_dir(args)
     work = functools.partial(_sample_worker, cfg, train, out_dir)
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            paths = list(pool.map(work, range(cfg.num_chains)))
+    # contiguous groups of chain indices, one per worker
+    groups = np.array_split(np.arange(cfg.num_chains), min(args.jobs, cfg.num_chains))
+    groups = [group.tolist() for group in groups]
+    if len(groups) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=len(groups)) as pool:
+            paths = [path for group in pool.map(work, groups) for path in group]
     else:
-        paths = [work(i) for i in range(cfg.num_chains)]
+        paths = work(groups[0])
     (out_dir / "experiment.json").write_text(_json_text(cfg.to_dict()))
     for path in paths:
         print(path)
@@ -524,7 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step-size", dest="step_size", type=float, default=None)
     p.add_argument("--num-chains", dest="num_chains", type=int, default=None)
     p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1, help="parallel chain workers")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel workers, each running a contiguous group of chains in lockstep")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("diagnose", help="PSRF and ESS over realized chains")

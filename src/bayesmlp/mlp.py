@@ -8,6 +8,7 @@ vector b_j, so the vector length is sum_j k_j (k_{j-1} + 1).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -186,12 +187,17 @@ def _layer_kind(arch, j: int) -> ActivationKind:
 
 
 def _forward_cached(arch, layers, X):
-    """Forward pass of one parameter vector over an (s, k_0) batch, keeping
-    the pre- and post-activations of every layer, each of shape (s, k_j)."""
+    """Forward pass over an (s, k_0) batch, keeping the pre- and
+    post-activations of every layer: each of shape (s, k_j) for the layers
+    of one parameter vector, and (m, s, k_j) for those of an (m, n) stack.
+
+    Row-major over a leading stack axis: every chain's matmuls are the
+    BLAS calls of a single-vector pass, so each row keeps its bits.
+    """
     H = X
     gs, hs = [], [X]
     for j, (W, b) in enumerate(layers):
-        G = H @ W.T + b
+        G = H @ W.swapaxes(-1, -2) + b[..., None, :]
         H = _apply_activation(_layer_kind(arch, j), G)
         gs.append(G)
         hs.append(H)
@@ -285,11 +291,15 @@ class Posterior:
     label matrix; the normal prior keeps its constant. An empty dataset is
     a (0, k_0) feature matrix, whose log-likelihood is 0 and gradient 0.
 
-    Four methods: log_likelihood, log_prior, grad_log_likelihood and
-    value_and_grad (the log-posterior and its gradient, read off one
-    forward pass). Each evaluation is one forward pass over the stored
-    features. The module functions log_likelihood, log_posterior and
-    grad_log_posterior are single calls into this class.
+    Four evaluation methods: log_likelihood, log_prior, grad_log_likelihood
+    and value_and_grad (the log-posterior and its gradient, read off one
+    forward pass), plus subset, the posterior on some of the stored rows.
+    Each evaluation is one forward pass over the stored features. A method
+    takes one parameter vector of shape (n,) and returns a float (and an
+    (n,) gradient), or a stack of m vectors of shape (m, n) and returns an
+    (m,) array (and an (m, n) gradient) whose row i equals, bit for bit,
+    the result for row i alone. The module functions log_likelihood,
+    log_posterior and grad_log_posterior are single calls into this class.
     """
 
     def __init__(self, arch: Architecture, data: LabeledDataset, sigma2: float):
@@ -312,19 +322,48 @@ class Posterior:
             self._onehot = np.zeros((len(y), arch.output_dim))
             self._onehot[self._rows, self._index] = 1.0
 
+    def subset(self, rows) -> "Posterior":
+        """The posterior on the given rows of the stored dataset, in that
+        order, without checking the labels again."""
+        sub = copy.copy(self)
+        sub._X = self._X[rows]
+        if self.arch.is_binary:
+            sub._y, sub._not_y = self._y[rows], self._not_y[rows]
+        else:
+            sub._index, sub._onehot = self._index[rows], self._onehot[rows]
+            sub._rows = np.arange(len(sub._index))
+        return sub
+
+    def _layers(self, theta):
+        """theta as a float array of shape (n,) or (m, n), and its per-layer
+        (W, b) views."""
+        theta = np.asarray(theta, dtype=float)
+        if theta.ndim not in (1, 2) or theta.shape[-1] != self.dim:
+            raise DimensionError(
+                f"parameter array of shape {theta.shape} does not match (n,) or "
+                f"(m, n) with n = {self.dim} for architecture {self.arch.layer_widths}"
+            )
+        return theta, _layer_views(self.arch, theta)
+
     def _event_probabilities(self, out) -> np.ndarray:
         """Per-row probability of the observed event, before clamping, from
         the network output on the stored features: h for a binary model,
         the true class's p for a multiclass one."""
-        return out[:, 0] if self.arch.is_binary else out[self._rows, self._index]
+        return out[..., 0] if self.arch.is_binary else out[..., self._rows, self._index]
 
-    def _log_likelihood_of(self, p) -> float:
+    def _log_likelihood_of(self, p):
         """Log-likelihood from the event probabilities p, clamped away from
-        0 and 1."""
+        0 and 1; one value per row of a stack."""
         p = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
         if self.arch.is_binary:
-            return float(np.sum(self._y * np.log(p) + self._not_y * np.log1p(-p)))
-        return float(np.sum(np.log(p)))
+            terms = self._y * np.log(p) + self._not_y * np.log1p(-p)
+        else:
+            terms = np.log(p)
+        if terms.ndim == 1:
+            return float(np.add.reduce(terms))
+        # a 1-D sum per chain keeps each chain's bits, which one sum over
+        # the last axis of the stack is not guaranteed to do
+        return np.array([np.add.reduce(row) for row in terms])
 
     def _backprop(self, layers, gs, hs, p) -> np.ndarray:
         """Log-likelihood gradient by backprop over a cached forward pass
@@ -335,39 +374,46 @@ class Posterior:
         """
         # dl/dg at the output layer: residual form for both link functions
         if self.arch.is_binary:
-            delta = (self._y - p)[:, None]
+            delta = (self._y - p)[..., None]
         else:
             delta = self._onehot - hs[-1]
         delta[(p < PROB_EPS) | (p > 1.0 - PROB_EPS)] = 0.0
-        grads = [None] * len(layers)
+        grads = []
         for j in range(len(layers) - 1, -1, -1):
             W, _ = layers[j]
-            grads[j] = (delta.T @ hs[j], delta.sum(axis=0))
+            grads += [delta.sum(axis=-2), delta.swapaxes(-1, -2) @ hs[j]]
             if j > 0:
                 delta = (delta @ W) * _hidden_derivative(
                     self.arch.hidden_activation, gs[j - 1], hs[j]
                 )
-        return pack_parameters(self.arch, grads)
+        # flat layout: W_1, b_1, ..., W_rho, b_rho along the last axis
+        lead = p.shape[:-1]
+        return np.concatenate([g.reshape(lead + (-1,)) for g in reversed(grads)], axis=-1)
 
-    def log_likelihood(self, theta) -> float:
+    def log_likelihood(self, theta):
         """Classification log-likelihood; 0 on an empty dataset."""
-        _, hs = _forward_cached(self.arch, unpack_parameters(self.arch, theta), self._X)
+        _, layers = self._layers(theta)
+        _, hs = _forward_cached(self.arch, layers, self._X)
         return self._log_likelihood_of(self._event_probabilities(hs[-1]))
 
-    def log_prior(self, theta) -> float:
+    def log_prior(self, theta):
         """Log-density of the normal prior N(0, sigma2 I)."""
         theta = np.asarray(theta, dtype=float)
-        return float(self._prior_const - theta @ theta / (2.0 * self.sigma2))
+        # each chain's theta . theta: a batched (1, n) @ (n, 1) matmul is the
+        # BLAS dot of a single vector
+        squares = (theta[..., None, :] @ theta[..., None])[..., 0, 0]
+        value = self._prior_const - squares / (2.0 * self.sigma2)
+        return float(value) if theta.ndim == 1 else value
 
     def grad_log_likelihood(self, theta) -> np.ndarray:
         """Exact gradient of the classification log-likelihood, flat layout."""
-        layers = unpack_parameters(self.arch, theta)
+        _, layers = self._layers(theta)
         gs, hs = _forward_cached(self.arch, layers, self._X)
         return self._backprop(layers, gs, hs, self._event_probabilities(hs[-1]))
 
-    def value_and_grad(self, theta) -> tuple[float, np.ndarray]:
+    def value_and_grad(self, theta):
         """Log-posterior and its gradient from one forward pass."""
-        layers = unpack_parameters(self.arch, theta)
+        theta, layers = self._layers(theta)
         gs, hs = _forward_cached(self.arch, layers, self._X)
         p = self._event_probabilities(hs[-1])
         ll, grad = self._log_likelihood_of(p), self._backprop(layers, gs, hs, p)

@@ -4,9 +4,16 @@ SGD ensemble trainer for comparison runs.
 
 A sampler target has ``dim``, ``log_likelihood(theta)`` and
 ``log_prior(theta)``; HMC also needs ``value_and_grad(theta)``, the
-log-posterior and its gradient. ``mlp.Posterior`` is the target of every
-posterior run. All acceptance decisions are taken in log space. Samplers
-are seeded and bit-reproducible; a chain never stores a state with
+log-posterior and its gradient. The samplers call them on an (m, n)
+stack, one row per chain, and read one value (and gradient row) per row,
+which must equal the row's own evaluation. ``mlp.Posterior`` is the
+target of every posterior run.
+
+Each sampler runs a group of m chains in lockstep, one batched target
+call per step, and a single chain is the group of one. Every chain keeps
+its own RNG and accept decision, so it draws exactly what it draws when
+run alone. All acceptance decisions are taken in log space. Samplers are
+seeded and bit-reproducible; a chain never stores a state with
 non-finite log-target.
 """
 
@@ -167,72 +174,112 @@ def _accept(rng: np.random.Generator, delta_log: float) -> bool:
     return math.log(rng.uniform()) < delta_log
 
 
-def _metropolis_step(rng: np.random.Generator, target, scale: float, t: float, theta, ll, lp):
-    """One random-walk Metropolis move on the tempered target t * ll + lp.
+def _chain_group(target, init, seed, shape: tuple[int, ...]):
+    """The states, seeds and RNGs of a group of m chains, plus whether the
+    caller gave a single chain.
 
-    Proposes theta* ~ N(theta, scale^2 I) and returns (theta, ll, lp,
-    accepted) for the state the chain holds afterwards.
+    A single chain is an init of the given shape with one int seed; a group
+    is an (m,) + shape init with a sequence of m seeds. Chain i draws from
+    its own RNG on seeds[i], so stepping the group together changes no
+    chain's draws.
     """
-    proposal = theta + scale * rng.standard_normal(theta.shape[0])
+    single = np.ndim(seed) == 0
+    seeds = [int(seed)] if single else [int(s) for s in seed]
+    states = np.array([init] if single else init, dtype=float)
+    if states.shape != (len(seeds),) + shape:
+        expected = shape if single else (len(seeds),) + shape
+        raise ValueError(f"init must have shape {expected}, got {np.shape(init)}")
+    return states, seeds, [np.random.default_rng(s) for s in seeds], single
+
+
+def _check_start(log_target):
+    for value in log_target.tolist():
+        if not math.isfinite(value):
+            raise SamplerStartupError(f"log-target is {value} at an initial state")
+
+
+def _metropolis_step(rngs, target, scale: float, t: float, theta, ll, lp) -> np.ndarray:
+    """One random-walk Metropolis move of each chain, on the tempered target
+    t * ll + lp; theta, ll and lp hold one row per chain and are updated in
+    place.
+
+    Chain i proposes theta_i* ~ N(theta_i, scale^2 I) and takes its accept
+    decision on rngs[i]. Returns the mask of chains that moved.
+    """
+    proposal = theta + scale * np.array([rng.standard_normal(theta.shape[1]) for rng in rngs])
     ll_prop = target.log_likelihood(proposal)
     lp_prop = target.log_prior(proposal)
-    if _accept(rng, (t * ll_prop + lp_prop) - (t * ll + lp)):
-        return proposal, ll_prop, lp_prop, True
-    return theta, ll, lp, False
+    delta = (t * ll_prop + lp_prop) - (t * ll + lp)
+    moved = np.array([_accept(rng, d) for rng, d in zip(rngs, delta.tolist())])
+    np.copyto(theta, proposal, where=moved[:, None])
+    np.copyto(ll, ll_prop, where=moved)
+    np.copyto(lp, lp_prop, where=moved)
+    return moved
 
 
-def mh_chain(target, init, config: MhConfig, iterations: int, seed: int) -> Chain:
+def mh_chain(
+    target, init, config: MhConfig, iterations: int, seed: int | Sequence[int]
+) -> Chain | list[Chain]:
     """Random-walk Metropolis with proposals theta* ~ N(theta, lambda I).
 
     Records one row per iteration; rejected steps repeat the current
     state. Raises SamplerStartupError if the log-target is non-finite
     at the initial state.
+
+    An (n,) init with an int seed runs one chain and returns it. An (m, n)
+    init with m seeds runs m chains in lockstep, one batched target call per
+    iteration, and returns their list; each chain is the one its seed gives
+    alone, and each records the group's wall time.
     """
     start = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    theta = np.array(init, dtype=float)
-    if theta.shape != (target.dim,):
-        raise ValueError(f"init must have shape ({target.dim},)")
+    theta, seeds, rngs, single = _chain_group(target, init, seed, (target.dim,))
     ll, lp = target.log_likelihood(theta), target.log_prior(theta)
-    if not math.isfinite(ll + lp):
-        raise SamplerStartupError(f"log-target is {ll + lp} at the initial state")
+    _check_start(ll + lp)
     scale = math.sqrt(config.proposal_variance)
-    draws = np.empty((iterations, target.dim))
-    accepted = 0
+    draws = np.empty((len(seeds), iterations, target.dim))
+    accepted = np.zeros(len(seeds), dtype=int)
     for it in range(iterations):
-        theta, ll, lp, ok = _metropolis_step(rng, target, scale, 1.0, theta, ll, lp)
-        accepted += ok
-        draws[it] = theta
-    return Chain(
-        draws,
-        burnin=0,
-        seed=seed,
-        accepted=accepted,
-        sampler_tag="MH",
-        runtime_seconds=time.perf_counter() - start,
-    )
+        accepted += _metropolis_step(rngs, target, scale, 1.0, theta, ll, lp)
+        draws[:, it] = theta
+    runtime = time.perf_counter() - start
+    chains = [
+        Chain(draws[i], burnin=0, seed=s, accepted=int(accepted[i]), sampler_tag="MH",
+              runtime_seconds=runtime)
+        for i, s in enumerate(seeds)
+    ]
+    return chains[0] if single else chains
 
 
 def leapfrog(gradient, theta, momentum, steps: int, step_size: float):
-    """Leapfrog integration of H(theta, r) = -log p(theta) + ||r||^2 / 2.
+    """Leapfrog integration of H(theta, r) = -log p(theta) + ||r||^2 / 2,
+    for one parameter vector or for each row of an (m, n) stack.
 
-    Returns (theta, momentum, ok); ok is False when a non-finite value
-    appears during the trajectory. The gradient is called first at theta
-    itself (the same array object when theta is a float array) and last at
-    the returned point.
+    Returns (theta, momentum, ok); ok, one flag per row, is False for a
+    row in which a non-finite value appears during the trajectory. Such a
+    row is held at its start with zero momentum and gradient from then
+    on, so it evaluates nothing non-finite again, and its returned state
+    is meaningless; when no row is left, the trajectory stops. The
+    gradient is called first at theta itself (the same array object when
+    theta is a float array) and last at the returned point.
     """
-    theta = np.asarray(theta, dtype=float)
+    theta = start = np.asarray(theta, dtype=float)
     g = gradient(theta)
-    if not np.all(np.isfinite(g)):
-        return theta, momentum, False
-    r = momentum + 0.5 * step_size * g
-    for step in range(steps):
-        theta = theta + step_size * r
-        g = gradient(theta)
-        if not np.all(np.isfinite(g)) or not np.all(np.isfinite(theta)):
-            return theta, r, False
-        r = r + (step_size if step < steps - 1 else 0.5 * step_size) * g
-    return theta, r, True
+    ok = np.isfinite(g).all(axis=-1)
+    r = momentum
+    # pass 0 is the opening half kick; passes 1..L each drift, then kick
+    # (a half kick on the last)
+    for step in range(steps + 1):
+        if step:
+            theta = theta + step_size * r
+            g = gradient(theta)
+            ok &= np.isfinite(g).all(axis=-1) & np.isfinite(theta).all(axis=-1)
+        if not ok.all():
+            if not ok.any():
+                return theta, r, ok
+            held = ~ok[..., None]
+            theta, r, g = np.where(held, start, theta), np.where(held, 0.0, r), np.where(held, 0.0, g)
+        r = r + (0.5 * step_size if step in (0, steps) else step_size) * g
+    return theta, r, ok
 
 
 class _LastPass:
@@ -251,7 +298,14 @@ class _LastPass:
         return self.grad
 
 
-def hmc_chain(target, init, config: HmcConfig, iterations: int, seed: int) -> Chain:
+def _squared_norms(r) -> np.ndarray:
+    # a batched (1, n) @ (n, 1) matmul is each row's own BLAS dot
+    return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
+
+
+def hmc_chain(
+    target, init, config: HmcConfig, iterations: int, seed: int | Sequence[int]
+) -> Chain | list[Chain]:
     """Hamiltonian Monte Carlo with identity mass matrix.
 
     Momentum is refreshed from N(0, I) every iteration; the proposal is
@@ -262,49 +316,55 @@ def hmc_chain(target, init, config: HmcConfig, iterations: int, seed: int) -> Ch
     A trajectory costs L calls of ``target.value_and_grad``: the gradient
     at its start is carried over from the previous iteration, and the
     log-density of its end comes from the call that gave the final gradient.
+
+    An (n,) init with an int seed runs one chain and returns it. An (m, n)
+    init with m seeds runs m chains in lockstep, one batched target call per
+    leapfrog step, and returns their list; each chain keeps its own carried
+    value and gradient and is the one its seed gives alone, and each records
+    the group's wall time.
     """
     if not callable(getattr(target, "value_and_grad", None)):
         raise ValueError("HMC requires a target with value_and_grad")
     start = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    theta = np.array(init, dtype=float)
-    if theta.shape != (target.dim,):
-        raise ValueError(f"init must have shape ({target.dim},)")
+    theta, seeds, rngs, single = _chain_group(target, init, seed, (target.dim,))
     logp, grad = target.value_and_grad(theta)
-    if not math.isfinite(logp):
-        raise SamplerStartupError(f"log-target is {logp} at the initial state")
-    if not np.all(np.isfinite(grad)):
+    _check_start(logp)
+    if not np.isfinite(grad).all():
         raise SamplerStartupError("log-target gradient is non-finite at the initial state")
     last = _LastPass(target.value_and_grad)
-    draws = np.empty((iterations, target.dim))
-    accepted = 0
-    divergences = 0
+    draws = np.empty((len(seeds), iterations, target.dim))
+    accepted = np.zeros(len(seeds), dtype=int)
+    divergences = np.zeros(len(seeds), dtype=int)
     for it in range(iterations):
-        r0 = rng.standard_normal(target.dim)
+        r0 = np.array([rng.standard_normal(target.dim) for rng in rngs])
         last.theta, last.value, last.grad = theta, logp, grad
         prop, r1, ok = leapfrog(last, theta, r0, config.leapfrog_steps, config.step_size)
-        if ok:
-            logp_prop = last.value  # leapfrog evaluates prop last
-            h0 = -logp + 0.5 * (r0 @ r0)
-            h1 = -logp_prop + 0.5 * (r1 @ r1)
-            delta_h = h1 - h0
-            if not math.isfinite(delta_h) or abs(delta_h) > DIVERGENCE_THRESHOLD:
-                divergences += 1
-            elif _accept(rng, -delta_h):
-                theta, logp, grad = prop, logp_prop, last.grad
-                accepted += 1
-        else:
-            divergences += 1
-        draws[it] = theta
-    return Chain(
-        draws,
-        burnin=0,
-        seed=seed,
-        accepted=accepted,
-        sampler_tag="HMC",
-        runtime_seconds=time.perf_counter() - start,
-        divergences=divergences,
-    )
+        moved = np.zeros(len(seeds), dtype=bool)
+        if ok.any():
+            # leapfrog evaluates prop last; held rows' energies are not read
+            h0 = -logp + 0.5 * _squared_norms(r0)
+            h1 = -last.value + 0.5 * _squared_norms(r1)
+            for i, delta_h in enumerate((h1 - h0).tolist()):
+                if not ok[i]:
+                    continue
+                if not math.isfinite(delta_h) or abs(delta_h) > DIVERGENCE_THRESHOLD:
+                    divergences[i] += 1
+                else:
+                    moved[i] = _accept(rngs[i], -delta_h)
+        divergences += ~ok
+        # leapfrog returned new arrays, so the state can change in place
+        np.copyto(theta, prop, where=moved[:, None])
+        np.copyto(logp, last.value, where=moved)
+        np.copyto(grad, last.grad, where=moved[:, None])
+        accepted += moved
+        draws[:, it] = theta
+    runtime = time.perf_counter() - start
+    chains = [
+        Chain(draws[i], burnin=0, seed=s, accepted=int(accepted[i]), sampler_tag="HMC",
+              runtime_seconds=runtime, divergences=int(divergences[i]))
+        for i, s in enumerate(seeds)
+    ]
+    return chains[0] if single else chains
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +411,7 @@ class PopulationRecord:
     swap_attempts: int
 
 
-def pp_chain(
-    target, inits: Sequence[np.ndarray], config: PpConfig, iterations: int, seed: int
-) -> tuple[Chain, PopulationRecord]:
+def pp_chain(target, inits, config: PpConfig, iterations: int, seed: int | Sequence[int]):
     """Population sampling from tempered targets t_i * ll + lp.
 
     Per iteration every chain advances by one random-walk Metropolis move
@@ -362,62 +420,65 @@ def pp_chain(
     pp_swap_pmf(i), and the state exchange is accepted by a Metropolis
     test on the tempered targets. Returns the t_m = 1 chain plus the full
     population record.
+
+    inits holds one state per temperature. With an (m, rungs, n) stack of
+    inits and m seeds, m independent populations run in lockstep and a
+    list of m (chain, record) pairs is returned: rung c of every population
+    moves in one batched target call, rungs keep their order within a
+    population, and each population swaps on its own RNG, so each is the
+    population its seed gives alone. Each chain records the group's wall
+    time.
     """
     start = time.perf_counter()
     temps = config.temperatures
     num_chains = len(temps)
-    if len(inits) != num_chains:
-        raise ValueError(f"need one init per chain ({num_chains})")
-    rng = np.random.default_rng(seed)
+    states, seeds, rngs, single = _chain_group(target, inits, seed, (num_chains, target.dim))
     scale = math.sqrt(config.proposal_variance)
 
-    states = [np.array(x, dtype=float) for x in inits]
-    lls = np.empty(num_chains)
-    lps = np.empty(num_chains)
-    for c, theta in enumerate(states):
-        if theta.shape != (target.dim,):
-            raise ValueError(f"init {c} must have shape ({target.dim},)")
-        lls[c] = target.log_likelihood(theta)
-        lps[c] = target.log_prior(theta)
-        if not math.isfinite(temps[c] * lls[c] + lps[c]):
-            raise SamplerStartupError(f"log-target of chain {c} is non-finite at its init")
+    lls = np.empty((len(seeds), num_chains))
+    lps = np.empty((len(seeds), num_chains))
+    for c in range(num_chains):
+        lls[:, c] = target.log_likelihood(states[:, c])
+        lps[:, c] = target.log_prior(states[:, c])
+        _check_start(temps[c] * lls[:, c] + lps[:, c])
 
-    draws = np.empty((num_chains, iterations, target.dim))
-    within_accepted = np.zeros(num_chains, dtype=int)
-    swap_accepted = 0
+    draws = np.empty((len(seeds), num_chains, iterations, target.dim))
+    within_accepted = np.zeros((len(seeds), num_chains), dtype=int)
+    swap_accepted = np.zeros(len(seeds), dtype=int)
     # swap partner distributions are iteration-independent; precompute
     pmfs = [pp_swap_pmf(i, num_chains - 1, config.beta) for i in range(num_chains)]
 
     for it in range(iterations):
         for c in range(num_chains):
-            states[c], lls[c], lps[c], ok = _metropolis_step(
-                rng, target, scale, temps[c], states[c], lls[c], lps[c]
+            within_accepted[:, c] += _metropolis_step(
+                rngs, target, scale, temps[c], states[:, c], lls[:, c], lps[:, c]
             )
-            within_accepted[c] += ok
-        i = int(rng.integers(num_chains))
-        j = int(rng.choice(num_chains, p=pmfs[i]))
-        delta = (temps[i] - temps[j]) * (lls[j] - lls[i])
-        if _accept(rng, delta):
-            states[i], states[j] = states[j], states[i]
-            lls[i], lls[j] = lls[j], lls[i]
-            lps[i], lps[j] = lps[j], lps[i]
-            swap_accepted += 1
-        for c in range(num_chains):
-            draws[c, it] = states[c]
+        for p, rng in enumerate(rngs):
+            i = int(rng.integers(num_chains))
+            j = int(rng.choice(num_chains, p=pmfs[i]))
+            delta = (temps[i] - temps[j]) * (lls[p, j] - lls[p, i])
+            if _accept(rng, delta):
+                for values in (states, lls, lps):
+                    values[p, [i, j]] = values[p, [j, i]]
+                swap_accepted[p] += 1
+        draws[:, :, it] = states
 
     runtime = time.perf_counter() - start
-    chain = Chain(
-        draws[-1],
-        burnin=0,
-        seed=seed,
-        accepted=int(within_accepted[-1]),
-        sampler_tag="PP",
-        runtime_seconds=runtime,
-        swap_accepted=swap_accepted,
-        swap_attempts=iterations,
-    )
-    record = PopulationRecord(draws, temps, within_accepted, swap_accepted, iterations)
-    return chain, record
+    results = []
+    for p, s in enumerate(seeds):
+        chain = Chain(
+            draws[p, -1],
+            burnin=0,
+            seed=s,
+            accepted=int(within_accepted[p, -1]),
+            sampler_tag="PP",
+            runtime_seconds=runtime,
+            swap_accepted=int(swap_accepted[p]),
+            swap_attempts=iterations,
+        )
+        record = PopulationRecord(draws[p], temps, within_accepted[p], int(swap_accepted[p]), iterations)
+        results.append((chain, record))
+    return results[0] if single else results
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +495,45 @@ def prior_draw(rng: np.random.Generator, dim: int, sigma2: float) -> np.ndarray:
     return rng.normal(0.0, math.sqrt(sigma2), dim)
 
 
+def run_posterior_chains(
+    arch: mlp.Architecture,
+    data: LabeledDataset,
+    sigma2: float,
+    sampler_config,
+    iterations: int,
+    seeds: Sequence[int],
+    burnin: int = 0,
+    init: np.ndarray | None = None,
+) -> list[Chain]:
+    """Sample the MLP parameter posterior with MH, HMC or PP, one chain per
+    seed, all in lockstep through one batched ``mlp.Posterior``.
+
+    Chain i is the chain its seed gives alone. Its initial state defaults
+    to a draw from the prior N(0, sigma2 I) on an RNG of its own seed; for
+    PP every chain of its population gets its own prior draw. The burn-in
+    count is recorded on the returned chains.
+    """
+    post = mlp.Posterior(arch, data, sigma2)
+    pp = isinstance(sampler_config, PpConfig)
+    per_chain = len(sampler_config.temperatures) if pp else 1
+    if init is None:
+        rngs = [np.random.default_rng(s) for s in seeds]
+        inits = np.array([[prior_draw(rng, post.dim, sigma2) for _ in range(per_chain)] for rng in rngs])
+    else:
+        inits = np.broadcast_to(np.asarray(init, dtype=float), (len(seeds), per_chain, post.dim))
+    if pp:
+        chains = [chain for chain, _ in pp_chain(post, inits, sampler_config, iterations, seeds)]
+    elif isinstance(sampler_config, MhConfig):
+        chains = mh_chain(post, inits[:, 0], sampler_config, iterations, seeds)
+    elif isinstance(sampler_config, HmcConfig):
+        chains = hmc_chain(post, inits[:, 0], sampler_config, iterations, seeds)
+    else:
+        raise TypeError(f"unknown sampler config {type(sampler_config).__name__}")
+    for chain in chains:
+        chain.burnin = burnin
+    return chains
+
+
 def run_posterior_chain(
     arch: mlp.Architecture,
     data: LabeledDataset,
@@ -444,30 +544,10 @@ def run_posterior_chain(
     burnin: int = 0,
     init: np.ndarray | None = None,
 ) -> Chain:
-    """Sample the MLP parameter posterior with MH, HMC or PP.
-
-    The initial state defaults to a draw from the prior N(0, sigma2 I);
-    for PP every chain of the population gets its own prior draw. The
-    burn-in count is recorded on the returned chain.
-    """
-    rng = np.random.default_rng(seed)
-    post = mlp.Posterior(arch, data, sigma2)
-    if isinstance(sampler_config, PpConfig):
-        if init is None:
-            inits = [prior_draw(rng, post.dim, sigma2) for _ in sampler_config.temperatures]
-        else:
-            inits = [np.array(init, dtype=float) for _ in sampler_config.temperatures]
-        chain, _ = pp_chain(post, inits, sampler_config, iterations, seed)
-    else:
-        start = prior_draw(rng, post.dim, sigma2) if init is None else np.asarray(init, dtype=float)
-        if isinstance(sampler_config, MhConfig):
-            chain = mh_chain(post, start, sampler_config, iterations, seed)
-        elif isinstance(sampler_config, HmcConfig):
-            chain = hmc_chain(post, start, sampler_config, iterations, seed)
-        else:
-            raise TypeError(f"unknown sampler config {type(sampler_config).__name__}")
-    chain.burnin = burnin
-    return chain
+    """The one chain of run_posterior_chains on seed."""
+    return run_posterior_chains(
+        arch, data, sigma2, sampler_config, iterations, [seed], burnin=burnin, init=init
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +578,8 @@ def sgd_ensemble(
     ensemble_size solutions are accepted; aborts past max_sessions.
     """
     rng = np.random.default_rng(seed)
-    n = mlp.parameter_count(arch)
+    likelihood = mlp.Posterior(arch, train, prior_variance)
+    n = likelihood.dim
     s = len(train)
     solutions: list[np.ndarray] = []
     accuracies: list[float] = []
@@ -514,9 +595,8 @@ def sgd_ensemble(
         for _ in range(config.epochs):
             order = rng.permutation(s)
             for lo in range(0, s, config.batch_size):
-                batch = train.subset(order[lo : lo + config.batch_size])
-                likelihood = mlp.Posterior(arch, batch, prior_variance)
-                theta = theta + config.learning_rate * likelihood.grad_log_likelihood(theta)
+                batch = likelihood.subset(order[lo : lo + config.batch_size])
+                theta = theta + config.learning_rate * batch.grad_log_likelihood(theta)
         acc = _point_accuracy(arch, theta, test)
         if acc > config.accept_threshold:
             solutions.append(theta)

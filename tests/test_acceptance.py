@@ -42,7 +42,7 @@ from bayesmlp.samplers import (
     mh_chain,
     pp_normalizer,
     pp_swap_pmf,
-    run_posterior_chain,
+    run_posterior_chains,
 )
 
 # Desk-scale protocol shared by criteria 5-8. The MH proposal variance and
@@ -80,45 +80,34 @@ def xor_data():
     return generate_noisy_xor(NoisyXorConfig(seed=0))
 
 
+DESK_SEEDS = [derive_chain_seed(DESK_SEED, i) for i in range(DESK_CHAINS)]
+
+
+def desk_chains(arch, train, config):
+    """The desk chains, sampled as one lockstep group as `sample` does,
+    with their wall time."""
+    start = time.perf_counter()
+    chains = run_posterior_chains(
+        arch, train, PRIOR_VARIANCE, config, DESK_ITERATIONS, DESK_SEEDS, burnin=DESK_BURNIN,
+    )
+    return chains, time.perf_counter() - start
+
+
 @pytest.fixture(scope="module")
 def xor_mh_chains(xor_data):
     train, _ = xor_data
-    start = time.perf_counter()
-    chains = [
-        run_posterior_chain(
-            XOR_ARCH, train, PRIOR_VARIANCE, MhConfig(XOR_MH_VARIANCE),
-            DESK_ITERATIONS, derive_chain_seed(DESK_SEED, i), burnin=DESK_BURNIN,
-        )
-        for i in range(DESK_CHAINS)
-    ]
-    return chains, time.perf_counter() - start
+    return desk_chains(XOR_ARCH, train, MhConfig(XOR_MH_VARIANCE))
 
 
 @pytest.fixture(scope="module")
 def xor_pp_chains(xor_data):
     train, _ = xor_data
     config = PpConfig(tuple([1.0] * 10), beta=0.5, proposal_variance=XOR_MH_VARIANCE)
-    start = time.perf_counter()
-    chains = [
-        run_posterior_chain(
-            XOR_ARCH, train, PRIOR_VARIANCE, config,
-            DESK_ITERATIONS, derive_chain_seed(DESK_SEED, i), burnin=DESK_BURNIN,
-        )
-        for i in range(DESK_CHAINS)
-    ]
-    return chains, time.perf_counter() - start
+    return desk_chains(XOR_ARCH, train, config)
 
 
 def hmc_desk_chains(train):
-    start = time.perf_counter()
-    chains = [
-        run_posterior_chain(
-            DEEP_ARCH, train, PRIOR_VARIANCE, HmcConfig(HMC_LEAPFROG_STEPS, HMC_STEP_SIZE),
-            DESK_ITERATIONS, derive_chain_seed(DESK_SEED, i), burnin=DESK_BURNIN,
-        )
-        for i in range(DESK_CHAINS)
-    ]
-    return chains, time.perf_counter() - start
+    return desk_chains(DEEP_ARCH, train, HmcConfig(HMC_LEAPFROG_STEPS, HMC_STEP_SIZE))
 
 
 def test_criterion_1_gradient_correctness():

@@ -80,6 +80,66 @@ class TestSample:
         for name in ("chain_00.csv", "chain_01.csv"):
             assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
+    @pytest.mark.parametrize("sampler", [
+        {"kind": "MH", "proposal_variance": 0.05},
+        {"kind": "HMC", "leapfrog_steps": 3, "step_size": 0.3},
+        {"kind": "PP", "temperatures": [0.5, 1.0], "proposal_variance": 0.05},
+    ])
+    def test_job_splits_write_identical_files(self, tmp_path, xor_config, sampler):
+        """Four chains as one lockstep group, split 2+2, 2+1+1 and 1+1+1+1
+        over workers, give the same chain files; only the runtime differs."""
+        doc = {**json.loads(xor_config.read_text()), "sampler": sampler,
+               "num_chains": 4, "iterations": 60, "burnin": 10, "tail": 10}
+        config = tmp_path / "four.json"
+        config.write_text(json.dumps(doc))
+        outs = {jobs: tmp_path / f"jobs{jobs}" for jobs in (1, 2, 3, 8)}
+        for jobs, out in outs.items():
+            assert run(["sample", "--config", config, "--out-dir", out, "--jobs", jobs]) == 0
+
+        def sidecar(path):
+            return {k: v for k, v in json.loads(path.read_text()).items() if not k.startswith("runtime_")}
+
+        for out in outs.values():
+            for i in range(4):
+                csv, meta = f"chain_{i:02d}.csv", f"chain_{i:02d}.json"
+                assert (out / csv).read_bytes() == (outs[1] / csv).read_bytes()
+                assert sidecar(out / meta) == sidecar(outs[1] / meta)
+
+    @pytest.mark.parametrize("jobs,chains,groups", [
+        (8, 2, [[0], [1]]),
+        (3, 4, [[0, 1], [2], [3]]),
+        (2, 5, [[0, 1, 2], [3, 4]]),
+    ])
+    def test_pool_sized_to_chain_groups(self, tmp_path, xor_config, monkeypatch, jobs, chains, groups):
+        """--jobs N starts min(N, num_chains) workers, each given a contiguous
+        group of chain indices. The pool is replaced by one that records
+        what it was asked for and runs the groups in this process."""
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                items = list(items)
+                requested.append(items)
+                return map(fn, items)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        out = tmp_path / "o"
+        assert run([
+            "sample", "--config", xor_config, "--out-dir", out, "--jobs", jobs,
+            "--num-chains", chains, "--iterations", 20, "--burnin", 5, "--tail", 5,
+        ]) == 0
+        assert requested == [len(groups), groups]
+        assert sorted(p.name for p in out.glob("chain_*.csv")) == [f"chain_{i:02d}.csv" for i in range(chains)]
+
     def test_hawks_chain_width(self, tmp_path):
         out = tmp_path / "hawks"
         assert run([

@@ -26,6 +26,7 @@ from bayesmlp.mlp import (
     unpack_parameters,
 )
 
+from bayesmlp.data import NoisyXorConfig, generate_noisy_xor, load_vendored
 from conftest import random_instance
 
 
@@ -374,6 +375,93 @@ class TestPosterior:
                 method(np.zeros(8))
 
 
+def stack_case(rng, name):
+    """(posterior, m = 4 parameter vectors) for one stacked-evaluation case."""
+    if name == "xor":
+        train, _ = generate_noisy_xor(NoisyXorConfig(train_per_corner=25, test_per_corner=1, seed=0))
+        arch = Architecture((2, 2, 1))
+    elif name == "hawks":
+        train, _ = load_vendored("hawks")
+        arch = Architecture((6, 2, 2, 3))
+    elif name == "tanh":
+        train, _ = load_vendored("penguins")
+        arch = Architecture((train.features.shape[1], 3, 3), hidden_activation=ActivationKind.TANH)
+    else:
+        arch, theta, train = clamped_instance(rng, 1 if name == "clamped-binary" else 3)
+        thetas = theta + 0.01 * rng.normal(size=(4, theta.size))
+        return Posterior(arch, train, 10.0), thetas
+    return Posterior(arch, train, 10.0), rng.normal(0.0, 3.0, size=(4, parameter_count(arch)))
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+class TestStackedPosterior:
+    """Every method takes an (m, n) stack and returns, row for row, the bits
+    of the single-vector call: the lockstep samplers rely on it."""
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    @pytest.mark.parametrize("name", ["xor", "hawks", "tanh", "clamped-binary", "clamped-multiclass"])
+    def test_rows_match_single_calls(self, rng, name, m):
+        post, thetas = stack_case(rng, name)
+        thetas = thetas[:m]
+        value, grad = post.value_and_grad(thetas)
+        ll, lp = post.log_likelihood(thetas), post.log_prior(thetas)
+        grad_ll = post.grad_log_likelihood(thetas)
+        assert value.shape == ll.shape == lp.shape == (m,)
+        assert grad.shape == grad_ll.shape == thetas.shape
+        for i, theta in enumerate(thetas):
+            value_i, grad_i = post.value_and_grad(theta)
+            assert bits(value[i]) == bits(value_i)
+            np.testing.assert_array_equal(bits(grad[i]), bits(grad_i))
+            assert bits(ll[i]) == bits(post.log_likelihood(theta))
+            assert bits(lp[i]) == bits(post.log_prior(theta))
+            np.testing.assert_array_equal(bits(grad_ll[i]), bits(post.grad_log_likelihood(theta)))
+
+    def test_rejects_bad_stack_shape(self, rng, xor_arch):
+        _, ds = random_instance(rng, xor_arch)
+        post = Posterior(xor_arch, ds, 10.0)
+        for shape in ((2, 8), (2, 2, 9)):
+            for method in (post.value_and_grad, post.log_likelihood, post.grad_log_likelihood):
+                with pytest.raises(DimensionError):
+                    method(np.zeros(shape))
+
+    @pytest.mark.parametrize("widths", [(2, 2, 1), (6, 2, 2, 3)])
+    def test_subset_matches_posterior_built_on_rows(self, rng, widths):
+        """subset(rows) is the posterior on those rows, in their order."""
+        arch = Architecture(widths)
+        theta, ds = random_instance(rng, arch, samples=20)
+        rows = rng.permutation(20)[:7]
+        sub = Posterior(arch, ds, 10.0).subset(rows)
+        direct = Posterior(arch, ds.subset(rows), 10.0)
+        assert bits(sub.log_likelihood(theta)) == bits(direct.log_likelihood(theta))
+        np.testing.assert_array_equal(bits(sub.grad_log_likelihood(theta)), bits(direct.grad_log_likelihood(theta)))
+
+
+def clamped_instance(rng, classes):
+    """(arch, theta, dataset) with 4 of 12 rows in the clamped region.
+
+    Output logits near 40 (s(x1) - s(x2)) times (1, -1, 0) put the first
+    four rows deep in the clamped region, each with a label whose residual
+    is about 1, and the other eight well inside it.
+    """
+    arch = Architecture((2, 3, classes))
+    W2 = np.array([[40.0, -40.0, 0.0], [-40.0, 40.0, 0.0], [0.0, 0.0, 0.0]])[:classes]
+    layers = [([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], np.zeros(3)), (W2, np.zeros(classes))]
+    theta = pack_parameters(arch, layers) + 0.1 * rng.normal(size=parameter_count(arch))
+    X = np.vstack([[[5.0, -5.0]] * 2 + [[-5.0, 5.0]] * 2, 0.1 * rng.normal(size=(8, 2))])
+    if classes == 1:
+        y = np.concatenate([[0, 0, 1, 1], rng.integers(0, 2, size=8)])
+        p = forward(arch, theta, X)[:, 0]
+    else:
+        y = np.concatenate([[2, 3, 1, 3], rng.integers(1, 4, size=8)])
+        p = forward(arch, theta, X)[np.arange(12), y - 1]
+    assert ((p < 1e-15) | (p > 1.0 - 1e-15))[:4].all()
+    assert ((p > 1e-3) & (p < 1.0 - 1e-3))[4:].all()
+    return arch, theta, LabeledDataset(X, y)
+
+
 def finite_difference_gradient(func, theta, step=1e-5):
     grad = np.zeros_like(theta)
     for i in range(theta.size):
@@ -422,26 +510,9 @@ class TestGradients:
     @pytest.mark.parametrize("classes", [1, 3])
     def test_clamped_rows_add_no_gradient(self, rng, classes):
         """A row whose event probability is clamped adds a constant to the
-        log-likelihood, so the gradient still matches finite differences.
-
-        Output logits near 40 (s(x1) - s(x2)) times (1, -1, 0) put the first
-        four rows deep in the clamped region, each with a label whose
-        residual is about 1, and the other eight well inside it.
-        """
-        arch = Architecture((2, 3, classes))
-        W2 = np.array([[40.0, -40.0, 0.0], [-40.0, 40.0, 0.0], [0.0, 0.0, 0.0]])[:classes]
-        layers = [([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], np.zeros(3)), (W2, np.zeros(classes))]
-        theta = pack_parameters(arch, layers) + 0.1 * rng.normal(size=parameter_count(arch))
-        X = np.vstack([[[5.0, -5.0]] * 2 + [[-5.0, 5.0]] * 2, 0.1 * rng.normal(size=(8, 2))])
-        if classes == 1:
-            y = np.concatenate([[0, 0, 1, 1], rng.integers(0, 2, size=8)])
-            p = forward(arch, theta, X)[:, 0]
-        else:
-            y = np.concatenate([[2, 3, 1, 3], rng.integers(1, 4, size=8)])
-            p = forward(arch, theta, X)[np.arange(12), y - 1]
-        assert ((p < 1e-15) | (p > 1.0 - 1e-15))[:4].all()
-        assert ((p > 1e-3) & (p < 1.0 - 1e-3))[4:].all()
-        post = Posterior(arch, LabeledDataset(X, y), 10.0)
+        log-likelihood, so the gradient still matches finite differences."""
+        arch, theta, data = clamped_instance(rng, classes)
+        post = Posterior(arch, data, 10.0)
         _, grad = post.value_and_grad(theta)
         fd = finite_difference_gradient(lambda th: post.log_likelihood(th) + post.log_prior(th), theta)
         rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1.0)

@@ -6,6 +6,7 @@ import pytest
 from toy_targets import ToyTarget
 
 from bayesmlp import Architecture, NoisyXorConfig, generate_noisy_xor, mlp
+from bayesmlp.data import load_vendored
 from bayesmlp.mlp import Posterior, log_likelihood, unpack_parameters
 from bayesmlp import samplers
 from bayesmlp.samplers import (
@@ -23,6 +24,7 @@ from bayesmlp.samplers import (
     pp_normalizer,
     pp_swap_pmf,
     run_posterior_chain,
+    run_posterior_chains,
     sgd_ensemble,
 )
 
@@ -398,6 +400,64 @@ class TestPosteriorRunner:
         assert len(seeds) == 10
 
 
+def chain_bits(chain):
+    return (chain.draws.view(np.uint64).tobytes(), chain.seed, chain.accepted, chain.divergences,
+            chain.swap_accepted, chain.swap_attempts, chain.burnin)
+
+
+class TestLockstep:
+    """A group of chains stepped together is, chain for chain, the chains
+    run alone: every chain keeps its own RNG and accept decision."""
+
+    @pytest.mark.parametrize("dataset,widths,config,iterations", [
+        ("xor", (2, 2, 1), MhConfig(0.05), 200),
+        ("hawks", (6, 2, 2, 3), PpConfig((0.1, 0.5, 1.0)), 40),
+        # chain seed 3 diverges on every iteration
+        ("hawks", (6, 2, 2, 3), HmcConfig(5, 0.1), 60),
+    ])
+    def test_group_equals_chains_run_alone(self, dataset, widths, config, iterations):
+        if dataset == "xor":
+            train, _ = generate_noisy_xor(NoisyXorConfig(train_per_corner=10, test_per_corner=1, seed=0))
+        else:
+            train, _ = load_vendored(dataset)
+        arch, seeds = Architecture(widths), [1, 0, 3, 2]
+        group = run_posterior_chains(arch, train, 10.0, config, iterations, seeds, burnin=5)
+        alone = [run_posterior_chain(arch, train, 10.0, config, iterations, s, burnin=5) for s in seeds]
+        assert [chain_bits(c) for c in group] == [chain_bits(c) for c in alone]
+        assert len({c.runtime_seconds for c in group}) == 1
+        if isinstance(config, HmcConfig):
+            assert group[2].divergences == iterations
+
+    def test_trajectories_that_turn_non_finite_are_held(self):
+        """HMC on a target whose gradient is infinite outside |theta| < 2:
+        trajectories fail on some chains at some steps. The group equals the
+        chains run alone, and a failed row is held at its start, so no
+        non-finite state is ever evaluated."""
+        seen = []
+
+        def gradient(th):
+            seen.append(np.isfinite(th).all())
+            return -th if np.abs(th).max() < 2.0 else np.full_like(th, np.inf)
+
+        target = ToyTarget(lambda th: -0.5 * float(th @ th), 2, gradient=gradient)
+        inits = np.array([[0.0, 0.0], [1.5, -1.5], [0.5, 1.0], [-1.0, 0.2]])
+        seeds = [4, 5, 6, 7]
+        config = HmcConfig(6, 0.4)
+        group = hmc_chain(target, inits, config, 300, seeds)
+        assert all(seen)
+        alone = [hmc_chain(target, init, config, 300, s) for init, s in zip(inits, seeds)]
+        assert [chain_bits(c) for c in group] == [chain_bits(c) for c in alone]
+        assert all(0 < c.divergences and 0 < c.accepted for c in group)
+
+    def test_single_chain_call_returns_a_chain(self):
+        target = standard_normal_target(2)
+        assert isinstance(mh_chain(target, np.zeros(2), MhConfig(0.5), 5, seed=1), Chain)
+        chains = mh_chain(target, np.zeros((1, 2)), MhConfig(0.5), 5, seed=[1])
+        assert isinstance(chains, list) and len(chains) == 1
+        with pytest.raises(ValueError):
+            mh_chain(target, np.zeros((2, 2)), MhConfig(0.5), 5, seed=[1])
+
+
 class TestChainContainer:
     def test_burnin_and_tail_views(self, rng):
         chain = Chain(rng.normal(size=(100, 3)), burnin=20, seed=0, accepted=50, sampler_tag="MH")
@@ -453,6 +513,25 @@ class TestSgdEnsemble:
         init = np.random.default_rng(6).normal(0.0, math.sqrt(10.0), 9)
         expected = init + 0.01 * Posterior(xor_arch, train, 1.0).grad_log_likelihood(init)
         np.testing.assert_allclose(solutions[0], expected, rtol=1e-12)
+
+    def test_matches_a_posterior_per_minibatch(self, xor_arch, xor_data):
+        """Gradients taken by row index on the training-set posterior are
+        those of a posterior built on each minibatch, bit for bit."""
+        train, test = xor_data
+        config = SgdConfig(
+            epochs=3, batch_size=16, learning_rate=0.05, accept_threshold=0.01,
+            ensemble_size=2, max_sessions=5,
+        )
+        solutions, _ = sgd_ensemble(xor_arch, train, test, config, seed=8)
+        rng = np.random.default_rng(8)
+        for solution in solutions:
+            theta = samplers.prior_draw(rng, 9, 10.0)
+            for _ in range(config.epochs):
+                order = rng.permutation(len(train))
+                for lo in range(0, len(train), config.batch_size):
+                    batch = Posterior(xor_arch, train.subset(order[lo : lo + config.batch_size]), 10.0)
+                    theta = theta + config.learning_rate * batch.grad_log_likelihood(theta)
+            np.testing.assert_array_equal(solution.view(np.uint64), theta.view(np.uint64))
 
     def test_session_limit_enforced(self, xor_arch, xor_data):
         train, test = xor_data
