@@ -1,11 +1,19 @@
 """Chain persistence: one headerless CSV per chain (17 significant digits,
-one iteration per row) plus a JSON metadata sidecar.
+one iteration per row), a JSON metadata sidecar and, beside both, an exact
+binary copy of the draws.
 
-Each file is written to a temporary name in its directory and renamed into
-place, so a chain file is either complete or absent. A sidecar records the
-chain's shape and a CRC-32 of the CSV bytes, which loading checks. Once the
-checksum has verified the whole file, a load that wants only the rows from
-some start on skips the rows before it unparsed.
+Each file is written to a temporary name in its directory, and the files
+are renamed into place only once all of them are written, the sidecar
+last, so a chain's files are complete or absent and a sidecar vouches for
+files that are all there. The sidecar records the chain's shape, a CRC-32
+of the CSV bytes (``crc32``) and a CRC-32 of the binary copy
+(``npy_crc32``), a float64 C-order ``.npy`` file of shape
+``(iterations, dim)``. A load with a sidecar checks the CSV's rows and
+checksum; when the binary copy and its checksum are there, it checks the
+copy's checksum, dtype, order and shape and reads the rows it returns from
+the copy, parsing no text. Without the copy it parses the CSV, and once the
+CSV's checksum has verified the whole file, a load that wants only the
+rows from some start on skips the rows before it unparsed.
 """
 
 from __future__ import annotations
@@ -19,21 +27,31 @@ import numpy as np
 
 from .samplers import Chain
 
-#: Bytes read at a time while checksumming a chain CSV, so a file is never
+#: Bytes read at a time while checksumming a chain file, so a file is never
 #: held in memory whole. Blocks of 1 MiB, which hold a whole 350 kB hawks
 #: chain, raised the peak RSS of `sample` by 0.2 MB and scanned no faster.
 _SCAN_BLOCK = 1 << 16
 
+#: Sidecar key of the binary copy's CRC-32; sidecars written before the
+#: binary copy existed lack it, and their chains load from the CSV.
+BINARY_CRC_KEY = "npy_crc32"
+
 
 class ChainFileError(ValueError):
-    """A chain CSV does not match the shape or checksum its metadata sidecar
-    records."""
+    """A chain CSV or its binary copy does not match the shape or checksum
+    its metadata sidecar records."""
 
 
 def format_hms(seconds: float) -> str:
     """Runtime as 'hours:minutes:seconds', e.g. 0:42:54."""
     total = int(seconds)
     return f"{total // 3600}:{total % 3600 // 60:02d}:{total % 60:02d}"
+
+
+def companion_paths(csv_path) -> tuple[Path, Path]:
+    """The metadata sidecar and the binary copy that belong beside a chain CSV."""
+    csv_path = Path(csv_path)
+    return csv_path.with_suffix(".json"), csv_path.with_suffix(".npy")
 
 
 def chain_metadata(chain: Chain, config: dict | None = None) -> dict:
@@ -68,38 +86,37 @@ def _scan(path) -> tuple[int, int]:
     return rows, crc
 
 
-def _replace_atomically(path, write):
-    """Call write(tmp) on a temporary path beside path, then rename it onto path."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        write(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def save_chain(chain: Chain, csv_path, metadata_path=None, config: dict | None = None):
-    """Write chain draws as CSV and, optionally, metadata as JSON.
+    """Write chain draws as CSV and, optionally, metadata as JSON together
+    with the binary copy of the draws beside the CSV.
 
-    Each file appears complete or not at all. The sidecar's ``crc32`` is the
-    checksum of the CSV as written; metadata that cannot be written as JSON
-    leaves no files behind.
+    Every file is written under a temporary name first and renamed into
+    place after all are written, the sidecar last. Any failure, such as
+    metadata that cannot be written as JSON, leaves none of them behind.
+    The sidecar's ``crc32`` and ``npy_crc32`` are the checksums of the CSV
+    and of the binary copy as written.
     """
     meta = chain_metadata(chain, config) if metadata_path is not None else None
-    meta_text = None
-
-    def write_csv(tmp):
-        nonlocal meta_text
-        np.savetxt(tmp, chain.draws, fmt="%.17g", delimiter=",")
+    paths = [Path(csv_path)]
+    if meta is not None:
+        paths += [companion_paths(csv_path)[1], Path(metadata_path)]
+    tmps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
+    placed = []
+    try:
+        np.savetxt(tmps[0], chain.draws, fmt="%.17g", delimiter=",")
         if meta is not None:
-            meta["crc32"] = _scan(tmp)[1]
-            meta_text = json.dumps(meta, indent=2, allow_nan=False) + "\n"
-
-    _replace_atomically(csv_path, write_csv)
-    if meta_text is not None:
-        _replace_atomically(metadata_path, lambda tmp: tmp.write_text(meta_text))
+            with open(tmps[1], "wb") as fh:
+                np.save(fh, np.ascontiguousarray(chain.draws))
+            meta["crc32"] = _scan(tmps[0])[1]
+            meta[BINARY_CRC_KEY] = _scan(tmps[1])[1]
+            tmps[2].write_text(json.dumps(meta, indent=2, allow_nan=False) + "\n")
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+            placed.append(path)
+    except BaseException:
+        for path in tmps + placed:
+            path.unlink(missing_ok=True)
+        raise
 
 
 def _check_field(found, meta: dict, key: str, what: str, csv_path, metadata_path):
@@ -109,16 +126,42 @@ def _check_field(found, meta: dict, key: str, what: str, csv_path, metadata_path
         )
 
 
+def _binary_rows(path: Path, meta: dict, first: int, metadata_path) -> np.ndarray:
+    """Copy of rows [first:] of a chain's binary copy, after checking its
+    CRC-32, dtype, order and shape against the sidecar. The file is mapped,
+    not read whole, so only the returned rows are held in memory."""
+    if _scan(path)[1] != meta[BINARY_CRC_KEY]:
+        raise ChainFileError(
+            f"{path} does not match the CRC-32 its metadata {metadata_path} records"
+        )
+    try:
+        stored = np.load(path, mmap_mode="r")
+    except ValueError as exc:
+        raise ChainFileError(f"{path} is not a readable .npy file: {exc}") from None
+    shape = (meta.get("iterations"), meta.get("dim"))
+    if stored.dtype != np.float64 or not stored.flags.c_contiguous or stored.shape != shape:
+        order = "C" if stored.flags.c_contiguous else "Fortran"
+        raise ChainFileError(
+            f"{path} holds {stored.dtype} {stored.shape} in {order} order; its metadata "
+            f"{metadata_path} records float64 {shape} in C order"
+        )
+    return np.array(stored[first:])
+
+
 def load_chain(csv_path, metadata_path=None, start: int = 0) -> Chain:
-    """Read rows draws[start:] of a chain CSV (and its metadata sidecar, if
+    """Read rows draws[start:] of a chain (and its metadata sidecar, if
     given) into a Chain whose first_row is where they start; a negative
     start counts from the end, as in a slice.
 
     With a sidecar, raises ChainFileError unless the CSV has the sidecar's
     ``iterations`` rows of ``dim`` values, e.g. for a truncated CSV, and,
     when the sidecar records a ``crc32``, unless every byte of the CSV
-    matches it. Only a verified checksum lets the rows before start go
-    unparsed; otherwise the whole CSV is parsed and sliced.
+    matches it. When the sidecar also records ``npy_crc32`` and the binary
+    copy is beside the CSV, the rows come from the copy, which must match
+    that checksum and hold float64 draws of shape (iterations, dim) in C
+    order, else ChainFileError. Otherwise the CSV is parsed: only a
+    verified checksum lets the rows before start go unparsed; without one
+    the whole CSV is parsed and sliced.
     """
     meta = {}
     if metadata_path is not None:
@@ -131,7 +174,10 @@ def load_chain(csv_path, metadata_path=None, start: int = 0) -> Chain:
                 f"{csv_path} does not match the CRC-32 its metadata {metadata_path} records"
             )
         first = slice(start, None).indices(rows)[0]
-        if first < rows:
+        binary = companion_paths(csv_path)[1]
+        if BINARY_CRC_KEY in meta and binary.is_file():
+            draws = _binary_rows(binary, meta, first, metadata_path)
+        elif first < rows:
             draws = np.loadtxt(csv_path, delimiter=",", ndmin=2, skiprows=first)
         else:
             draws = np.empty((0, meta["dim"]))

@@ -278,7 +278,8 @@ def _out_dir(args) -> Path:
 
 
 def _chain_paths(out_dir: Path, index: int) -> tuple[Path, Path]:
-    return out_dir / f"chain_{index:02d}.csv", out_dir / f"chain_{index:02d}.json"
+    csv_path = out_dir / f"chain_{index:02d}.csv"
+    return csv_path, chainio.companion_paths(csv_path)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +350,7 @@ def _load_chains(paths, start: int = 0) -> list[samplers.Chain]:
     one sits beside it."""
     chains = []
     for path in paths:
-        meta = Path(path).with_suffix(".json")
+        meta, _ = chainio.companion_paths(path)
         chains.append(chainio.load_chain(path, meta if meta.exists() else None, start=start))
     return chains
 
@@ -361,7 +362,7 @@ def cmd_diagnose(args) -> int:
     else:
         if args.burnin < 0:
             raise ValueError(f"burn-in must be >= 0, got {args.burnin}")
-        # the rows of an explicit burn-in are not parsed at all
+        # the rows of an explicit burn-in are never loaded
         chains = _load_chains(args.chains, start=args.burnin)
         if any(len(c) == 0 for c in chains):
             raise ValueError("burn-in leaves no draws")

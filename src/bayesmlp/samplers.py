@@ -402,9 +402,8 @@ def pp_swap_pmf(i: int, m: int, beta: float) -> np.ndarray:
 
 @dataclass
 class PopulationRecord:
-    """Full trajectory of a power-posterior population."""
+    """Acceptance record of a power-posterior population."""
 
-    draws: np.ndarray  # (num_chains, iterations, dim)
     temperatures: tuple[float, ...]
     within_accepted: np.ndarray  # per-chain accepted within-chain moves
     swap_accepted: int
@@ -418,8 +417,8 @@ def pp_chain(target, inits, config: PpConfig, iterations: int, seed: int | Seque
     with the configured proposal variance, then a single swap is
     attempted: a chain index i is drawn uniformly, a partner j from
     pp_swap_pmf(i), and the state exchange is accepted by a Metropolis
-    test on the tempered targets. Returns the t_m = 1 chain plus the full
-    population record.
+    test on the tempered targets. Returns the t_m = 1 chain plus the
+    population record; only the t_m = 1 rung's draws are kept.
 
     inits holds one state per temperature. With an (m, rungs, n) stack of
     inits and m seeds, m independent populations run in lockstep and a
@@ -442,7 +441,7 @@ def pp_chain(target, inits, config: PpConfig, iterations: int, seed: int | Seque
         lps[:, c] = target.log_prior(states[:, c])
         _check_start(temps[c] * lls[:, c] + lps[:, c])
 
-    draws = np.empty((len(seeds), num_chains, iterations, target.dim))
+    draws = np.empty((len(seeds), iterations, target.dim))
     within_accepted = np.zeros((len(seeds), num_chains), dtype=int)
     swap_accepted = np.zeros(len(seeds), dtype=int)
     # swap partner distributions are iteration-independent; precompute
@@ -461,13 +460,13 @@ def pp_chain(target, inits, config: PpConfig, iterations: int, seed: int | Seque
                 for values in (states, lls, lps):
                     values[p, [i, j]] = values[p, [j, i]]
                 swap_accepted[p] += 1
-        draws[:, :, it] = states
+        draws[:, it] = states[:, -1]
 
     runtime = time.perf_counter() - start
     results = []
     for p, s in enumerate(seeds):
         chain = Chain(
-            draws[p, -1],
+            draws[p],
             burnin=0,
             seed=s,
             accepted=int(within_accepted[p, -1]),
@@ -476,7 +475,7 @@ def pp_chain(target, inits, config: PpConfig, iterations: int, seed: int | Seque
             swap_accepted=int(swap_accepted[p]),
             swap_attempts=iterations,
         )
-        record = PopulationRecord(draws[p], temps, within_accepted[p], int(swap_accepted[p]), iterations)
+        record = PopulationRecord(temps, within_accepted[p], int(swap_accepted[p]), iterations)
         results.append((chain, record))
     return results[0] if single else results
 

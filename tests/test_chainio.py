@@ -8,8 +8,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from damaged_chains import DAMAGE, damage_binary
 
-from bayesmlp.chainio import ChainFileError, chain_metadata, format_hms, load_chain, save_chain
+from bayesmlp.chainio import (
+    BINARY_CRC_KEY,
+    ChainFileError,
+    chain_metadata,
+    companion_paths,
+    format_hms,
+    load_chain,
+    save_chain,
+)
 from bayesmlp.data import NoisyXorConfig, generate_noisy_xor, load_vendored
 from bayesmlp.mlp import Architecture
 from bayesmlp.samplers import Chain, HmcConfig, MhConfig, PpConfig, run_posterior_chain
@@ -84,13 +93,22 @@ def chains_and_starts(draw):
 
 
 class TestPartialLoad:
-    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(chains_and_starts(), st.booleans())
-    def test_round_trip_from_any_start(self, tmp_path, case, sidecar):
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(chains_and_starts(), st.sampled_from(["no sidecar", "binary", "binary deleted", "no binary key"]))
+    def test_round_trip_from_any_start(self, tmp_path, case, layout):
+        """Rows from the binary copy, or parsed from the CSV when the copy
+        is gone or the sidecar predates it, are the saved draws bit for bit."""
         chain, start = case
+        sidecar = layout != "no sidecar"
         csv_path = tmp_path / "c.csv"
         meta_path = tmp_path / "c.json" if sidecar else None
         save_chain(chain, csv_path, meta_path)
+        if layout == "binary deleted":
+            (tmp_path / "c.npy").unlink()
+        elif layout == "no binary key":
+            meta = json.loads(meta_path.read_text())
+            del meta[BINARY_CRC_KEY]
+            meta_path.write_text(json.dumps(meta))
         back = load_chain(csv_path, meta_path, start=start)
         want = chain.draws[start:]
         assert back.draws.shape == want.shape
@@ -124,7 +142,7 @@ class TestPartialLoad:
         tail = load_chain(tmp_path / "c.csv", tmp_path / "c.json", start=-5)
         with pytest.raises(ValueError):
             save_chain(tail, tmp_path / "t.csv", tmp_path / "t.json")
-        assert sorted(os.listdir(tmp_path)) == ["c.csv", "c.json"]
+        assert sorted(os.listdir(tmp_path)) == ["c.csv", "c.json", "c.npy"]
 
 
 class TestCompleteOrAbsent:
@@ -140,7 +158,7 @@ class TestCompleteOrAbsent:
     def test_no_temporary_files_left(self, tmp_path, chain):
         save_chain(chain, tmp_path / "c.csv", tmp_path / "c.json")
         save_chain(chain, tmp_path / "c.csv", tmp_path / "c.json")  # replaces in place
-        assert sorted(os.listdir(tmp_path)) == ["c.csv", "c.json"]
+        assert sorted(os.listdir(tmp_path)) == ["c.csv", "c.json", "c.npy"]
 
     def test_failed_write_leaves_nothing(self, tmp_path, chain, monkeypatch):
         def half_write(path, draws, **kwargs):
@@ -156,6 +174,72 @@ class TestCompleteOrAbsent:
     def test_unserializable_metadata_writes_nothing(self, tmp_path, chain):
         with pytest.raises(ValueError):
             save_chain(chain, tmp_path / "c.csv", tmp_path / "c.json", config={"c": float("nan")})
+        assert os.listdir(tmp_path) == []
+
+
+class TestBinaryCopy:
+    def test_sidecar_records_exact_copy(self, tmp_path, chain):
+        csv_path, meta_path = tmp_path / "c.csv", tmp_path / "c.json"
+        save_chain(chain, csv_path, meta_path)
+        assert companion_paths(csv_path) == (meta_path, tmp_path / "c.npy")
+        binary = tmp_path / "c.npy"
+        assert json.loads(meta_path.read_text())[BINARY_CRC_KEY] == zlib.crc32(binary.read_bytes())
+        stored = np.load(binary)
+        assert stored.dtype == np.float64 and stored.flags.c_contiguous
+        np.testing.assert_array_equal(stored.view(np.uint64), chain.draws.view(np.uint64))
+
+    def test_no_copy_without_sidecar(self, tmp_path, chain):
+        save_chain(chain, tmp_path / "c.csv")
+        assert os.listdir(tmp_path) == ["c.csv"]
+
+    def test_load_parses_no_text(self, tmp_path, chain, monkeypatch):
+        csv_path, meta_path = tmp_path / "c.csv", tmp_path / "c.json"
+        save_chain(chain, csv_path, meta_path)
+
+        def no_parsing(*args, **kwargs):
+            raise AssertionError("the CSV was parsed")
+
+        monkeypatch.setattr(np, "loadtxt", no_parsing)
+        back = load_chain(csv_path, meta_path, start=-10)
+        np.testing.assert_array_equal(back.draws, chain.draws[-10:])
+        assert back.first_row == 30
+
+    @pytest.mark.parametrize("how", DAMAGE)
+    def test_damaged_copy_rejected(self, tmp_path, chain, how):
+        """A copy that does not match its sidecar is an error, never a
+        reason to fall back to the CSV."""
+        csv_path, meta_path = tmp_path / "c.csv", tmp_path / "c.json"
+        save_chain(chain, csv_path, meta_path)
+        damage_binary(csv_path, how)
+        with pytest.raises(ChainFileError, match="c.npy"):
+            load_chain(csv_path, meta_path, start=-10)
+
+    def test_failed_copy_write_leaves_nothing(self, tmp_path, chain, monkeypatch):
+        def half_save(fh, draws):
+            fh.write(b"\x93NUMPY")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "save", half_save)
+        with pytest.raises(OSError):
+            save_chain(chain, tmp_path / "c.csv", tmp_path / "c.json")
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_sidecar_rename_leaves_nothing(self, tmp_path, chain, monkeypatch):
+        """The sidecar is renamed last; when that fails, the CSV and copy
+        already in place are removed too."""
+        renamed = []
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if str(dst).endswith(".json"):
+                raise OSError("rename failed")
+            real_replace(src, dst)
+            renamed.append(os.path.basename(dst))
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError):
+            save_chain(chain, tmp_path / "c.csv", tmp_path / "c.json")
+        assert renamed == ["c.csv", "c.npy"]
         assert os.listdir(tmp_path) == []
 
 

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from damaged_chains import DAMAGE, damage_binary
 
 from bayesmlp import cli
 from bayesmlp.chainio import load_chain, save_chain
@@ -63,7 +64,8 @@ class TestSample:
         assert meta["sampler"] == "MH"
         assert meta["burnin"] == 100
         assert sorted(os.listdir(out)) == [
-            "chain_00.csv", "chain_00.json", "chain_01.csv", "chain_01.json", "experiment.json",
+            "chain_00.csv", "chain_00.json", "chain_00.npy",
+            "chain_01.csv", "chain_01.json", "chain_01.npy", "experiment.json",
         ]
 
     def test_rerun_is_byte_identical(self, tmp_path, xor_config):
@@ -301,6 +303,61 @@ class TestPredict:
         ]) == 0
         assert "prior baseline accuracy" in capsys.readouterr().out
         assert (pred / "prior_baseline.json").exists()
+
+
+HAWKS_HMC = {
+    "dataset": {"name": "hawks"},
+    "architecture": {"layer_widths": [6, 2, 2, 3]},
+    "sampler": {"kind": "HMC", "leapfrog_steps": 5, "step_size": 0.05},
+    "num_chains": 2,
+    "iterations": 300,
+    "burnin": 100,
+    "tail": 100,
+    "seed": 5,
+}
+
+
+class TestBinaryCopy:
+    @pytest.mark.parametrize("run_kind", ["MH-xor", "HMC-hawks"])
+    def test_outputs_identical_without_copies(self, tmp_path, xor_config, monkeypatch, run_kind):
+        """diagnose and predict write the same bytes whether they read the
+        binary copies, parsing no text, or parse the CSVs once the copies
+        are deleted."""
+        config = xor_config
+        if run_kind == "HMC-hawks":
+            config = tmp_path / "hawks.json"
+            config.write_text(json.dumps(HAWKS_HMC))
+        chains = tmp_path / "chains"
+        assert run(["sample", "--config", config, "--out-dir", chains]) == 0
+        paths = [chains / "chain_00.csv", chains / "chain_01.csv"]
+
+        def outputs(name):
+            out = tmp_path / name
+            assert run(["predict", "--config", config, "--chains", *paths, "--out-dir", out]) == 0
+            assert run(["diagnose", "--chains", *paths, "--burnin", 100, "--out", out / "report.json"]) == 0
+            return {path.name: path.read_bytes() for path in out.iterdir()}
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "loadtxt", lambda *a, **k: pytest.fail("a chain CSV was parsed"))
+            from_copies = outputs("copies")
+        assert len(from_copies) == 4
+        for path in paths:
+            path.with_suffix(".npy").unlink()
+        assert outputs("csv") == from_copies
+
+    @pytest.mark.parametrize("how", DAMAGE)
+    def test_damaged_copy_is_io_error(self, tmp_path, xor_config, capsys, how):
+        chains = tmp_path / "chains"
+        assert run(["sample", "--config", xor_config, "--out-dir", chains]) == 0
+        paths = [chains / "chain_00.csv", chains / "chain_01.csv"]
+        damage_binary(paths[1], how)
+        capsys.readouterr()
+        report, pred = tmp_path / "report.json", tmp_path / "pred"
+        assert run(["diagnose", "--chains", *paths, "--burnin", 100, "--out", report]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "io"
+        assert run(["predict", "--config", xor_config, "--chains", *paths, "--out-dir", pred]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "io"
+        assert not report.exists() and not (pred / "accuracy_summary.json").exists()
 
 
 class TestGrid:
