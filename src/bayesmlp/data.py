@@ -131,7 +131,8 @@ def standardize(dataset: LabeledDataset) -> tuple[LabeledDataset, Standardizatio
     """
     mean = dataset.features.mean(axis=0)
     std = dataset.features.std(axis=0)
-    bad = np.flatnonzero(std == 0.0)
+    # exact: a constant column's computed std need not be 0
+    bad = np.flatnonzero(np.ptp(dataset.features, axis=0) == 0.0)
     if bad.size:
         raise ValueError(f"zero-variance feature column(s): {bad.tolist()}")
     stats = StandardizationStats(tuple(mean.tolist()), tuple(std.tolist()))

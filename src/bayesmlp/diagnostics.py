@@ -4,7 +4,9 @@ covariance, multivariate PSRF across chains and multivariate ESS per chain.
 
 MINSE dominates the cost: its scan takes one O(v n^2) product per lag pair.
 diagnostics_report therefore computes each chain's MINSE once and hands it
-to both the PSRF's within-chain covariance and that chain's ESS.
+to both the PSRF's within-chain covariance and that chain's ESS. The PSRF and
+the report read each chain in place, with the burn-in a view, and take each
+chain's mean on its own: there is no stacked copy of the chains.
 """
 
 from __future__ import annotations
@@ -128,8 +130,8 @@ def minse(draws) -> CovarianceEstimate:
     v, n = draws.shape
     if v < 4:
         raise DegenerateChainError(f"need at least 4 draws for MINSE, got {v}")
-    stds = draws.std(axis=0)
-    dead = np.flatnonzero(stds == 0.0)
+    # exact: a constant coordinate's computed std need not be 0
+    dead = np.flatnonzero(np.ptp(draws, axis=0) == 0.0)
     if dead.size:
         raise DegenerateChainError(
             f"zero-variance coordinate(s) {dead.tolist()}: MINSE is undefined"
@@ -156,12 +158,19 @@ def minse(draws) -> CovarianceEstimate:
     return CovarianceEstimate(prev, "minse", v)
 
 
-def _stack_chains(chains) -> np.ndarray:
+def _chain_views(chains, burnin: int = 0) -> list[np.ndarray]:
+    """Each chain as a v x n float matrix without its first burnin draws.
+
+    A C-ordered float chain is read in place and its burn-in sliced off as
+    a view, so no copy of the chains is made.
+    """
     mats = [_as_draws(c) for c in chains]
     shape = mats[0].shape
     if any(m.shape != shape for m in mats):
         raise ValueError("all chains must share the same (length, dim) shape")
-    return np.stack(mats)
+    if burnin and burnin >= shape[0]:
+        raise ValueError("burn-in leaves no draws")
+    return [np.ascontiguousarray(m[burnin:]) for m in mats]
 
 
 def _minse_or_none(draws) -> CovarianceEstimate | None:
@@ -171,21 +180,22 @@ def _minse_or_none(draws) -> CovarianceEstimate | None:
         return None  # constant chain: zero Monte Carlo covariance
 
 
-def _psrf(stacked) -> tuple[PsrfResult, list[CovarianceEstimate | None]]:
-    """PSRF of stacked (m, v, n) chains, with the per-chain MINSE it used
-    (None for a degenerate chain)."""
-    m, v, n = stacked.shape
+def _psrf(chains) -> tuple[PsrfResult, list[CovarianceEstimate | None]]:
+    """PSRF of m equally shaped v x n chains, with the per-chain MINSE it
+    used (None for a degenerate chain)."""
+    m = len(chains)
+    v, n = chains[0].shape
     if m < 2:
         raise ValueError("PSRF needs at least two chains")
 
-    estimates = [_minse_or_none(chain) for chain in stacked]
+    estimates = [_minse_or_none(chain) for chain in chains]
     within = np.zeros((n, n))
     for est in estimates:
         if est is not None:
             within += est.matrix
     within /= m
 
-    means = stacked.mean(axis=1)
+    means = np.array([chain.mean(axis=0) for chain in chains])
     grand = means.mean(axis=0)
     b_over_v = (means - grand).T @ (means - grand) / (m - 1)
 
@@ -215,7 +225,7 @@ def multivariate_psrf(chains) -> PsrfResult:
     constant in some coordinate contributes a zero matrix to W, and a
     singular W is ridged before the eigenproblem; both are flagged.
     """
-    return _psrf(_stack_chains(chains))[0]
+    return _psrf(_chain_views(chains))[0]
 
 
 def _ess(draws, estimate: CovarianceEstimate | None = None) -> EssResult:
@@ -255,15 +265,11 @@ def diagnostics_report(chains, burnin: int = 0) -> dict:
     """
     if burnin < 0:
         raise ValueError(f"burn-in must be >= 0, got {burnin}")
-    stacked = _stack_chains(chains)
-    if burnin:
-        if burnin >= stacked.shape[1]:
-            raise ValueError("burn-in leaves no draws")
-        stacked = stacked[:, burnin:, :]
-    m, v, n = stacked.shape
-    psrf, estimates = _psrf(stacked)
+    chains = _chain_views(chains, burnin)
+    psrf, estimates = _psrf(chains)
     # for a degenerate chain (None) _ess reruns minse and so raises as multivariate_ess does
-    ess = [_ess(chain, est).value for chain, est in zip(stacked, estimates)]
+    ess = [_ess(chain, est).value for chain, est in zip(chains, estimates)]
+    v, n = chains[0].shape
     return {
         "psrf": psrf.value,
         "regularized": psrf.regularized,
@@ -271,6 +277,6 @@ def diagnostics_report(chains, burnin: int = 0) -> dict:
         "ess_per_chain": ess,
         "ess_mean": float(np.mean(ess)),
         "v": v,
-        "m": m,
+        "m": len(chains),
         "n": n,
     }

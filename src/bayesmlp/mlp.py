@@ -130,44 +130,57 @@ def pack_parameters(arch: Architecture, layers) -> np.ndarray:
     return theta
 
 
-def _sigmoid(x):
+def _sigmoid(x, out=None):
     # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) otherwise, so exp
-    # never overflows. NaN takes the second branch with its sign bit intact
-    # (-|x| would flip it), which keeps every output bit of the masked form.
+    # never overflows, without branches: e = exp(min(x, -x)) and the numerator
+    # max(e, x >= 0). np.minimum returns its first argument when both are NaN,
+    # so a NaN keeps its sign bit, which keeps every output bit of the masked
+    # form. out may alias x.
     pos = x >= 0
-    e = np.exp(np.where(pos, -x, x))
-    return np.where(pos, 1.0, e) / (1.0 + e)
+    e = np.negative(x)
+    np.minimum(x, e, out=e)
+    np.exp(e, out=e)
+    num = np.maximum(e, pos, out=out)
+    e += 1.0
+    return np.divide(num, e, out=num)
 
 
-def _softmax(x, axis=-1):
+def _softmax(x, axis=-1, out=None):
     # max-subtraction for overflow safety; sums to 1 along the class axis.
     # The max and sum run one class at a time, about twice as fast as
     # reductions over a short axis. Below 8 classes this keeps the bits of the
     # reduction form (numpy adds fewer than 8 elements in order, 8 or more
     # pairwise), except the sign or payload of a NaN output: the max
     # reduction returns a canonical NaN where np.maximum passes the input on.
+    # out may alias x.
     axis %= x.ndim
     lead = (slice(None),) * axis
     m = x[lead + (0,)]
     for i in range(1, x.shape[axis]):
         m = np.maximum(m, x[lead + (i,)])
-    ez = np.exp(x - m[lead + (None,)])
+    ez = np.subtract(x, m[lead + (None,)], out=out)
+    np.exp(ez, out=ez)
     total = ez[lead + (0,)].copy()
     for i in range(1, x.shape[axis]):
         total += ez[lead + (i,)]
-    return ez / total[lead + (None,)]
+    ez /= total[lead + (None,)]
+    return ez
 
 
-def _apply_activation(kind: ActivationKind, g, axis=-1):
-    """Activation of pre-activations g; a softmax normalizes along axis."""
+def _apply_activation(kind: ActivationKind, g, axis=-1, out=None):
+    """Activation of pre-activations g; a softmax normalizes along axis.
+    The result goes to out when given, which may be g itself."""
     if kind is ActivationKind.SIGMOID:
-        return _sigmoid(g)
+        return _sigmoid(g, out)
     if kind is ActivationKind.SOFTMAX:
-        return _softmax(g, axis)
+        return _softmax(g, axis, out)
     if kind is ActivationKind.TANH:
-        return np.tanh(g)
+        return np.tanh(g, out=out)
     if kind is ActivationKind.RELU:
-        return np.maximum(g, 0.0)
+        return np.maximum(g, 0.0, out=out)
+    if out is not None:
+        out[...] = g
+        return out
     return g
 
 
@@ -228,17 +241,8 @@ def forward(arch: Architecture, theta, x) -> np.ndarray:
     return out[0] if single else out
 
 
-def forward_stack(arch: Architecture, thetas, X) -> np.ndarray:
-    """Network outputs of d parameter vectors on an (s, k_0) input batch.
-
-    thetas has shape (d, n); the result has shape (d, s, k_rho), row i
-    equal to forward(arch, thetas[i], X) up to rounding.
-
-    The pass runs feature-major: (d, k_j, k_{j-1}) weights times (d,
-    k_{j-1}, s) activations, so bias adds, activations and the softmax run
-    along the s points rather than along the 1 to 3 units of a layer. The
-    result is a transposed view of the (d, k_rho, s) output.
-    """
+def _as_stack(arch, thetas) -> np.ndarray:
+    """thetas as a float (d, n) stack of parameter vectors."""
     thetas = np.asarray(thetas, dtype=float)
     n = parameter_count(arch)
     if thetas.ndim != 2 or thetas.shape[1] != n:
@@ -246,11 +250,39 @@ def forward_stack(arch: Architecture, thetas, X) -> np.ndarray:
             f"parameter stack of shape {thetas.shape} does not match "
             f"expected (d, {n}) for architecture {arch.layer_widths}"
         )
-    X, _ = _as_batch(arch, X)
-    H = np.ascontiguousarray(X.T)
+    return thetas
+
+
+def _forward_features(arch, thetas, XT, buffers=None) -> np.ndarray:
+    """Feature-major forward pass of a (d, n) stack on (k_0, s) inputs XT:
+    (d, k_j, k_{j-1}) weights times (d, k_{j-1}, s) activations, so bias
+    adds, activations and the softmax run along the s points rather than
+    along the 1 to 3 units of a layer. Returns the (d, k_rho, s) output.
+
+    Each layer's matmul, bias add and activation run in one array. Given
+    buffers, one (c, k_j, s) array per layer with c >= d, layer j runs in
+    the leading d entries of buffers[j], so repeated calls allocate no
+    array of that size; without, each layer allocates its own.
+    """
+    H = XT
     for j, (W, b) in enumerate(_layer_views(arch, thetas)):
-        H = _apply_activation(_layer_kind(arch, j), W @ H + b[..., None], axis=-2)
-    return np.swapaxes(H, -1, -2)
+        G = np.matmul(W, H, out=None if buffers is None else buffers[j][: len(thetas)])
+        G += b[..., None]
+        H = _apply_activation(_layer_kind(arch, j), G, axis=-2, out=G)
+    return H
+
+
+def forward_stack(arch: Architecture, thetas, X) -> np.ndarray:
+    """Network outputs of d parameter vectors on an (s, k_0) input batch.
+
+    thetas has shape (d, n); the result has shape (d, s, k_rho), row i
+    equal to forward(arch, thetas[i], X) up to rounding. The pass runs
+    feature-major (_forward_features); the result is a transposed view of
+    the (d, k_rho, s) output.
+    """
+    thetas = _as_stack(arch, thetas)
+    X, _ = _as_batch(arch, X)
+    return np.swapaxes(_forward_features(arch, thetas, np.ascontiguousarray(X.T)), -1, -2)
 
 
 def event_probabilities(arch: Architecture, theta, x) -> np.ndarray:

@@ -2,9 +2,11 @@
 chain tail, plus the prior-predictive baseline and grid evaluation.
 
 The predictive evaluates the tail in chunks of PREDICTIVE_CHUNK draws, each
-chunk one feature-major forward pass of a draw stack (mlp.forward_stack), so
-the work per draw is a slice of a batched matmul rather than a Python-level
-call.
+chunk one feature-major forward pass of a draw stack (the pass that
+mlp.forward_stack runs), so the work per draw is a slice of a batched matmul
+rather than a Python-level call. A call allocates one (PREDICTIVE_CHUNK, k_j,
+s) buffer per layer and runs every chunk's matmuls, bias adds and
+activations inside them, so no chunk allocates arrays of that size.
 """
 
 from __future__ import annotations
@@ -22,7 +24,10 @@ from .data import LabeledDataset
 #: BLAS thread, the feature-major pass took 48 to 56 ms (best of three) for
 #: chunks of 8 to 128 draws and 80 ms or more from 256 on, once a chunk's
 #: (draws, width, points) activations outgrow the cache. Memory stays flat
-#: in the tail length.
+#: in the tail length: each call reuses one buffer per layer across chunks.
+#: The value also fixes the output bits, since each chunk's draws are summed
+#: before the chunk is added to the total, so a smaller chunk that would
+#: allocate less changes the predictions' last digits.
 PREDICTIVE_CHUNK = 32
 
 #: Grid defaults for the two-feature heatmap.
@@ -55,11 +60,15 @@ def predictive_distribution(arch: mlp.Architecture, chain_tail, x) -> np.ndarray
     single input and (s, K) for a batch; binary models average h and
     report K = 2 columns (1 - mean h, mean h).
     """
-    tail = _tail_matrix(chain_tail)
+    tail = mlp._as_stack(arch, _tail_matrix(chain_tail))
     X, single = mlp._as_batch(arch, x)
+    XT = np.ascontiguousarray(X.T)
+    chunk = min(PREDICTIVE_CHUNK, tail.shape[0])
+    buffers = [np.empty((chunk, k, X.shape[0])) for k in arch.layer_widths[1:]]
     total = np.zeros((X.shape[0], arch.output_dim))
     for lo in range(0, tail.shape[0], PREDICTIVE_CHUNK):
-        total += mlp.forward_stack(arch, tail[lo : lo + PREDICTIVE_CHUNK], X).sum(axis=0)
+        out = mlp._forward_features(arch, tail[lo : lo + PREDICTIVE_CHUNK], XT, buffers)
+        total += np.swapaxes(out, -1, -2).sum(axis=0)
     probs = total / tail.shape[0]
     if arch.is_binary:
         probs = np.column_stack([1.0 - probs[:, 0], probs[:, 0]])

@@ -74,6 +74,14 @@ class TestStandardize:
         with pytest.raises(ValueError, match="zero-variance"):
             data.standardize(ds)
 
+    def test_non_dyadic_constant_column_rejected(self, rng):
+        """Twelve 0.1s have a computed std of about 1e-17, not 0."""
+        features = np.column_stack([rng.normal(size=12), np.full(12, 0.1)])
+        assert features[:, 1].std() > 0.0
+        ds = data.LabeledDataset(features, np.zeros(12, dtype=int))
+        with pytest.raises(ValueError, match=r"zero-variance feature column\(s\): \[1\]"):
+            data.standardize(ds)
+
 
 class TestCsvLoader:
     def _write(self, path, text):

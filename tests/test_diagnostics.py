@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +118,13 @@ class TestMinse:
         with pytest.raises(DegenerateChainError, match="zero-variance"):
             minse(draws)
 
+    def test_non_dyadic_constant_coordinate_rejected(self, rng):
+        """A constant whose computed mean rounds away from it still counts."""
+        draws = np.column_stack([rng.standard_normal(50), np.full(50, 0.1)])
+        assert draws[:, 1].std() > 0.0
+        with pytest.raises(DegenerateChainError, match=r"coordinate\(s\) \[1\]"):
+            minse(draws)
+
 
 class TestMultivariatePsrf:
     def test_identical_chains(self):
@@ -140,6 +148,16 @@ class TestMultivariatePsrf:
         assert result.value > 1.1
         assert result.regularized
         assert result.degenerate_chains == (0, 1)
+
+    def test_chain_stuck_at_random_point_is_degenerate(self):
+        """A chain stuck at a non-dyadic point is flagged like one stuck at 0."""
+        rng = np.random.default_rng(89)
+        walks = [np.cumsum(rng.standard_normal((400, 3)), axis=0) for _ in range(3)]
+        stuck = np.tile(rng.normal(size=3), (400, 1))
+        assert (stuck.std(axis=0) > 0.0).all()
+        result = multivariate_psrf(walks + [stuck])
+        assert result.degenerate_chains == (3,)
+        assert np.isfinite(result.value)
 
     def test_univariate_reduction_matches_oracle(self):
         """For n=1 the multivariate factor agrees with a scalar PSRF
@@ -255,6 +273,59 @@ class TestDiagnosticsReport:
         chains = [rng.standard_normal((500, 2)) for _ in range(3)]
         with pytest.raises(ValueError, match="burn-in must be >= 0"):
             diagnostics.diagnostics_report(chains, burnin=-30)
+
+
+def stacked_report(chains, burnin):
+    """Reference PSRF and per-chain ESS on a stacked copy of the chains,
+    with the chain means from np.stack(chains).mean(axis=1)."""
+    stacked = np.stack(chains)[:, burnin:]
+    m, v, n = stacked.shape
+    within = np.zeros((n, n))
+    for chain in stacked:
+        within += minse(chain).matrix
+    within /= m
+    means = stacked.mean(axis=1)
+    grand = means.mean(axis=0)
+    b_over_v = (means - grand).T @ (means - grand) / (m - 1)
+    inv_chol = np.linalg.inv(np.linalg.cholesky(within))
+    lam = float(np.linalg.eigvalsh(inv_chol @ b_over_v @ inv_chol.T)[-1])
+    psrf = float(np.sqrt((v - 1) / v + (m + 1) / m * lam))
+    return psrf, [multivariate_ess(chain).value for chain in stacked]
+
+
+class TestChainsInPlace:
+    """diagnostics_report reads the given chains in place."""
+
+    @pytest.mark.parametrize("burnin", [0, 250])
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_bits_match_stacked_reference(self, burnin, dim):
+        rng = np.random.default_rng(97)
+        chains = [ar1_chain(rng, 0.8, 1500, dim) + 0.3 * i for i in range(4)]
+        report = diagnostics.diagnostics_report(chains, burnin=burnin)
+        psrf, ess = stacked_report(chains, burnin)
+        assert report["psrf"] == psrf
+        assert report["ess_per_chain"] == ess
+        assert report["v"] == 1500 - burnin
+
+    def test_unequal_shapes_rejected(self, rng):
+        for other in (rng.standard_normal((499, 2)), rng.standard_normal((500, 3))):
+            chains = [rng.standard_normal((500, 2)), other]
+            with pytest.raises(ValueError, match=r"same \(length, dim\) shape"):
+                diagnostics.diagnostics_report(chains)
+            with pytest.raises(ValueError, match=r"same \(length, dim\) shape"):
+                multivariate_psrf(chains)
+
+    def test_holds_no_copy_of_the_chains(self):
+        """The allocation peak of a report stays below the chains' bytes."""
+        rng = np.random.default_rng(101)
+        chains = [ar1_chain(rng, 0.5, 6000, dim=9) for _ in range(4)]
+        tracemalloc.start()
+        try:
+            diagnostics.diagnostics_report(chains, burnin=500)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < sum(chain.nbytes for chain in chains)
 
 
 class TestFusedLagPair:

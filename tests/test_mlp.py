@@ -76,6 +76,77 @@ class TestSigmoid:
             )
 
 
+def where_sigmoid(x):
+    """Reference two-branch sigmoid, each branch picked with np.where."""
+    pos = x >= 0
+    e = np.exp(np.where(pos, -x, x))
+    return np.where(pos, 1.0, e) / (1.0 + e)
+
+
+def allocating_softmax(x, axis=-1):
+    """Reference softmax with the kernel's per-class max and sum, allocating
+    every intermediate."""
+    axis %= x.ndim
+    lead = (slice(None),) * axis
+    m = x[lead + (0,)]
+    for i in range(1, x.shape[axis]):
+        m = np.maximum(m, x[lead + (i,)])
+    ez = np.exp(x - m[lead + (None,)])
+    total = ez[lead + (0,)].copy()
+    for i in range(1, x.shape[axis]):
+        total += ez[lead + (i,)]
+    return ez / total[lead + (None,)]
+
+
+KERNEL_SPECIALS = (np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 800.0, -800.0)
+
+
+def kernel_inputs(rng):
+    """A row-major (m, s, k) and a feature-major (d, k, s) array of random
+    values with every special value scattered in, each with the axis its
+    softmax runs along."""
+    for shape, axis in (((4, 37, 3), -1), ((5, 3, 41), -2)):
+        x = 30.0 * rng.normal(size=shape)
+        flat = x.reshape(-1)
+        spots = rng.choice(flat.size, size=4 * len(KERNEL_SPECIALS), replace=False)
+        flat[spots] = np.tile(KERNEL_SPECIALS, 4)
+        yield x, axis
+
+
+def assert_same_bits(got, want):
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestKernelOut:
+    """Each kernel gives the reference's bits, NaN signs included, with and
+    without out=, and with out aliasing the input."""
+
+    def test_sigmoid(self, rng):
+        for x, _ in kernel_inputs(rng):
+            want = where_sigmoid(x)
+            assert_same_bits(masked_sigmoid(x), want)
+            assert_same_bits(_sigmoid(x), want)
+            buf = np.empty_like(x)
+            assert _sigmoid(x, out=buf) is buf
+            assert_same_bits(buf, want)
+            alias = x.copy()
+            assert _sigmoid(alias, out=alias) is alias
+            assert_same_bits(alias, want)
+
+    def test_softmax(self, rng):
+        for x, axis in kernel_inputs(rng):
+            with np.errstate(invalid="ignore"):
+                want = allocating_softmax(x, axis)
+                got = _softmax(x, axis)
+                buf = np.empty_like(x)
+                into = _softmax(x, axis, out=buf)
+                alias = x.copy()
+                aliased = _softmax(alias, axis, out=alias)
+            assert np.isnan(want).any() and into is buf and aliased is alias
+            for result in (got, buf, alias):
+                assert_same_bits(result, want)
+
+
 def reduced_softmax(x):
     """Reference softmax: max and sum as reductions over the class axis."""
     z = x - x.max(axis=-1, keepdims=True)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bayesmlp import Architecture, LabeledDataset, event_probabilities, parameter_count
-from bayesmlp.mlp import DimensionError
+from bayesmlp import ActivationKind, Architecture, LabeledDataset, event_probabilities, parameter_count
+from bayesmlp.mlp import DimensionError, forward_stack
 from bayesmlp.predictive import (
     PREDICTIVE_CHUNK,
     accuracy,
@@ -71,6 +71,28 @@ class TestPredictiveDistribution:
         X = rng.normal(size=(13, arch.input_dim))
         loop = sum(event_probabilities(arch, theta, X) for theta in tail) / draws
         np.testing.assert_allclose(predictive_distribution(arch, tail, X), loop, rtol=0, atol=1e-12)
+
+
+class TestReusedBuffers:
+    """The predictive's per-call buffers keep the bits of allocating passes."""
+
+    @pytest.mark.parametrize(
+        "draws", [1, PREDICTIVE_CHUNK - 1, PREDICTIVE_CHUNK + 1, 2 * PREDICTIVE_CHUNK + 1]
+    )
+    @pytest.mark.parametrize("hidden", ["sigmoid", "tanh", "relu"])
+    @pytest.mark.parametrize("widths", [(2, 2, 1), (6, 2, 2, 3)])
+    def test_bits_match_chunked_forward_stack(self, rng, widths, hidden, draws):
+        arch = Architecture(widths, hidden_activation=ActivationKind(hidden))
+        tail = 2.0 * rng.normal(size=(draws, parameter_count(arch)))
+        X = rng.normal(size=(13, arch.input_dim))
+        total = np.zeros((13, arch.output_dim))
+        for lo in range(0, draws, PREDICTIVE_CHUNK):
+            total += forward_stack(arch, tail[lo : lo + PREDICTIVE_CHUNK], X).sum(axis=0)
+        want = total / draws
+        if arch.is_binary:
+            want = np.column_stack([1.0 - want[:, 0], want[:, 0]])
+        got = predictive_distribution(arch, tail, X)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestClassify:
