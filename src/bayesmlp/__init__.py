@@ -52,7 +52,6 @@ from .samplers import (
     Chain,
     HmcConfig,
     MhConfig,
-    PopulationRecord,
     PpConfig,
     SgdConfig,
     hmc_chain,
@@ -76,7 +75,6 @@ __all__ = [
     "LabeledDataset",
     "MhConfig",
     "NoisyXorConfig",
-    "PopulationRecord",
     "Posterior",
     "PpConfig",
     "PredictionReport",

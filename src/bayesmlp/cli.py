@@ -443,10 +443,13 @@ def cmd_traces(args) -> int:
         raise ValueError(f"burn-in must be >= 0, got {burnin}")
     if burnin >= length:
         raise ValueError("burn-in leaves no draws")
-    out_dir = _out_dir(args)
+    dim = chains[0].dim
+    if any(c.dim != dim for c in chains):
+        raise ValueError("all chains must share the same dimension")
     for coord in args.coords:
-        if not 0 <= coord < chains[0].dim:
-            raise ValueError(f"coordinate {coord} outside [0, {chains[0].dim})")
+        if not 0 <= coord < dim:
+            raise ValueError(f"coordinate {coord} outside [0, {dim})")
+    out_dir = _out_dir(args)
     header = ["iteration", "burnin"] + [
         f"chain{ci}_coord{coord}" for ci in range(len(chains)) for coord in args.coords
     ]

@@ -72,6 +72,8 @@ class NoisyXorConfig:
             raise ValueError(f"c must lie in (0.5, 1), got {self.c}")
         if self.train_per_corner < 1 or self.test_per_corner < 1:
             raise ValueError("per-corner counts must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

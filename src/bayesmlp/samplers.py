@@ -9,12 +9,14 @@ stack, one row per chain, and read one value (and gradient row) per row,
 which must equal the row's own evaluation. ``mlp.Posterior`` is the
 target of every posterior run.
 
-Each sampler runs a group of m chains in lockstep, one batched target
-call per step, and a single chain is the group of one. Every chain keeps
-its own RNG and accept decision, so it draws exactly what it draws when
-run alone. All acceptance decisions are taken in log space. Samplers are
-seeded and bit-reproducible; a chain never stores a state with
-non-finite log-target.
+``mh_chain``, ``hmc_chain`` and ``pp_chain`` each take an (m, ...) stack
+of initial states and m seeds, advance the m chains in lockstep, one
+batched target call per step, and return the list of m chains; a single
+chain is the group of one. Every chain keeps its own RNG and accept
+decision, so it draws exactly what it draws when run alone, and each
+records the group's wall time. All acceptance decisions are taken in log
+space. Samplers are seeded and bit-reproducible; a chain never stores a
+state with non-finite log-target.
 """
 
 from __future__ import annotations
@@ -174,22 +176,16 @@ def _accept(rng: np.random.Generator, delta_log: float) -> bool:
     return math.log(rng.uniform()) < delta_log
 
 
-def _chain_group(target, init, seed, shape: tuple[int, ...]):
-    """The states, seeds and RNGs of a group of m chains, plus whether the
-    caller gave a single chain.
-
-    A single chain is an init of the given shape with one int seed; a group
-    is an (m,) + shape init with a sequence of m seeds. Chain i draws from
-    its own RNG on seeds[i], so stepping the group together changes no
-    chain's draws.
+def _chain_group(init, seeds: Sequence[int], shape: tuple[int, ...]):
+    """The states, seeds and RNGs of a group of m chains, from an
+    (m,) + shape init stack and m seeds. Chain i draws from its own RNG on
+    seeds[i], so stepping the group together changes no chain's draws.
     """
-    single = np.ndim(seed) == 0
-    seeds = [int(seed)] if single else [int(s) for s in seed]
-    states = np.array([init] if single else init, dtype=float)
+    seeds = [int(s) for s in seeds]
+    states = np.array(init, dtype=float)
     if states.shape != (len(seeds),) + shape:
-        expected = shape if single else (len(seeds),) + shape
-        raise ValueError(f"init must have shape {expected}, got {np.shape(init)}")
-    return states, seeds, [np.random.default_rng(s) for s in seeds], single
+        raise ValueError(f"init must have shape {(len(seeds),) + shape}, got {states.shape}")
+    return states, seeds, [np.random.default_rng(s) for s in seeds]
 
 
 def _check_start(log_target):
@@ -217,22 +213,16 @@ def _metropolis_step(rngs, target, scale: float, t: float, theta, ll, lp) -> np.
     return moved
 
 
-def mh_chain(
-    target, init, config: MhConfig, iterations: int, seed: int | Sequence[int]
-) -> Chain | list[Chain]:
-    """Random-walk Metropolis with proposals theta* ~ N(theta, lambda I).
+def mh_chain(target, inits, config: MhConfig, iterations: int, seeds: Sequence[int]) -> list[Chain]:
+    """Random-walk Metropolis with proposals theta* ~ N(theta, lambda I),
+    one chain per row of the (m, n) inits and per seed.
 
     Records one row per iteration; rejected steps repeat the current
     state. Raises SamplerStartupError if the log-target is non-finite
-    at the initial state.
-
-    An (n,) init with an int seed runs one chain and returns it. An (m, n)
-    init with m seeds runs m chains in lockstep, one batched target call per
-    iteration, and returns their list; each chain is the one its seed gives
-    alone, and each records the group's wall time.
+    at an initial state.
     """
     start = time.perf_counter()
-    theta, seeds, rngs, single = _chain_group(target, init, seed, (target.dim,))
+    theta, seeds, rngs = _chain_group(inits, seeds, (target.dim,))
     ll, lp = target.log_likelihood(theta), target.log_prior(theta)
     _check_start(ll + lp)
     scale = math.sqrt(config.proposal_variance)
@@ -242,60 +232,43 @@ def mh_chain(
         accepted += _metropolis_step(rngs, target, scale, 1.0, theta, ll, lp)
         draws[:, it] = theta
     runtime = time.perf_counter() - start
-    chains = [
+    return [
         Chain(draws[i], burnin=0, seed=s, accepted=int(accepted[i]), sampler_tag="MH",
               runtime_seconds=runtime)
         for i, s in enumerate(seeds)
     ]
-    return chains[0] if single else chains
 
 
-def leapfrog(gradient, theta, momentum, steps: int, step_size: float):
+def leapfrog(value_and_grad, theta, value, grad, momentum, steps: int, step_size: float):
     """Leapfrog integration of H(theta, r) = -log p(theta) + ||r||^2 / 2,
-    for one parameter vector or for each row of an (m, n) stack.
+    for one parameter vector or for each row of an (m, n) stack, from
+    theta with its log-density value and gradient grad.
 
-    Returns (theta, momentum, ok); ok, one flag per row, is False for a
-    row in which a non-finite value appears during the trajectory. Such a
-    row is held at its start with zero momentum and gradient from then
-    on, so it evaluates nothing non-finite again, and its returned state
-    is meaningless; when no row is left, the trajectory stops. The
-    gradient is called first at theta itself (the same array object when
-    theta is a float array) and last at the returned point.
+    Returns (theta, momentum, value, grad, ok): value and grad are those
+    of the returned theta, from the last of the L value_and_grad calls.
+    ok, one flag per row, is False for a row in which a non-finite value
+    appears during the trajectory. Such a row is held at its start with
+    zero momentum and gradient from then on, so it evaluates nothing
+    non-finite again, and its returned state is meaningless; when no row
+    is left, the trajectory stops.
     """
-    theta = start = np.asarray(theta, dtype=float)
-    g = gradient(theta)
-    ok = np.isfinite(g).all(axis=-1)
+    start = theta
+    ok = np.isfinite(grad).all(axis=-1)
     r = momentum
     # pass 0 is the opening half kick; passes 1..L each drift, then kick
     # (a half kick on the last)
     for step in range(steps + 1):
         if step:
             theta = theta + step_size * r
-            g = gradient(theta)
-            ok &= np.isfinite(g).all(axis=-1) & np.isfinite(theta).all(axis=-1)
+            value, grad = value_and_grad(theta)
+            ok &= np.isfinite(grad).all(axis=-1) & np.isfinite(theta).all(axis=-1)
         if not ok.all():
             if not ok.any():
-                return theta, r, ok
+                return theta, r, value, grad, ok
             held = ~ok[..., None]
-            theta, r, g = np.where(held, start, theta), np.where(held, 0.0, r), np.where(held, 0.0, g)
-        r = r + (0.5 * step_size if step in (0, steps) else step_size) * g
-    return theta, r, ok
-
-
-class _LastPass:
-    """Gradient callable for leapfrog that keeps the log-density and
-    gradient of the last point it evaluated, and answers that same point
-    again without evaluating the target."""
-
-    def __init__(self, value_and_grad):
-        self._value_and_grad = value_and_grad
-        self.theta = self.value = self.grad = None
-
-    def __call__(self, theta):
-        if theta is not self.theta:
-            self.value, self.grad = self._value_and_grad(theta)
-            self.theta = theta
-        return self.grad
+            theta, r, grad = np.where(held, start, theta), np.where(held, 0.0, r), np.where(held, 0.0, grad)
+        r = r + (0.5 * step_size if step in (0, steps) else step_size) * grad
+    return theta, r, value, grad, ok
 
 
 def _squared_norms(r) -> np.ndarray:
@@ -303,47 +276,40 @@ def _squared_norms(r) -> np.ndarray:
     return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
 
 
-def hmc_chain(
-    target, init, config: HmcConfig, iterations: int, seed: int | Sequence[int]
-) -> Chain | list[Chain]:
-    """Hamiltonian Monte Carlo with identity mass matrix.
+def hmc_chain(target, inits, config: HmcConfig, iterations: int, seeds: Sequence[int]) -> list[Chain]:
+    """Hamiltonian Monte Carlo with identity mass matrix, one chain per row
+    of the (m, n) inits and per seed.
 
     Momentum is refreshed from N(0, I) every iteration; the proposal is
     L leapfrog steps of size eps, accepted with min{1, exp(-dH)}.
     Non-finite trajectories and |dH| above DIVERGENCE_THRESHOLD count
     as rejections and are flagged as divergences.
 
-    A trajectory costs L calls of ``target.value_and_grad``: the gradient
-    at its start is carried over from the previous iteration, and the
-    log-density of its end comes from the call that gave the final gradient.
-
-    An (n,) init with an int seed runs one chain and returns it. An (m, n)
-    init with m seeds runs m chains in lockstep, one batched target call per
-    leapfrog step, and returns their list; each chain keeps its own carried
-    value and gradient and is the one its seed gives alone, and each records
-    the group's wall time.
+    A trajectory costs L calls of ``target.value_and_grad``: each chain
+    carries the value and gradient of its state from one iteration to the
+    next, and leapfrog returns those of the trajectory's end.
     """
     if not callable(getattr(target, "value_and_grad", None)):
         raise ValueError("HMC requires a target with value_and_grad")
     start = time.perf_counter()
-    theta, seeds, rngs, single = _chain_group(target, init, seed, (target.dim,))
+    theta, seeds, rngs = _chain_group(inits, seeds, (target.dim,))
     logp, grad = target.value_and_grad(theta)
     _check_start(logp)
     if not np.isfinite(grad).all():
         raise SamplerStartupError("log-target gradient is non-finite at the initial state")
-    last = _LastPass(target.value_and_grad)
     draws = np.empty((len(seeds), iterations, target.dim))
     accepted = np.zeros(len(seeds), dtype=int)
     divergences = np.zeros(len(seeds), dtype=int)
     for it in range(iterations):
         r0 = np.array([rng.standard_normal(target.dim) for rng in rngs])
-        last.theta, last.value, last.grad = theta, logp, grad
-        prop, r1, ok = leapfrog(last, theta, r0, config.leapfrog_steps, config.step_size)
+        prop, r1, prop_logp, prop_grad, ok = leapfrog(
+            target.value_and_grad, theta, logp, grad, r0, config.leapfrog_steps, config.step_size
+        )
         moved = np.zeros(len(seeds), dtype=bool)
         if ok.any():
-            # leapfrog evaluates prop last; held rows' energies are not read
+            # held rows' energies are not read
             h0 = -logp + 0.5 * _squared_norms(r0)
-            h1 = -last.value + 0.5 * _squared_norms(r1)
+            h1 = -prop_logp + 0.5 * _squared_norms(r1)
             for i, delta_h in enumerate((h1 - h0).tolist()):
                 if not ok[i]:
                     continue
@@ -354,17 +320,16 @@ def hmc_chain(
         divergences += ~ok
         # leapfrog returned new arrays, so the state can change in place
         np.copyto(theta, prop, where=moved[:, None])
-        np.copyto(logp, last.value, where=moved)
-        np.copyto(grad, last.grad, where=moved[:, None])
+        np.copyto(logp, prop_logp, where=moved)
+        np.copyto(grad, prop_grad, where=moved[:, None])
         accepted += moved
         draws[:, it] = theta
     runtime = time.perf_counter() - start
-    chains = [
+    return [
         Chain(draws[i], burnin=0, seed=s, accepted=int(accepted[i]), sampler_tag="HMC",
               runtime_seconds=runtime, divergences=int(divergences[i]))
         for i, s in enumerate(seeds)
     ]
-    return chains[0] if single else chains
 
 
 # ---------------------------------------------------------------------------
@@ -400,38 +365,24 @@ def pp_swap_pmf(i: int, m: int, beta: float) -> np.ndarray:
     return probs
 
 
-@dataclass
-class PopulationRecord:
-    """Acceptance record of a power-posterior population."""
-
-    temperatures: tuple[float, ...]
-    within_accepted: np.ndarray  # per-chain accepted within-chain moves
-    swap_accepted: int
-    swap_attempts: int
-
-
-def pp_chain(target, inits, config: PpConfig, iterations: int, seed: int | Sequence[int]):
-    """Population sampling from tempered targets t_i * ll + lp.
+def pp_chain(target, inits, config: PpConfig, iterations: int, seeds: Sequence[int]) -> list[Chain]:
+    """Population sampling from tempered targets t_i * ll + lp, one
+    population per seed, its rungs started from a row of the
+    (m, rungs, n) inits.
 
     Per iteration every chain advances by one random-walk Metropolis move
     with the configured proposal variance, then a single swap is
     attempted: a chain index i is drawn uniformly, a partner j from
     pp_swap_pmf(i), and the state exchange is accepted by a Metropolis
-    test on the tempered targets. Returns the t_m = 1 chain plus the
-    population record; only the t_m = 1 rung's draws are kept.
-
-    inits holds one state per temperature. With an (m, rungs, n) stack of
-    inits and m seeds, m independent populations run in lockstep and a
-    list of m (chain, record) pairs is returned: rung c of every population
-    moves in one batched target call, rungs keep their order within a
-    population, and each population swaps on its own RNG, so each is the
-    population its seed gives alone. Each chain records the group's wall
-    time.
+    test on the tempered targets. Each population gives its t_m = 1 chain,
+    with that rung's accepted moves and the population's swaps; the other
+    rungs' draws are not kept. Rung c of every population moves in one
+    batched target call, and each population swaps on its own RNG.
     """
     start = time.perf_counter()
     temps = config.temperatures
     num_chains = len(temps)
-    states, seeds, rngs, single = _chain_group(target, inits, seed, (num_chains, target.dim))
+    states, seeds, rngs = _chain_group(inits, seeds, (num_chains, target.dim))
     scale = math.sqrt(config.proposal_variance)
 
     lls = np.empty((len(seeds), num_chains))
@@ -442,16 +393,15 @@ def pp_chain(target, inits, config: PpConfig, iterations: int, seed: int | Seque
         _check_start(temps[c] * lls[:, c] + lps[:, c])
 
     draws = np.empty((len(seeds), iterations, target.dim))
-    within_accepted = np.zeros((len(seeds), num_chains), dtype=int)
+    accepted = np.zeros(len(seeds), dtype=int)
     swap_accepted = np.zeros(len(seeds), dtype=int)
     # swap partner distributions are iteration-independent; precompute
     pmfs = [pp_swap_pmf(i, num_chains - 1, config.beta) for i in range(num_chains)]
 
     for it in range(iterations):
         for c in range(num_chains):
-            within_accepted[:, c] += _metropolis_step(
-                rngs, target, scale, temps[c], states[:, c], lls[:, c], lps[:, c]
-            )
+            moved = _metropolis_step(rngs, target, scale, temps[c], states[:, c], lls[:, c], lps[:, c])
+        accepted += moved  # the moves of the last rung, t_m = 1
         for p, rng in enumerate(rngs):
             i = int(rng.integers(num_chains))
             j = int(rng.choice(num_chains, p=pmfs[i]))
@@ -463,21 +413,11 @@ def pp_chain(target, inits, config: PpConfig, iterations: int, seed: int | Seque
         draws[:, it] = states[:, -1]
 
     runtime = time.perf_counter() - start
-    results = []
-    for p, s in enumerate(seeds):
-        chain = Chain(
-            draws[p],
-            burnin=0,
-            seed=s,
-            accepted=int(within_accepted[p, -1]),
-            sampler_tag="PP",
-            runtime_seconds=runtime,
-            swap_accepted=int(swap_accepted[p]),
-            swap_attempts=iterations,
-        )
-        record = PopulationRecord(temps, within_accepted[p], int(swap_accepted[p]), iterations)
-        results.append((chain, record))
-    return results[0] if single else results
+    return [
+        Chain(draws[p], burnin=0, seed=s, accepted=int(accepted[p]), sampler_tag="PP",
+              runtime_seconds=runtime, swap_accepted=int(swap_accepted[p]), swap_attempts=iterations)
+        for p, s in enumerate(seeds)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +461,7 @@ def run_posterior_chains(
     else:
         inits = np.broadcast_to(np.asarray(init, dtype=float), (len(seeds), per_chain, post.dim))
     if pp:
-        chains = [chain for chain, _ in pp_chain(post, inits, sampler_config, iterations, seeds)]
+        chains = pp_chain(post, inits, sampler_config, iterations, seeds)
     elif isinstance(sampler_config, MhConfig):
         chains = mh_chain(post, inits[:, 0], sampler_config, iterations, seeds)
     elif isinstance(sampler_config, HmcConfig):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from toy_targets import ToyTarget
+from toy_targets import ToyTarget, run_alone
 
 from bayesmlp import cli
 from bayesmlp.data import NoisyXorConfig, generate_noisy_xor, load_vendored
@@ -151,8 +151,8 @@ def test_criterion_2_samplers_on_analytic_target():
     start = time.perf_counter()
     results = {}
     for tag, chain in (
-        ("MH", mh_chain(target, np.zeros(3), MhConfig(1.9), 55000, seed=8)),
-        ("HMC", hmc_chain(target, np.zeros(3), HmcConfig(8, 0.2), 55000, seed=8)),
+        ("MH", run_alone(mh_chain, target, np.zeros(3), MhConfig(1.9), 55000, 8)),
+        ("HMC", run_alone(hmc_chain, target, np.zeros(3), HmcConfig(8, 0.2), 55000, 8)),
     ):
         draws = chain.draws[5000:]
         results[tag] = (
@@ -161,8 +161,10 @@ def test_criterion_2_samplers_on_analytic_target():
         )
     rng = np.random.default_rng(0)
     theta0, r0 = rng.normal(size=3), rng.normal(size=3)
-    fwd_theta, fwd_r, _ = leapfrog(target.gradient, theta0, r0, 30, 0.1)
-    back_theta, back_r, _ = leapfrog(target.gradient, fwd_theta, -fwd_r, 30, 0.1)
+    fwd_theta, fwd_r, *_ = leapfrog(target.value_and_grad, theta0, *target.value_and_grad(theta0), r0, 30, 0.1)
+    back_theta, back_r, *_ = leapfrog(
+        target.value_and_grad, fwd_theta, *target.value_and_grad(fwd_theta), -fwd_r, 30, 0.1
+    )
     reversal = max(float(np.abs(back_theta - theta0).max()), float(np.abs(-back_r - r0).max()))
     elapsed = time.perf_counter() - start
     ok = (

@@ -16,17 +16,21 @@ from pathlib import Path
 
 import pytest
 
-from bayesmlp import chainio, samplers
+from bayesmlp import Architecture, NoisyXorConfig, chainio, generate_noisy_xor, samplers
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 CHILD_PATH = TRACER_PATH.with_name("child.py")
 
 
-def traced_names():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return [(module, attr) for module, attrs in tracer.TRACED.items() for attr in attrs]
+    return tracer
+
+
+def traced_names():
+    return [(module, attr) for module, attrs in load_tracer().TRACED.items() for attr in attrs]
 
 
 @pytest.mark.parametrize("module_name,attr", traced_names())
@@ -37,6 +41,28 @@ def test_traced_attribute_exists_and_is_callable(module_name, attr):
 def test_run_posterior_chain_takes_sampler_config_fourth():
     """The tracer names a chain's sampler from its 4th positional argument."""
     assert list(inspect.signature(samplers.run_posterior_chain).parameters)[3] == "sampler_config"
+
+
+@pytest.mark.parametrize("kind,config", [
+    ("mh", samplers.MhConfig(0.01)),
+    ("hmc", samplers.HmcConfig(3, 0.01)),
+    ("pp", samplers.PpConfig((0.5, 1.0), proposal_variance=0.01)),
+])
+def test_chain_annotation_reads_a_posterior_chain(kind, config):
+    """The tracer annotates a samplers.run_posterior_chain span from the
+    chain it returns, under --trace 1 for every sampler kind."""
+    train, _ = generate_noisy_xor(NoisyXorConfig(train_per_corner=5, test_per_corner=1, seed=0))
+    args = (Architecture((2, 2, 1)), train, 10.0, config, 30, 3)
+    chain = samplers.run_posterior_chain(*args)
+    attrs = load_tracer()._chain_attrs(args, {}, chain)
+    assert attrs == {
+        "kind": kind,
+        "iterations": 30,
+        "accepted": chain.accepted,
+        "swap_accepted": chain.swap_accepted or 0,
+        "swap_attempts": 30 if kind == "pp" else 0,
+        "divergences": chain.divergences,
+    }
 
 
 def test_hmc_chain_looks_up_leapfrog_as_module_global():

@@ -430,9 +430,27 @@ class TestTracesAndBoxplot:
     def test_traces_coordinate_bounds(self, tmp_path, xor_config):
         out = tmp_path / "chains"
         run(["sample", "--config", xor_config, "--out-dir", out])
+        trace_dir = tmp_path / "traces"
         code = run(["traces", "--chains", out / "chain_00.csv", "--coords", 9,
-                    "--out-dir", tmp_path])
+                    "--out-dir", trace_dir])
         assert code == 4
+        assert not trace_dir.exists()
+
+    @pytest.mark.parametrize("coord", [1, 8])
+    def test_traces_chains_of_different_widths(self, tmp_path, xor_config, capsys, coord):
+        """A 9-parameter chain beside a 2-parameter one is rejected before
+        any output directory is made, whichever coordinate is asked for."""
+        out = tmp_path / "chains"
+        run(["sample", "--config", xor_config, "--out-dir", out])
+        narrow = tmp_path / "narrow.csv"
+        save_chain(Chain(np.zeros((400, 2)), burnin=100, seed=0, accepted=0, sampler_tag="MH"), narrow)
+        trace_dir = tmp_path / "traces"
+        assert run([
+            "traces", "--chains", out / "chain_00.csv", narrow, "--coords", coord,
+            "--out-dir", trace_dir,
+        ]) == 4
+        assert json.loads(capsys.readouterr().err)["error"] == "invalid-input"
+        assert not trace_dir.exists()
 
     def test_boxplot_accuracy_list(self, tmp_path, xor_config):
         out = tmp_path / "chains"
@@ -488,6 +506,7 @@ class TestErrors:
         ("sampler", {"kind": "PP", "temperatures": "01"}),
         ("architecture", {"layer_widths": [2, 2.9, 1]}),
         ("dataset", {"name": "noisy-xor", "train_per_corner": 5.9}),
+        ("dataset", {"name": "noisy-xor", "seed": -3}),
     ])
     def test_bad_section_is_config_error(self, tmp_path, xor_config, capsys, section, patch):
         doc = json.loads(xor_config.read_text())
@@ -560,6 +579,7 @@ class TestErrors:
         ["generate-data", "--c", "nan"],
         ["sgd-ensemble", "--dataset", "noisy-xor", "--epochs", 0],
         ["sgd-ensemble", "--dataset", "noisy-xor", "--ensemble-size", 5, "--max-sessions", 2],
+        ["generate-data", "--seed", -1],
     ])
     def test_bad_flag_built_config_is_config_error(self, tmp_path, capsys, argv):
         """Flags that build NoisyXorConfig or SgdConfig follow the config

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from toy_targets import ToyTarget
+from toy_targets import ToyTarget, run_alone
 
 from bayesmlp import Architecture, NoisyXorConfig, generate_noisy_xor, mlp
 from bayesmlp.data import load_vendored
@@ -81,19 +81,19 @@ class TestMetropolisHastings:
             assert min(1.0, math.exp(delta)) == math.exp(min(0.0, delta))
 
     def test_recovers_standard_normal_moments(self):
-        chain = mh_chain(standard_normal_target(2), np.zeros(2), MhConfig(2.4), 50000, seed=8)
+        chain = run_alone(mh_chain, standard_normal_target(2), np.zeros(2), MhConfig(2.4), 50000, 8)
         draws = chain.draws[5000:]
         assert np.abs(draws.mean(axis=0)).max() < 0.05
         assert np.abs(np.cov(draws.T) - np.eye(2)).max() < 0.1
 
     def test_tiny_steps_always_accepted(self):
-        chain = mh_chain(standard_normal_target(3), np.ones(3), MhConfig(1e-20), 2000, seed=1)
+        chain = run_alone(mh_chain, standard_normal_target(3), np.ones(3), MhConfig(1e-20), 2000, 1)
         assert chain.acceptance_rate > 0.999
 
     def test_rejected_steps_repeat_state(self):
         # a spike target: nearly every proposal is rejected
         target = ToyTarget(lambda th: -1e8 * float(th @ th), 2)
-        chain = mh_chain(target, np.zeros(2), MhConfig(1.0), 500, seed=3)
+        chain = run_alone(mh_chain, target, np.zeros(2), MhConfig(1.0), 500, 3)
         repeats = (chain.draws[1:] == chain.draws[:-1]).all(axis=1).sum()
         # row i + 1 repeats row i exactly when iteration i + 1 rejects
         moved_at_iteration_0 = int((chain.draws[0] != 0.0).any())
@@ -102,11 +102,11 @@ class TestMetropolisHastings:
     def test_non_finite_init_rejected(self):
         target = ToyTarget(lambda th: -math.inf, 2)
         with pytest.raises(SamplerStartupError):
-            mh_chain(target, np.zeros(2), MhConfig(1.0), 10, seed=0)
+            run_alone(mh_chain, target, np.zeros(2), MhConfig(1.0), 10, 0)
 
     def test_seed_reproducible(self):
-        a = mh_chain(standard_normal_target(3), np.zeros(3), MhConfig(0.5), 300, seed=11)
-        b = mh_chain(standard_normal_target(3), np.zeros(3), MhConfig(0.5), 300, seed=11)
+        a = run_alone(mh_chain, standard_normal_target(3), np.zeros(3), MhConfig(0.5), 300, 11)
+        b = run_alone(mh_chain, standard_normal_target(3), np.zeros(3), MhConfig(0.5), 300, 11)
         np.testing.assert_array_equal(a.draws, b.draws)
         assert a.accepted == b.accepted
 
@@ -115,37 +115,74 @@ class TestMetropolisHastings:
         def boxed(th):
             return 0.0 if np.abs(th).max() < 1.0 else -math.inf
 
-        chain = mh_chain(ToyTarget(boxed, 2), np.zeros(2), MhConfig(4.0), 2000, seed=5)
+        chain = run_alone(mh_chain, ToyTarget(boxed, 2), np.zeros(2), MhConfig(4.0), 2000, 5)
         assert (np.abs(chain.draws) < 1.0).all()
+
+
+def leapfrog_from(target, theta, momentum, steps, step_size):
+    """leapfrog from theta, with the value and gradient the target gives there."""
+    return leapfrog(target.value_and_grad, theta, *target.value_and_grad(theta), momentum, steps, step_size)
+
+
+def held_row_target(seen):
+    """The 2-D standard normal, whose gradient is infinite outside
+    |theta| < 2; seen records whether each evaluated point was finite."""
+
+    def gradient(th):
+        seen.append(np.isfinite(th).all())
+        return -th if np.abs(th).max() < 2.0 else np.full_like(th, np.inf)
+
+    return ToyTarget(lambda th: -0.5 * float(th @ th), 2, gradient=gradient)
+
+
+def bits(values):
+    return np.asarray(values).tobytes()
 
 
 class TestLeapfrog:
     def test_quarter_rotation(self):
         """Harmonic oscillator: time pi/2 maps (1, 0) near (0, -1)."""
         steps = 157
-        theta, r, ok = leapfrog(
-            lambda th: -th, np.array([1.0]), np.array([0.0]), steps, math.pi / 2 / steps
+        theta, r, _, _, ok = leapfrog_from(
+            standard_normal_target(1), np.array([1.0]), np.array([0.0]), steps, math.pi / 2 / steps
         )
         assert ok
         assert abs(theta[0]) < 1e-3
         assert abs(r[0] + 1.0) < 1e-3
 
     def test_time_reversible(self, rng):
+        target = standard_normal_target(4)
         theta0 = rng.normal(size=4)
         r0 = rng.normal(size=4)
-        theta1, r1, _ = leapfrog(lambda th: -th, theta0, r0, 30, 0.11)
-        theta2, r2, _ = leapfrog(lambda th: -th, theta1, -r1, 30, 0.11)
+        theta1, r1, *_ = leapfrog_from(target, theta0, r0, 30, 0.11)
+        theta2, r2, *_ = leapfrog_from(target, theta1, -r1, 30, 0.11)
         assert np.abs(theta2 - theta0).max() < 1e-8
         assert np.abs(-r2 - r0).max() < 1e-8
+
+    @pytest.mark.parametrize("target,theta0,momentum,held", [
+        (standard_normal_target(3), np.linspace(-1.0, 1.0, 12).reshape(4, 3),
+         np.linspace(2.0, -1.0, 12).reshape(4, 3), []),
+        # row 1 is pushed past |theta| = 2 and held
+        (held_row_target([]), np.array([[0.0, 0.0], [1.5, -1.5], [0.5, 1.0], [-1.0, 0.2]]),
+         np.array([[0.0, 0.0], [3.0, -3.0], [0.1, 0.1], [0.0, 0.0]]), [1]),
+    ])
+    def test_returns_value_and_grad_of_end_point(self, target, theta0, momentum, held):
+        """For every row that stays finite, the returned value and gradient
+        are value_and_grad's at the returned theta, bit for bit."""
+        theta, _, value, grad, ok = leapfrog_from(target, theta0, momentum, 6, 0.4)
+        assert np.flatnonzero(~ok).tolist() == held
+        want_value, want_grad = target.value_and_grad(theta)
+        assert bits(value[ok]) == bits(want_value[ok])
+        assert bits(grad[ok]) == bits(want_grad[ok])
 
 
 class TestHmc:
     def test_tiny_step_size_always_accepted(self):
-        chain = hmc_chain(standard_normal_target(3), np.ones(3), HmcConfig(3, 1e-6), 500, seed=2)
+        chain = run_alone(hmc_chain, standard_normal_target(3), np.ones(3), HmcConfig(3, 1e-6), 500, 2)
         assert chain.acceptance_rate > 0.999
 
     def test_recovers_standard_normal_moments(self):
-        chain = hmc_chain(standard_normal_target(2), np.zeros(2), HmcConfig(8, 0.2), 20000, seed=9)
+        chain = run_alone(hmc_chain, standard_normal_target(2), np.zeros(2), HmcConfig(8, 0.2), 20000, 9)
         draws = chain.draws[2000:]
         assert np.abs(draws.mean(axis=0)).max() < 0.05
         assert np.abs(np.cov(draws.T) - np.eye(2)).max() < 0.1
@@ -155,17 +192,17 @@ class TestHmc:
         target = ToyTarget(
             lambda th: -0.5e8 * float(th @ th), 1, gradient=lambda th: -1e8 * th
         )
-        chain = hmc_chain(target, np.array([1e-4]), HmcConfig(10, 1.0), 50, seed=4)
+        chain = run_alone(hmc_chain, target, np.array([1e-4]), HmcConfig(10, 1.0), 50, 4)
         assert chain.divergences > 0
         assert np.isfinite(chain.draws).all()
 
     def test_requires_gradient(self):
         with pytest.raises(ValueError):
-            hmc_chain(ToyTarget(lambda th: 0.0, 1), np.zeros(1), HmcConfig(2, 0.1), 5, seed=0)
+            run_alone(hmc_chain, ToyTarget(lambda th: 0.0, 1), np.zeros(1), HmcConfig(2, 0.1), 5, 0)
 
     def test_seed_reproducible(self):
-        a = hmc_chain(standard_normal_target(2), np.zeros(2), HmcConfig(5, 0.3), 200, seed=21)
-        b = hmc_chain(standard_normal_target(2), np.zeros(2), HmcConfig(5, 0.3), 200, seed=21)
+        a = run_alone(hmc_chain, standard_normal_target(2), np.zeros(2), HmcConfig(5, 0.3), 200, 21)
+        b = run_alone(hmc_chain, standard_normal_target(2), np.zeros(2), HmcConfig(5, 0.3), 200, 21)
         np.testing.assert_array_equal(a.draws, b.draws)
 
     @pytest.mark.parametrize("steps", [1, 5])
@@ -202,7 +239,7 @@ class TestHmc:
         for name in ("log_likelihood", "log_prior", "value_and_grad"):
             setattr(target, name, counted(name, getattr(target, name)))
         iterations, steps = 30, 4
-        chain = hmc_chain(target, np.ones(3), HmcConfig(steps, 0.3), iterations, seed=1)
+        chain = run_alone(hmc_chain, target, np.ones(3), HmcConfig(steps, 0.3), iterations, 1)
         assert chain.divergences == 0
         assert calls == {"value_and_grad": 1 + steps * iterations}
 
@@ -217,8 +254,8 @@ class TestHmc:
         )
         init = np.random.default_rng(3).normal(0.0, 3.0, 9)
         config = HmcConfig(5, 0.4)
-        a = hmc_chain(mlp.Posterior(xor_arch, train, 10.0), init, config, 150, seed=8)
-        b = hmc_chain(separate, init, config, 150, seed=8)
+        a = run_alone(hmc_chain, mlp.Posterior(xor_arch, train, 10.0), init, config, 150, 8)
+        b = run_alone(hmc_chain, separate, init, config, 150, 8)
         assert 0 < a.accepted < 150
         np.testing.assert_array_equal(a.draws, b.draws)
         assert (a.accepted, a.divergences) == (b.accepted, b.divergences)
@@ -301,8 +338,8 @@ class TestPowerPosterior:
     def test_unit_temperatures_always_swap(self):
         target = mixture_target()
         config = PpConfig((1.0, 1.0), proposal_variance=0.5)
-        _, record = pp_chain(target, [np.array([5.0]), np.array([-5.0])], config, 300, seed=6)
-        assert record.swap_accepted == record.swap_attempts == 300
+        chain = run_alone(pp_chain, target, [np.array([5.0]), np.array([-5.0])], config, 300, 6)
+        assert chain.swap_accepted == chain.swap_attempts == 300
 
     def test_tempering_crosses_modes_where_mh_cannot(self):
         """The t=1 chain of the population reaches both mixture modes; a
@@ -310,36 +347,33 @@ class TestPowerPosterior:
         target = mixture_target()
         lam = 2.25
         config = PpConfig((0.1, 0.5, 1.0), beta=0.5, proposal_variance=lam)
-        chain, _ = pp_chain(target, [np.array([5.0])] * 3, config, 50000, seed=2)
+        chain = run_alone(pp_chain, target, [np.array([5.0])] * 3, config, 50000, 2)
         x = chain.draws[:, 0]
         assert (x > 2).any() and (x < -2).any()
 
-        plain = mh_chain(target, np.array([5.0]), MhConfig(lam), 50000, seed=2)
+        plain = run_alone(mh_chain, target, np.array([5.0]), MhConfig(lam), 50000, 2)
         assert not (plain.draws[:, 0] < -2).any()
 
-    def test_population_record_shape(self):
+    def test_population_chain_shape(self):
         target = mixture_target()
         config = PpConfig((0.5, 1.0), proposal_variance=0.5)
-        chain, record = pp_chain(target, [np.zeros(1), np.zeros(1)], config, 100, seed=0)
+        chain = run_alone(pp_chain, target, [np.zeros(1), np.zeros(1)], config, 100, 0)
         assert chain.draws.shape == (100, 1)
-        assert record.within_accepted.shape == (2,)
-        assert record.within_accepted[-1] == chain.accepted
-        assert (record.swap_accepted, record.swap_attempts) == (chain.swap_accepted, 100)
-        assert record.temperatures == (0.5, 1.0)
+        assert 0 <= chain.swap_accepted <= chain.swap_attempts == 100
 
     def test_seed_reproducible(self):
         target = mixture_target()
         config = PpConfig((0.5, 1.0), proposal_variance=0.5)
         inits = [np.array([1.0]), np.array([2.0])]
-        a, _ = pp_chain(target, inits, config, 200, seed=14)
-        b, _ = pp_chain(target, inits, config, 200, seed=14)
+        a = run_alone(pp_chain, target, inits, config, 200, 14)
+        b = run_alone(pp_chain, target, inits, config, 200, 14)
         np.testing.assert_array_equal(a.draws, b.draws)
 
     def test_init_count_must_match(self):
         target = mixture_target()
         config = PpConfig((0.5, 1.0), proposal_variance=0.5)
         with pytest.raises(ValueError):
-            pp_chain(target, [np.zeros(1)], config, 10, seed=0)
+            run_alone(pp_chain, target, [np.zeros(1)], config, 10, 0)
 
 
 class TestWeightSymmetry:
@@ -436,28 +470,23 @@ class TestLockstep:
         chains run alone, and a failed row is held at its start, so no
         non-finite state is ever evaluated."""
         seen = []
-
-        def gradient(th):
-            seen.append(np.isfinite(th).all())
-            return -th if np.abs(th).max() < 2.0 else np.full_like(th, np.inf)
-
-        target = ToyTarget(lambda th: -0.5 * float(th @ th), 2, gradient=gradient)
+        target = held_row_target(seen)
         inits = np.array([[0.0, 0.0], [1.5, -1.5], [0.5, 1.0], [-1.0, 0.2]])
         seeds = [4, 5, 6, 7]
         config = HmcConfig(6, 0.4)
         group = hmc_chain(target, inits, config, 300, seeds)
         assert all(seen)
-        alone = [hmc_chain(target, init, config, 300, s) for init, s in zip(inits, seeds)]
+        alone = [run_alone(hmc_chain, target, init, config, 300, s) for init, s in zip(inits, seeds)]
         assert [chain_bits(c) for c in group] == [chain_bits(c) for c in alone]
         assert all(0 < c.divergences and 0 < c.accepted for c in group)
 
-    def test_single_chain_call_returns_a_chain(self):
+    def test_group_of_one_returns_a_list(self):
         target = standard_normal_target(2)
-        assert isinstance(mh_chain(target, np.zeros(2), MhConfig(0.5), 5, seed=1), Chain)
-        chains = mh_chain(target, np.zeros((1, 2)), MhConfig(0.5), 5, seed=[1])
-        assert isinstance(chains, list) and len(chains) == 1
-        with pytest.raises(ValueError):
-            mh_chain(target, np.zeros((2, 2)), MhConfig(0.5), 5, seed=[1])
+        chains = mh_chain(target, np.zeros((1, 2)), MhConfig(0.5), 5, [1])
+        assert isinstance(chains, list) and len(chains) == 1 and isinstance(chains[0], Chain)
+        for inits in (np.zeros((2, 2)), np.zeros(2)):
+            with pytest.raises(ValueError):
+                mh_chain(target, inits, MhConfig(0.5), 5, [1])
 
 
 class TestChainContainer:

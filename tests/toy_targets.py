@@ -23,7 +23,12 @@ class ToyTarget:
         self.dim = dim
         self.log_likelihood = _per_row(log_likelihood)
         self.log_prior = _per_row(log_prior)
-        self.gradient = gradient
         if gradient is not None:
             value = _per_row(lambda th: log_likelihood(th) + log_prior(th))
             self.value_and_grad = lambda th: (value(th), _per_row(gradient)(th))
+
+
+def run_alone(sampler, target, init, config, iterations, seed):
+    """The chain that sampler gives from one init and one seed: the one
+    chain of a group of one."""
+    return sampler(target, np.asarray(init, dtype=float)[None], config, iterations, [seed])[0]
