@@ -345,35 +345,44 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _load_chains(paths, start: int = 0) -> list[samplers.Chain]:
+def _load_chains(paths, start: int = 0) -> typing.Iterator[samplers.Chain]:
     """Rows draws[start:] of each chain, checked against its sidecar when
-    one sits beside it."""
-    chains = []
+    one sits beside it, loaded one chain at a time as the caller asks."""
     for path in paths:
         meta, _ = chainio.companion_paths(path)
-        chains.append(chainio.load_chain(path, meta if meta.exists() else None, start=start))
-    return chains
+        yield chainio.load_chain(path, meta if meta.exists() else None, start=start)
+
+
+def _recorded_burnin(path):
+    """The burn-in the sidecar beside a chain records: 0 without one, and
+    for one that cannot be read, which the chain's load then rejects."""
+    try:
+        return json.loads(chainio.companion_paths(path)[0].read_text()).get("burnin", 0)
+    except (OSError, ValueError, AttributeError):
+        return 0
 
 
 def cmd_diagnose(args) -> int:
-    if args.burnin is None:
-        chains = _load_chains(args.chains)
-        burnin = max(c.burnin for c in chains)
-    else:
-        if args.burnin < 0:
-            raise ValueError(f"burn-in must be >= 0, got {args.burnin}")
-        # the rows of an explicit burn-in are never loaded
-        chains = _load_chains(args.chains, start=args.burnin)
-        if any(len(c) == 0 for c in chains):
-            raise ValueError("burn-in leaves no draws")
-        burnin = 0
-    groups: dict[str, list[samplers.Chain]] = {}
-    for chain in chains:
-        groups.setdefault(chain.sampler_tag, []).append(chain)
+    burnin = args.burnin
+    if burnin is None:
+        # read before any draws, so no chain's burn-in rows are loaded
+        burnin = max(_recorded_burnin(path) for path in args.chains)
+    elif burnin < 0:
+        raise ValueError(f"burn-in must be >= 0, got {burnin}")
+    # each chain is reduced to its summary before the next one is loaded
+    groups: dict[str, list[diagnostics.ChainSummary]] = {}
+    empty = False
+    for chain in _load_chains(args.chains, start=burnin):
+        empty = empty or len(chain) == 0
+        summary = diagnostics.summarize_chain(chain.draws, burnin, chain.first_row)
+        groups.setdefault(chain.sampler_tag, []).append(summary)
+        del chain  # so it is freed before the next chain loads
+    if empty and args.burnin is not None:
+        raise ValueError("burn-in leaves no draws")
     reports = {}
     print(f"{'Sampler':<10}{'PSRF':>10}{'ESS':>12}")
     for tag, group in groups.items():
-        report = diagnostics.diagnostics_report([c.draws for c in group], burnin=burnin)
+        report = diagnostics.report_from_summaries(group)
         reports[tag] = report
         print(f"{tag:<10}{report['psrf']:>10.4f}{report['ess_mean']:>12.1f}")
     out = reports if len(reports) > 1 else next(iter(reports.values()))
@@ -386,6 +395,17 @@ def _predictive_setup(args):
     cfg = _load_config(args)
     _, test = resolve_dataset(cfg.dataset)
     return cfg, cfg.arch, test
+
+
+def _tail_reports(paths, tail: int, arch, test) -> list[predictive.PredictionReport]:
+    """The posterior predictive report of each chain's last tail draws, one
+    chain loaded at a time. Every chain is evaluated before the caller
+    writes a file, so a chain that fails leaves no output."""
+    reports = []
+    for chain in _load_chains(paths, start=-tail):
+        reports.append(predictive.accuracy(arch, chain.draws, test)[1])
+        del chain  # so it is freed before the next chain loads
+    return reports
 
 
 def cmd_predict(args) -> int:
@@ -402,11 +422,11 @@ def cmd_predict(args) -> int:
             _json_text({"accuracy": acc, "num_draws": args.num_draws, "seed": cfg.seed}, indent=None)
         )
         return 0
-    chains = _load_chains(args.chains, start=-cfg.tail)
-    accs = []
-    for index, chain in enumerate(chains):
-        acc, report = predictive.accuracy(arch, chain.draws, test)
-        accs.append(acc)
+    reports = _tail_reports(args.chains, cfg.tail, arch, test)
+    accs = [report.accuracy for report in reports]
+    mean_acc = float(np.mean(accs))
+    summary = _json_text({"per_chain_accuracy": accs, "mean_accuracy": mean_acc})
+    for index, report in enumerate(reports):
         path = out_dir / f"predictions_chain_{index:02d}.csv"
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
@@ -415,9 +435,7 @@ def cmd_predict(args) -> int:
                 zip(test.labels, report.predicted, report.prob_predicted, report.prob_true)
             ):
                 writer.writerow([i, int(y), int(yhat), f"{pp:.17g}", f"{pt:.17g}"])
-    mean_acc = float(np.mean(accs))
-    summary = {"per_chain_accuracy": accs, "mean_accuracy": mean_acc}
-    (out_dir / "accuracy_summary.json").write_text(_json_text(summary))
+    (out_dir / "accuracy_summary.json").write_text(summary)
     print(f"mean accuracy {100 * mean_acc:.2f}")
     return 0
 
@@ -425,7 +443,7 @@ def cmd_predict(args) -> int:
 def cmd_grid(args) -> int:
     cfg, arch, _ = _predictive_setup(args)
     out_dir = _out_dir(args)
-    chain = _load_chains([args.chain], start=-cfg.tail)[0]
+    chain = next(_load_chains([args.chain], start=-cfg.tail))
     bounds = tuple(args.bounds)
     grid = predictive.grid_predictive(arch, chain.draws, bounds, args.resolution)
     truth = predictive.xor_truth_grid(bounds, args.resolution)
@@ -436,7 +454,7 @@ def cmd_grid(args) -> int:
 
 
 def cmd_traces(args) -> int:
-    chains = _load_chains(args.chains)
+    chains = list(_load_chains(args.chains))
     burnin = args.burnin if args.burnin is not None else max(c.burnin for c in chains)
     length = min(len(c) for c in chains)
     if burnin < 0:
@@ -469,13 +487,12 @@ def cmd_traces(args) -> int:
 def cmd_boxplot_data(args) -> int:
     cfg, arch, test = _predictive_setup(args)
     out_dir = _out_dir(args)
-    chains = _load_chains(args.chains, start=-cfg.tail)
+    accs = [report.accuracy for report in _tail_reports(args.chains, cfg.tail, arch, test)]
     path = out_dir / "boxplot_accuracies.csv"
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["chain", "accuracy"])
-        for index, chain in enumerate(chains):
-            acc, _ = predictive.accuracy(arch, chain.draws, test)
+        for index, acc in enumerate(accs):
             writer.writerow([index, f"{acc:.17g}"])
     print(path)
     return 0

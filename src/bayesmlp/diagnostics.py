@@ -3,10 +3,16 @@ multivariate initial monotone sequence estimator (MINSE) of Monte Carlo
 covariance, multivariate PSRF across chains and multivariate ESS per chain.
 
 MINSE dominates the cost: its scan takes one O(v n^2) product per lag pair.
-diagnostics_report therefore computes each chain's MINSE once and hands it
-to both the PSRF's within-chain covariance and that chain's ESS. The PSRF and
-the report read each chain in place, with the burn-in a view, and take each
-chain's mean on its own: there is no stacked copy of the chains.
+Every number the PSRF and the report need is per chain or built from
+per-chain summaries, so each chain is reduced on its own to a ChainSummary
+(its shape, mean, MINSE and empirical log-determinant, a few n x n
+matrices) and dropped. diagnostics_report and multivariate_psrf accept any
+iterable of chains and consume it one chain at a time, so they hold one
+chain's draws, read in place with the burn-in a view, and never a stacked
+copy; each chain's MINSE is computed once and serves both the PSRF's
+within-chain covariance and that chain's ESS. A check that fails on the
+way is kept in its summary and raised when the report is assembled, in the
+order of the checks: shape, burn-in, chain count, MINSE, ESS.
 """
 
 from __future__ import annotations
@@ -158,44 +164,86 @@ def minse(draws) -> CovarianceEstimate:
     return CovarianceEstimate(prev, "minse", v)
 
 
-def _chain_views(chains, burnin: int = 0) -> list[np.ndarray]:
-    """Each chain as a v x n float matrix without its first burnin draws.
-
-    A C-ordered float chain is read in place and its burn-in sliced off as
-    a view, so no copy of the chains is made.
+@dataclass
+class ChainSummary:
+    """What the PSRF and the report need of one chain: the whole chain's
+    (length, dim), the number v of draws after its burn-in, their mean,
+    their MINSE (None when it raised) and the sign and log-determinant of
+    their empirical covariance (None when v <= dim). An error met on the way
+    is kept, without its traceback, and raised when the report is assembled.
+    The summary holds no reference to the draws.
     """
-    mats = [_as_draws(c) for c in chains]
-    shape = mats[0].shape
-    if any(m.shape != shape for m in mats):
-        raise ValueError("all chains must share the same (length, dim) shape")
+
+    shape: tuple[int, int]
+    v: int
+    mean: np.ndarray | None  # None when the burn-in leaves no draws
+    estimate: CovarianceEstimate | None
+    minse_error: DegenerateChainError | EstimatorError | None
+    empirical: tuple[float, float] | None
+
+    def ess(self) -> EssResult:
+        """Multivariate ESS, raising what multivariate_ess raises on the draws."""
+        v, n = self.v, self.shape[1]
+        if v <= n:
+            raise DegenerateChainError(f"need more draws ({v}) than dimensions ({n})")
+        sign_e, logdet_e = self.empirical
+        if sign_e <= 0:
+            raise EstimatorError("empirical covariance has nonpositive determinant")
+        if self.minse_error is not None:
+            raise self.minse_error
+        sign_c, logdet_c = np.linalg.slogdet(self.estimate.matrix)
+        if sign_c <= 0:
+            raise EstimatorError("MINSE covariance has nonpositive determinant")
+        return EssResult(float(v * np.exp((logdet_e - logdet_c) / n)), v)
+
+
+def summarize_chain(draws, burnin: int = 0, first_row: int = 0) -> ChainSummary:
+    """Summary of the draws after burnin of a chain given from row first_row
+    on (first_row <= burnin), so a caller may leave the burn-in rows unread.
+
+    The draws' MINSE is computed here, once. A burn-in that leaves no draws
+    gives a summary without statistics, which the report rejects.
+    """
+    draws = _as_draws(draws)
+    shape = (first_row + draws.shape[0], draws.shape[1])
     if burnin and burnin >= shape[0]:
-        raise ValueError("burn-in leaves no draws")
-    return [np.ascontiguousarray(m[burnin:]) for m in mats]
-
-
-def _minse_or_none(draws) -> CovarianceEstimate | None:
+        return ChainSummary(shape, 0, None, None, None, None)
+    # a C-ordered float chain is read in place, its burn-in a view
+    draws = np.ascontiguousarray(draws[burnin - first_row :])
+    v, n = draws.shape
     try:
-        return minse(draws)
-    except DegenerateChainError:
-        return None  # constant chain: zero Monte Carlo covariance
+        estimate, error = minse(draws), None
+    except (DegenerateChainError, EstimatorError) as exc:
+        # the traceback's frames would keep the draws alive
+        estimate, error = None, exc.with_traceback(None)
+    empirical = None if v <= n else tuple(np.linalg.slogdet(empirical_covariance(draws).matrix))
+    return ChainSummary(shape, v, draws.mean(axis=0), estimate, error, empirical)
 
 
-def _psrf(chains) -> tuple[PsrfResult, list[CovarianceEstimate | None]]:
-    """PSRF of m equally shaped v x n chains, with the per-chain MINSE it
-    used (None for a degenerate chain)."""
-    m = len(chains)
-    v, n = chains[0].shape
+def _psrf(summaries: list[ChainSummary]) -> PsrfResult:
+    """PSRF of summarized chains, after the checks they must pass: one
+    shape, draws left after the burn-in, two chains at least, and a MINSE
+    for each that is not degenerate (a degenerate chain's estimate is None).
+    """
+    if len({s.shape for s in summaries}) > 1:
+        raise ValueError("all chains must share the same (length, dim) shape")
+    if any(s.mean is None for s in summaries):
+        raise ValueError("burn-in leaves no draws")
+    m = len(summaries)
     if m < 2:
         raise ValueError("PSRF needs at least two chains")
+    for s in summaries:
+        if isinstance(s.minse_error, EstimatorError):
+            raise s.minse_error
+    v, n = summaries[0].v, summaries[0].shape[1]
 
-    estimates = [_minse_or_none(chain) for chain in chains]
     within = np.zeros((n, n))
-    for est in estimates:
-        if est is not None:
-            within += est.matrix
+    for s in summaries:
+        if s.estimate is not None:
+            within += s.estimate.matrix
     within /= m
 
-    means = np.array([chain.mean(axis=0) for chain in chains])
+    means = np.array([s.mean for s in summaries])
     grand = means.mean(axis=0)
     b_over_v = (means - grand).T @ (means - grand) / (m - 1)
 
@@ -212,8 +260,8 @@ def _psrf(chains) -> tuple[PsrfResult, list[CovarianceEstimate | None]]:
     inv_chol = np.linalg.inv(chol)
     lam = float(np.linalg.eigvalsh(inv_chol @ b_over_v @ inv_chol.T)[-1])
     value = float(np.sqrt((v - 1) / v + (m + 1) / m * lam))
-    degenerate = tuple(i for i, est in enumerate(estimates) if est is None)
-    return PsrfResult(value, m, v, regularized, degenerate), estimates
+    degenerate = tuple(i for i, s in enumerate(summaries) if s.estimate is None)
+    return PsrfResult(value, m, v, regularized, degenerate)
 
 
 def multivariate_psrf(chains) -> PsrfResult:
@@ -225,24 +273,7 @@ def multivariate_psrf(chains) -> PsrfResult:
     constant in some coordinate contributes a zero matrix to W, and a
     singular W is ridged before the eigenproblem; both are flagged.
     """
-    return _psrf(_chain_views(chains))[0]
-
-
-def _ess(draws, estimate: CovarianceEstimate | None = None) -> EssResult:
-    """ESS of v x n draws; estimate is their MINSE, computed here if None."""
-    v, n = draws.shape
-    if v <= n:
-        raise DegenerateChainError(f"need more draws ({v}) than dimensions ({n})")
-    sign_e, logdet_e = np.linalg.slogdet(empirical_covariance(draws).matrix)
-    if sign_e <= 0:
-        raise EstimatorError("empirical covariance has nonpositive determinant")
-    if estimate is None:
-        estimate = minse(draws)
-    sign_c, logdet_c = np.linalg.slogdet(estimate.matrix)
-    if sign_c <= 0:
-        raise EstimatorError("MINSE covariance has nonpositive determinant")
-    value = float(v * np.exp((logdet_e - logdet_c) / n))
-    return EssResult(value, v)
+    return _psrf(list(map(summarize_chain, chains)))
 
 
 def multivariate_ess(draws) -> EssResult:
@@ -251,32 +282,38 @@ def multivariate_ess(draws) -> EssResult:
     E is the empirical covariance (divisor v - 1) and C the MINSE; the
     ratio is evaluated through log-determinants.
     """
-    return _ess(_as_draws(draws))
+    return summarize_chain(draws).ess()
 
 
 def diagnostics_report(chains, burnin: int = 0) -> dict:
     """PSRF across chains plus per-chain ESS on post-burn-in draws.
 
-    Each chain's MINSE is computed once and serves both the PSRF and that
-    chain's ESS. Returns the report dictionary {psrf, regularized,
-    degenerate_chains, ess_per_chain, ess_mean, v, m, n}; regularized says
-    whether the PSRF ridged a singular W, degenerate_chains lists the
-    chains constant in some coordinate.
+    chains may be any iterable of v x n chains; each is summarized as it
+    arrives and, as map keeps no reference to it, can be freed before the
+    next one is made. Returns the report dictionary of
+    report_from_summaries.
     """
     if burnin < 0:
         raise ValueError(f"burn-in must be >= 0, got {burnin}")
-    chains = _chain_views(chains, burnin)
-    psrf, estimates = _psrf(chains)
-    # for a degenerate chain (None) _ess reruns minse and so raises as multivariate_ess does
-    ess = [_ess(chain, est).value for chain, est in zip(chains, estimates)]
-    v, n = chains[0].shape
+    return report_from_summaries(list(map(lambda chain: summarize_chain(chain, burnin), chains)))
+
+
+def report_from_summaries(summaries: list[ChainSummary]) -> dict:
+    """The report {psrf, regularized, degenerate_chains, ess_per_chain,
+    ess_mean, v, m, n} of summarized chains; regularized says whether the
+    PSRF ridged a singular W, degenerate_chains lists the chains constant in
+    some coordinate. Raises the first error the chains hold, in the order
+    of the checks: shape, burn-in, chain count, MINSE, then each chain's ESS.
+    """
+    psrf = _psrf(summaries)
+    ess = [s.ess().value for s in summaries]
     return {
         "psrf": psrf.value,
         "regularized": psrf.regularized,
         "degenerate_chains": list(psrf.degenerate_chains),
         "ess_per_chain": ess,
         "ess_mean": float(np.mean(ess)),
-        "v": v,
-        "m": len(chains),
-        "n": n,
+        "v": psrf.chain_length,
+        "m": psrf.num_chains,
+        "n": summaries[0].shape[1],
     }

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,6 +252,177 @@ class TestDiagnose:
         assert {line.split()[0] for line in lines[1:]} == {"MH", "HMC"}
 
 
+class TestStreamedDiagnose:
+    """diagnose holds one chain's draws at a time and writes the report that
+    diagnostics_report makes of the whole chains in memory."""
+
+    @staticmethod
+    def save_group(tmp_path, rng, tag, count, length, burnin, offset=0):
+        paths = []
+        for i in range(count):
+            draws = rng.standard_normal((length, 3)) + 0.1 * i
+            path = tmp_path / f"{tag}_{offset + i}.csv"
+            chain = Chain(draws, burnin=burnin, seed=i, accepted=0, sampler_tag=tag)
+            save_chain(chain, path, path.with_suffix(".json"))
+            paths.append(path)
+        return paths
+
+    @pytest.mark.parametrize("flags,burnin", [(["--burnin", 150], 150), ([], 120)])
+    def test_report_matches_whole_chains_in_memory(self, tmp_path, flags, burnin):
+        """With --burnin, and with the sidecars' burn-in, whose rows are
+        now skipped at load too, the report is the one computed on the
+        whole chains."""
+        rng = np.random.default_rng(107)
+        mh = self.save_group(tmp_path, rng, "MH", 3, 600, 80)
+        pp = self.save_group(tmp_path, rng, "PP", 2, 500, 120)
+        report_path = tmp_path / "report.json"
+        paths = [mh[0], pp[0], mh[1], pp[1], mh[2]]
+        assert run(["diagnose", "--chains", *paths, *flags, "--out", report_path]) == 0
+
+        def whole(group):
+            return [load_chain(p, p.with_suffix(".json")).draws for p in group]
+
+        expected = {
+            "MH": diagnostics_report(whole(mh), burnin=burnin),
+            "PP": diagnostics_report(whole(pp), burnin=burnin),
+        }
+        assert report_path.read_text() == cli._json_text(expected)
+
+    @pytest.mark.parametrize("flags", [["--burnin", 500], []])
+    def test_peak_does_not_grow_with_chain_count(self, tmp_path, flags):
+        """The allocation peak over 8 chains stays below the peak over 4 of
+        them plus one chain's post-burn-in bytes."""
+        rng = np.random.default_rng(109)
+        paths = self.save_group(tmp_path, rng, "MH", 8, 6000, 500)
+
+        def peak(chains):
+            tracemalloc.start()
+            try:
+                assert run(["diagnose", "--chains", *chains, *flags]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(paths[:2])  # warm-up: first-call allocations are not the chains'
+        assert peak(paths) < peak(paths[:4]) + 5500 * 3 * 8
+
+
+def fault_draws(kind: str, length: int, seed: int) -> np.ndarray:
+    """Two-parameter draws: a random walk, a constant chain (degenerate) or
+    a chain that jumps once (its first MINSE partial sum is singular)."""
+    if kind == "walk":
+        return np.cumsum(np.random.default_rng(seed).standard_normal((length, 2)), axis=0)
+    draws = np.full((length, 2), 0.1)
+    if kind == "jump":
+        draws[length // 2 :] = [1.0, 2.0]
+    return draws
+
+
+def flip_csv_digit(csv_path):
+    """Change the last digit of row 0, so the CSV fails its sidecar's CRC-32."""
+    text = bytearray(csv_path.read_bytes())
+    at = text.index(b"\n") - 1
+    text[at] = ord("7") if text[at] != ord("7") else ord("3")
+    csv_path.write_bytes(bytes(text))
+
+
+FIRST_MINSE = (
+    "first MINSE partial sum is not positive definite; "
+    "the chain is too short or severely anticorrelated"
+)
+CRC = "{csv} does not match the CRC-32 its metadata {meta} records"
+
+#: Chains of (kind, sampler tag, length, sidecar burn-in, CSV damaged),
+#: extra diagnose flags, and the exit code, error category and message;
+#: {csv} and {meta} name the damaged chain's files. Each input holds more
+#: than one fault, and the expected error is the one diagnose reports when
+#: it has every chain in memory before it checks any of them.
+MULTI_FAULT = {
+    "jump first, damaged last": (
+        [("jump", "MH", 400, 0, 0), ("walk", "MH", 400, 0, 0), ("walk", "MH", 400, 0, 0),
+         ("walk", "MH", 400, 0, 1)], [], (3, "io", CRC)),
+    "jump first, damaged last, --burnin": (
+        [("jump", "MH", 400, 0, 0), ("walk", "MH", 400, 0, 0), ("walk", "MH", 400, 0, 0),
+         ("walk", "MH", 400, 0, 1)], ["--burnin", 100], (3, "io", CRC)),
+    "constant first, damaged last": (
+        [("constant", "MH", 400, 0, 0), ("walk", "MH", 400, 0, 0), ("walk", "MH", 400, 0, 1)],
+        [], (3, "io", CRC)),
+    "constant first, jump second": (
+        [("constant", "MH", 400, 0, 0), ("jump", "MH", 400, 0, 0), ("walk", "MH", 400, 0, 0)],
+        [], (6, "diagnostics", FIRST_MINSE)),
+    "constant last": (
+        [("walk", "MH", 400, 0, 0), ("walk", "MH", 400, 0, 0), ("constant", "MH", 400, 0, 0)],
+        [], (6, "diagnostics", "empirical covariance has nonpositive determinant")),
+    "--burnin empties one, damaged last": (
+        [("walk", "MH", 100, 0, 0), ("walk", "MH", 400, 0, 0), ("walk", "MH", 400, 0, 1)],
+        ["--burnin", 150], (3, "io", CRC)),
+    "--burnin empties one, jump second": (
+        [("walk", "MH", 100, 0, 0), ("jump", "MH", 400, 0, 0), ("walk", "MH", 400, 0, 0)],
+        ["--burnin", 150], (4, "invalid-input", "burn-in leaves no draws")),
+    "--burnin empties another group": (
+        [("jump", "MH", 400, 0, 0), ("walk", "MH", 300, 0, 0), ("walk", "PP", 100, 0, 0)],
+        ["--burnin", 150], (4, "invalid-input", "burn-in leaves no draws")),
+    "MH fault, PP of another length": (
+        [("jump", "MH", 400, 0, 0), ("walk", "MH", 400, 0, 0), ("walk", "PP", 300, 0, 0),
+         ("walk", "PP", 300, 0, 0)], [], (6, "diagnostics", FIRST_MINSE)),
+    "PP of another length, MH fault": (
+        [("walk", "PP", 300, 0, 0), ("walk", "PP", 300, 0, 0), ("jump", "MH", 400, 0, 0),
+         ("walk", "MH", 400, 0, 0)], [], (6, "diagnostics", FIRST_MINSE)),
+    "MH fault, PP lengths differ": (
+        [("jump", "MH", 400, 0, 0), ("walk", "MH", 400, 0, 0), ("walk", "PP", 300, 0, 0),
+         ("walk", "PP", 250, 0, 0)], [], (6, "diagnostics", FIRST_MINSE)),
+    "PP lengths differ, MH fault": (
+        [("walk", "PP", 300, 0, 0), ("walk", "PP", 250, 0, 0), ("jump", "MH", 400, 0, 0),
+         ("walk", "MH", 400, 0, 0)],
+        [], (4, "invalid-input", "all chains must share the same (length, dim) shape")),
+    "sidecar burn-in past another group": (
+        [("walk", "MH", 400, 300, 0), ("walk", "MH", 400, 300, 0), ("walk", "PP", 200, 0, 0),
+         ("walk", "PP", 200, 0, 0)], [], (4, "invalid-input", "burn-in leaves no draws")),
+    "sidecar burn-in past a group whose lengths differ": (
+        [("walk", "MH", 400, 300, 0), ("walk", "MH", 400, 300, 0), ("walk", "PP", 200, 0, 0),
+         ("walk", "PP", 150, 0, 0)],
+        [], (4, "invalid-input", "all chains must share the same (length, dim) shape")),
+    "sidecar burn-in past a group, damaged last": (
+        [("walk", "PP", 200, 0, 0), ("walk", "PP", 200, 0, 0), ("walk", "MH", 400, 300, 0),
+         ("walk", "MH", 400, 300, 1)], [], (3, "io", CRC)),
+    "one chain with a fault": (
+        [("jump", "MH", 400, 0, 0)], [], (4, "invalid-input", "PSRF needs at least two chains")),
+}
+
+
+class TestDiagnoseMultiFault:
+    """Which fault diagnose reports, and with which exit code, does not
+    depend on when it loads each chain."""
+
+    @pytest.mark.parametrize("case", list(MULTI_FAULT))
+    def test_reported_fault(self, tmp_path, capsys, case):
+        specs, flags, (code, category, message) = MULTI_FAULT[case]
+        paths, names = [], {}
+        for i, (kind, tag, length, burnin, damaged) in enumerate(specs):
+            path = tmp_path / f"c{i}.csv"
+            chain = Chain(fault_draws(kind, length, i), burnin=burnin, seed=i, accepted=0, sampler_tag=tag)
+            save_chain(chain, path, path.with_suffix(".json"))
+            if damaged:
+                flip_csv_digit(path)
+                names = {"csv": path, "meta": path.with_suffix(".json")}
+            paths.append(path)
+        report = tmp_path / "report.json"
+        assert run(["diagnose", "--chains", *paths, *flags, "--out", report]) == code
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": category, "message": message.format(**names)}
+        assert not report.exists()
+
+
+def chains_with_a_wide_last(tmp_path, xor_config):
+    """Two sampled chains of MLP(2, 2, 1) and a third of 5 parameters."""
+    out = tmp_path / "chains"
+    assert run(["sample", "--config", xor_config, "--out-dir", out]) == 0
+    wide = tmp_path / "wide.csv"
+    chain = Chain(np.zeros((400, 5)), burnin=100, seed=0, accepted=0, sampler_tag="MH")
+    save_chain(chain, wide, wide.with_suffix(".json"))
+    return [out / "chain_00.csv", out / "chain_01.csv", wide]
+
+
 class TestPredict:
     def test_accuracy_summary(self, tmp_path, xor_config, capsys):
         out = tmp_path / "chains"
@@ -294,6 +466,17 @@ class TestPredict:
         assert run(["predict", "--config", xor_config, "--chains", csv_path, "--out-dir", pred]) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "io"
         assert not (pred / "accuracy_summary.json").exists()
+
+    def test_failed_later_chain_leaves_no_file(self, tmp_path, xor_config, capsys):
+        """A chain that fails after others were evaluated leaves no
+        prediction file of the chains before it."""
+        paths = chains_with_a_wide_last(tmp_path, xor_config)
+        pred = tmp_path / "pred"
+        assert run([
+            "predict", "--config", xor_config, "--arch", "2,2,1", "--chains", *paths, "--out-dir", pred,
+        ]) == 4
+        assert json.loads(capsys.readouterr().err)["error"] == "dimension"
+        assert list(pred.iterdir()) == []
 
     def test_prior_baseline_routing(self, tmp_path, xor_config, capsys):
         pred = tmp_path / "prior"
@@ -463,6 +646,17 @@ class TestTracesAndBoxplot:
         lines = (box_dir / "boxplot_accuracies.csv").read_text().strip().splitlines()
         assert lines[0] == "chain,accuracy"
         assert len(lines) == 3
+
+
+    def test_boxplot_failed_later_chain_leaves_no_file(self, tmp_path, xor_config, capsys):
+        paths = chains_with_a_wide_last(tmp_path, xor_config)
+        box_dir = tmp_path / "box"
+        assert run([
+            "boxplot-data", "--config", xor_config, "--arch", "2,2,1", "--chains", *paths,
+            "--out-dir", box_dir,
+        ]) == 4
+        assert json.loads(capsys.readouterr().err)["error"] == "dimension"
+        assert list(box_dir.iterdir()) == []
 
 
 class TestSgdCommand:

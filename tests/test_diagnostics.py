@@ -267,6 +267,15 @@ class TestDiagnosticsReport:
         diagnostics.diagnostics_report(chains)
         assert len(calls) == 3
 
+    def test_generator_gives_the_list_report(self):
+        """The report and the PSRF consume any iterable of chains, one chain
+        at a time, with the numbers they give for the list."""
+        rng = np.random.default_rng(79)
+        chains = [ar1_chain(rng, 0.6, 1200, dim=3) + 0.2 * i for i in range(4)]
+        report = diagnostics.diagnostics_report((c for c in chains), burnin=200)
+        assert report == diagnostics.diagnostics_report(chains, burnin=200)
+        assert multivariate_psrf(iter(chains)) == multivariate_psrf(chains)
+
     def test_negative_burnin_rejected(self):
         """A negative burn-in is an error, not a slice of the last draws."""
         rng = np.random.default_rng(73)
