@@ -184,37 +184,43 @@ def _apply_activation(kind: ActivationKind, g, axis=-1, out=None):
     return g
 
 
-def _hidden_derivative(kind: ActivationKind, g, h):
-    """Elementwise derivative of a hidden activation, in terms of g and h."""
+def _hidden_derivative(kind: ActivationKind, h):
+    """Elementwise derivative of a hidden activation, read off its output h
+    (the pass keeps no pre-activations)."""
     if kind is ActivationKind.SIGMOID:
         return h * (1.0 - h)
     if kind is ActivationKind.TANH:
         return 1.0 - h * h
     if kind is ActivationKind.RELU:
-        return (g > 0).astype(float)  # subgradient 0 at the kink
-    return np.ones_like(g)
+        return h > 0  # g > 0 exactly, NaN included; subgradient 0 at the kink
+    return 1.0
 
 
 def _layer_kind(arch, j: int) -> ActivationKind:
     return arch.output_activation if j == arch.num_layers - 1 else arch.hidden_activation
 
 
-def _forward_cached(arch, layers, X):
-    """Forward pass over an (s, k_0) batch, keeping the pre- and
-    post-activations of every layer: each of shape (s, k_j) for the layers
-    of one parameter vector, and (m, s, k_j) for those of an (m, n) stack.
+def _forward_features(arch, layers, XT, buffers=None) -> list[np.ndarray]:
+    """Feature-major forward pass on (k_0, s) inputs XT, for the per-layer
+    (W, b) views of one parameter vector or of a (d, n) stack: (d, k_j,
+    k_{j-1}) weights times (d, k_{j-1}, s) activations, so bias adds,
+    activations and the softmax run along the s points rather than along the
+    1 to 3 units of a layer. Returns the post-activations of every layer, XT
+    first and the (d, k_rho, s) output last.
 
-    Row-major over a leading stack axis: every chain's matmuls are the
-    BLAS calls of a single-vector pass, so each row keeps its bits.
+    Each layer's matmul, bias add and activation run in one array. Given
+    buffers, one (c, k_j, s) array per layer with c >= d, layer j of a stack
+    runs in the leading d entries of buffers[j], so repeated calls allocate
+    no array of that size; without, each layer allocates its own. Every
+    vector of a stack gets the BLAS calls of its single-vector pass, so each
+    keeps its bits.
     """
-    H = X
-    gs, hs = [], [X]
+    hs = [XT]
     for j, (W, b) in enumerate(layers):
-        G = H @ W.swapaxes(-1, -2) + b[..., None, :]
-        H = _apply_activation(_layer_kind(arch, j), G)
-        gs.append(G)
-        hs.append(H)
-    return gs, hs
+        G = np.matmul(W, hs[-1], out=None if buffers is None else buffers[j][: len(W)])
+        G += b[..., None]
+        hs.append(_apply_activation(_layer_kind(arch, j), G, axis=-2, out=G))
+    return hs
 
 
 def _as_batch(arch, x):
@@ -236,8 +242,8 @@ def forward(arch: Architecture, theta, x) -> np.ndarray:
     a softmax output is a probability vector over the classes.
     """
     X, single = _as_batch(arch, x)
-    _, hs = _forward_cached(arch, unpack_parameters(arch, theta), X)
-    out = hs[-1]
+    hs = _forward_features(arch, unpack_parameters(arch, theta), np.ascontiguousarray(X.T))
+    out = hs[-1].T
     return out[0] if single else out
 
 
@@ -253,25 +259,6 @@ def _as_stack(arch, thetas) -> np.ndarray:
     return thetas
 
 
-def _forward_features(arch, thetas, XT, buffers=None) -> np.ndarray:
-    """Feature-major forward pass of a (d, n) stack on (k_0, s) inputs XT:
-    (d, k_j, k_{j-1}) weights times (d, k_{j-1}, s) activations, so bias
-    adds, activations and the softmax run along the s points rather than
-    along the 1 to 3 units of a layer. Returns the (d, k_rho, s) output.
-
-    Each layer's matmul, bias add and activation run in one array. Given
-    buffers, one (c, k_j, s) array per layer with c >= d, layer j runs in
-    the leading d entries of buffers[j], so repeated calls allocate no
-    array of that size; without, each layer allocates its own.
-    """
-    H = XT
-    for j, (W, b) in enumerate(_layer_views(arch, thetas)):
-        G = np.matmul(W, H, out=None if buffers is None else buffers[j][: len(thetas)])
-        G += b[..., None]
-        H = _apply_activation(_layer_kind(arch, j), G, axis=-2, out=G)
-    return H
-
-
 def forward_stack(arch: Architecture, thetas, X) -> np.ndarray:
     """Network outputs of d parameter vectors on an (s, k_0) input batch.
 
@@ -282,7 +269,8 @@ def forward_stack(arch: Architecture, thetas, X) -> np.ndarray:
     """
     thetas = _as_stack(arch, thetas)
     X, _ = _as_batch(arch, X)
-    return np.swapaxes(_forward_features(arch, thetas, np.ascontiguousarray(X.T)), -1, -2)
+    hs = _forward_features(arch, _layer_views(arch, thetas), np.ascontiguousarray(X.T))
+    return np.swapaxes(hs[-1], -1, -2)
 
 
 def event_probabilities(arch: Architecture, theta, x) -> np.ndarray:
@@ -318,20 +306,24 @@ def _prior_constant(n: int, sigma2: float) -> float:
 class Posterior:
     """Unnormalized MLP log-posterior on one dataset, compiled once.
 
-    Labels are checked when the object is built. A binary model keeps y
-    and 1 - y, a multiclass model the 0-based label index and the one-hot
-    label matrix; the normal prior keeps its constant. An empty dataset is
-    a (0, k_0) feature matrix, whose log-likelihood is 0 and gradient 0.
+    Labels are checked when the object is built. The features are kept as
+    a contiguous (k_0, s) array, the layout of the feature-major pass
+    (_forward_features). A binary model keeps y and 1 - y, a multiclass
+    model the (k_rho, s) one-hot label matrix and each row's flat index of
+    its true class in a (k_rho, s) output; the normal prior keeps its
+    constant. An empty dataset is a (k_0, 0) feature array, whose
+    log-likelihood is 0 and gradient 0.
 
     Four evaluation methods: log_likelihood, log_prior, grad_log_likelihood
     and value_and_grad (the log-posterior and its gradient, read off one
     forward pass), plus subset, the posterior on some of the stored rows.
-    Each evaluation is one forward pass over the stored features. A method
-    takes one parameter vector of shape (n,) and returns a float (and an
-    (n,) gradient), or a stack of m vectors of shape (m, n) and returns an
-    (m,) array (and an (m, n) gradient) whose row i equals, bit for bit,
-    the result for row i alone. The module functions log_likelihood,
-    log_posterior and grad_log_posterior are single calls into this class.
+    Each evaluation is one feature-major pass over the stored features, and
+    backprop runs in the same layout. A method takes one parameter vector of
+    shape (n,) and returns a float (and an (n,) gradient), or a stack of m
+    vectors of shape (m, n) and returns an (m,) array (and an (m, n)
+    gradient) whose row i equals, bit for bit, the result for row i alone.
+    The module functions log_likelihood, log_posterior and
+    grad_log_posterior are single calls into this class.
     """
 
     def __init__(self, arch: Architecture, data: LabeledDataset, sigma2: float):
@@ -345,48 +337,55 @@ class Posterior:
             raise DimensionError("feature width does not match input width")
         self.arch = arch
         self.sigma2 = sigma2
-        self._X = X
-        y = data.labels
-        if arch.is_binary:
-            self._y, self._not_y = y, 1 - y
+        self._keep(X.T, data.labels)
+
+    def _keep(self, XT, labels):
+        """Store the points (the columns of XT) and their labels in the
+        layouts the pass reads. Every array a point contributes to is built
+        here, so a subset cannot read its parent's points."""
+        self._XT = np.ascontiguousarray(XT)
+        self._labels = labels
+        if self.arch.is_binary:
+            y = labels.astype(float)  # a float y spares each evaluation two casts
+            self._y, self._not_y = y, 1.0 - y
         else:
-            self._rows, self._index = np.arange(len(y)), y - 1
-            self._onehot = np.zeros((len(y), arch.output_dim))
-            self._onehot[self._rows, self._index] = 1.0
+            index, s = labels - 1, len(labels)
+            self._onehot = (np.arange(self.arch.output_dim)[:, None] == index).astype(float)
+            self._true = index * s + np.arange(s)
 
     def subset(self, rows) -> "Posterior":
         """The posterior on the given rows of the stored dataset, in that
         order, without checking the labels again."""
         sub = copy.copy(self)
-        sub._X = self._X[rows]
-        if self.arch.is_binary:
-            sub._y, sub._not_y = self._y[rows], self._not_y[rows]
-        else:
-            sub._index, sub._onehot = self._index[rows], self._onehot[rows]
-            sub._rows = np.arange(len(sub._index))
+        sub._keep(self._XT[:, rows], self._labels[rows])
         return sub
 
-    def _layers(self, theta):
-        """theta as a float array of shape (n,) or (m, n), and its per-layer
-        (W, b) views."""
+    def _pass(self, theta):
+        """theta as a float array of shape (n,) or (m, n), its per-layer
+        (W, b) views, the post-activations of the pass over the stored
+        features, and the per-point probability of the observed event
+        before clamping: h for a binary model, the true class's p for a
+        multiclass one, as an (s,) or C-contiguous (m, s) array."""
         theta = np.asarray(theta, dtype=float)
         if theta.ndim not in (1, 2) or theta.shape[-1] != self.dim:
             raise DimensionError(
                 f"parameter array of shape {theta.shape} does not match (n,) or "
                 f"(m, n) with n = {self.dim} for architecture {self.arch.layer_widths}"
             )
-        return theta, _layer_views(self.arch, theta)
-
-    def _event_probabilities(self, out) -> np.ndarray:
-        """Per-row probability of the observed event, before clamping, from
-        the network output on the stored features: h for a binary model,
-        the true class's p for a multiclass one."""
-        return out[..., 0] if self.arch.is_binary else out[..., self._rows, self._index]
+        layers = _layer_views(self.arch, theta)
+        hs = _forward_features(self.arch, layers, self._XT)
+        out = hs[-1]
+        if self.arch.is_binary:
+            p = out[..., 0, :]
+        else:
+            p = np.take(out.reshape(out.shape[:-2] + (-1,)), self._true, axis=-1)
+        return theta, layers, hs, p
 
     def _log_likelihood_of(self, p):
         """Log-likelihood from the event probabilities p, clamped away from
         0 and 1; one value per row of a stack."""
-        p = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
+        p = np.maximum(p, PROB_EPS)
+        np.minimum(p, 1.0 - PROB_EPS, out=p)
         if self.arch.is_binary:
             terms = self._y * np.log(p) + self._not_y * np.log1p(-p)
         else:
@@ -397,36 +396,36 @@ class Posterior:
         # the last axis of the stack is not guaranteed to do
         return np.array([np.add.reduce(row) for row in terms])
 
-    def _backprop(self, layers, gs, hs, p) -> np.ndarray:
-        """Log-likelihood gradient by backprop over a cached forward pass
-        with event probabilities p.
+    def _backprop(self, layers, hs, p) -> np.ndarray:
+        """Log-likelihood gradient by feature-major backprop over the
+        post-activations hs of a pass with event probabilities p.
 
-        A row whose event probability is clamped adds a constant to the
-        likelihood, so its output-layer delta is zero.
+        delta is (m, k_j, s): each bias gradient is a sum along the points,
+        each weight gradient delta @ H^T, and delta moves back a layer as
+        W^T @ delta. A point whose event probability is clamped adds a
+        constant to the likelihood, so its output-layer delta is zero.
         """
         # dl/dg at the output layer: residual form for both link functions
         if self.arch.is_binary:
-            delta = (self._y - p)[..., None]
+            delta = (self._y - p)[..., None, :]
         else:
             delta = self._onehot - hs[-1]
-        delta[(p < PROB_EPS) | (p > 1.0 - PROB_EPS)] = 0.0
-        grads = []
+        np.copyto(delta, 0.0, where=((p < PROB_EPS) | (p > 1.0 - PROB_EPS))[..., None, :])
+        # written layer by layer into the flat layout W_1, b_1, ..., W_rho, b_rho
+        grad = np.empty(p.shape[:-1] + (self.dim,))
+        grads = _layer_views(self.arch, grad)
         for j in range(len(layers) - 1, -1, -1):
-            W, _ = layers[j]
-            grads += [delta.sum(axis=-2), delta.swapaxes(-1, -2) @ hs[j]]
+            gW, gb = grads[j]
+            np.add.reduce(delta, axis=-1, out=gb)
+            np.matmul(delta, hs[j].swapaxes(-1, -2), out=gW)
             if j > 0:
-                delta = (delta @ W) * _hidden_derivative(
-                    self.arch.hidden_activation, gs[j - 1], hs[j]
-                )
-        # flat layout: W_1, b_1, ..., W_rho, b_rho along the last axis
-        lead = p.shape[:-1]
-        return np.concatenate([g.reshape(lead + (-1,)) for g in reversed(grads)], axis=-1)
+                delta = layers[j][0].swapaxes(-1, -2) @ delta
+                delta *= _hidden_derivative(self.arch.hidden_activation, hs[j])
+        return grad
 
     def log_likelihood(self, theta):
         """Classification log-likelihood; 0 on an empty dataset."""
-        _, layers = self._layers(theta)
-        _, hs = _forward_cached(self.arch, layers, self._X)
-        return self._log_likelihood_of(self._event_probabilities(hs[-1]))
+        return self._log_likelihood_of(self._pass(theta)[-1])
 
     def log_prior(self, theta):
         """Log-density of the normal prior N(0, sigma2 I)."""
@@ -439,16 +438,13 @@ class Posterior:
 
     def grad_log_likelihood(self, theta) -> np.ndarray:
         """Exact gradient of the classification log-likelihood, flat layout."""
-        _, layers = self._layers(theta)
-        gs, hs = _forward_cached(self.arch, layers, self._X)
-        return self._backprop(layers, gs, hs, self._event_probabilities(hs[-1]))
+        _, layers, hs, p = self._pass(theta)
+        return self._backprop(layers, hs, p)
 
     def value_and_grad(self, theta):
         """Log-posterior and its gradient from one forward pass."""
-        theta, layers = self._layers(theta)
-        gs, hs = _forward_cached(self.arch, layers, self._X)
-        p = self._event_probabilities(hs[-1])
-        ll, grad = self._log_likelihood_of(p), self._backprop(layers, gs, hs, p)
+        theta, layers, hs, p = self._pass(theta)
+        ll, grad = self._log_likelihood_of(p), self._backprop(layers, hs, p)
         return ll + self.log_prior(theta), grad + grad_log_prior(theta, self.sigma2)
 
 

@@ -67,7 +67,8 @@ def predictive_distribution(arch: mlp.Architecture, chain_tail, x) -> np.ndarray
     buffers = [np.empty((chunk, k, X.shape[0])) for k in arch.layer_widths[1:]]
     total = np.zeros((X.shape[0], arch.output_dim))
     for lo in range(0, tail.shape[0], PREDICTIVE_CHUNK):
-        out = mlp._forward_features(arch, tail[lo : lo + PREDICTIVE_CHUNK], XT, buffers)
+        layers = mlp._layer_views(arch, tail[lo : lo + PREDICTIVE_CHUNK])
+        out = mlp._forward_features(arch, layers, XT, buffers)[-1]
         total += np.swapaxes(out, -1, -2).sum(axis=0)
     probs = total / tail.shape[0]
     if arch.is_binary:

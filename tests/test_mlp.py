@@ -457,6 +457,12 @@ def stack_case(rng, name):
     elif name == "tanh":
         train, _ = load_vendored("penguins")
         arch = Architecture((train.features.shape[1], 3, 3), hidden_activation=ActivationKind.TANH)
+    elif name == "relu":
+        train, _ = load_vendored("hawks")
+        arch = Architecture((6, 4, 3), hidden_activation=ActivationKind.RELU)
+    elif name == "identity":
+        train, _ = generate_noisy_xor(NoisyXorConfig(train_per_corner=25, test_per_corner=1, seed=0))
+        arch = Architecture((2, 3, 1), hidden_activation=ActivationKind.IDENTITY)
     else:
         arch, theta, train = clamped_instance(rng, 1 if name == "clamped-binary" else 3)
         thetas = theta + 0.01 * rng.normal(size=(4, theta.size))
@@ -473,7 +479,9 @@ class TestStackedPosterior:
     of the single-vector call: the lockstep samplers rely on it."""
 
     @pytest.mark.parametrize("m", [1, 2, 4])
-    @pytest.mark.parametrize("name", ["xor", "hawks", "tanh", "clamped-binary", "clamped-multiclass"])
+    @pytest.mark.parametrize(
+        "name", ["xor", "hawks", "tanh", "relu", "identity", "clamped-binary", "clamped-multiclass"]
+    )
     def test_rows_match_single_calls(self, rng, name, m):
         post, thetas = stack_case(rng, name)
         thetas = thetas[:m]
@@ -508,6 +516,9 @@ class TestStackedPosterior:
         direct = Posterior(arch, ds.subset(rows), 10.0)
         assert bits(sub.log_likelihood(theta)) == bits(direct.log_likelihood(theta))
         np.testing.assert_array_equal(bits(sub.grad_log_likelihood(theta)), bits(direct.grad_log_likelihood(theta)))
+        thetas = rng.normal(size=(3, theta.size))
+        for got, want in zip(sub.value_and_grad(thetas), direct.value_and_grad(thetas)):
+            np.testing.assert_array_equal(bits(got), bits(want))
 
 
 def clamped_instance(rng, classes):
@@ -575,6 +586,26 @@ class TestGradients:
         theta, ds = random_instance(rng, arch, samples=8)
         grad = grad_log_posterior(arch, theta, ds, 10.0)
         fd = finite_difference_gradient(lambda th: log_posterior(arch, th, ds, 10.0), theta)
+        rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1.0)
+        assert rel.max() < 1e-5
+
+    @pytest.mark.parametrize("classes", [1, 3])
+    @pytest.mark.parametrize("hidden", [ActivationKind.TANH, ActivationKind.RELU])
+    def test_stack_gradient_matches_finite_differences(self, rng, hidden, classes):
+        """Each row of a stacked gradient matches central differences of
+        the stacked log-posterior, every row's coordinate i moved at once."""
+        arch = Architecture((3, 4, classes), hidden_activation=hidden)
+        _, ds = random_instance(rng, arch, samples=9)
+        post = Posterior(arch, ds, 10.0)
+        thetas = rng.normal(size=(3, parameter_count(arch)))
+        _, grad = post.value_and_grad(thetas)
+        fd = np.zeros_like(thetas)
+        for i in range(thetas.shape[1]):
+            plus, minus = thetas.copy(), thetas.copy()
+            plus[:, i] += 1e-5
+            minus[:, i] -= 1e-5
+            values = [post.log_likelihood(th) + post.log_prior(th) for th in (plus, minus)]
+            fd[:, i] = (values[0] - values[1]) / 2e-5
         rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1.0)
         assert rel.max() < 1e-5
 

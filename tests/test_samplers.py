@@ -211,13 +211,13 @@ class TestHmc:
         carried over and the end value comes from the last gradient pass."""
         train, _ = generate_noisy_xor(NoisyXorConfig(train_per_corner=10, test_per_corner=1, seed=0))
         passes = []
-        forward_cached = mlp._forward_cached
+        forward_features = mlp._forward_features
 
         def counting(*args):
             passes.append(1)
-            return forward_cached(*args)
+            return forward_features(*args)
 
-        monkeypatch.setattr(mlp, "_forward_cached", counting)
+        monkeypatch.setattr(mlp, "_forward_features", counting)
         iterations = 40
         chain = run_posterior_chain(xor_arch, train, 10.0, HmcConfig(steps, 0.5), iterations, seed=5)
         assert chain.divergences == 0 and 0 < chain.accepted < iterations
