@@ -2,7 +2,14 @@
 multivariate initial monotone sequence estimator (MINSE) of Monte Carlo
 covariance, multivariate PSRF across chains and multivariate ESS per chain.
 
-MINSE dominates the cost: its scan takes one O(v n^2) product per lag pair.
+MINSE dominates the cost. Its lag sums come from a block DFT: the centred
+draws are cut into blocks of BLOCK rows, each block's zero-padded spectrum
+is taken once per chain (two chain-sizes, the centring done block by
+block), and each pass of the scan yields BLOCK consecutive lags from one
+product over the stored spectra, about four lag pairs' worth of direct
+products, and a small real inverse DFT. The pass buffers hold about
+1.5 BLOCK n^2 doubles and are allocated once per chain.
+
 Every number the PSRF and the report need is per chain or built from
 per-chain summaries, so each chain is reduced on its own to a ChainSummary
 (its shape, mean, MINSE and empirical log-determinant, a few n x n
@@ -17,6 +24,8 @@ order of the checks: shape, burn-in, chain count, MINSE, ESS.
 
 from __future__ import annotations
 
+import itertools
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +33,15 @@ import numpy as np
 #: Relative ridge added to a singular within-chain covariance before the
 #: PSRF eigenproblem; falls back to an absolute 1e-10 when the trace is zero.
 RIDGE_FACTOR = 1e-10
+
+#: Rows per block of MINSE's lag-sum transform, even: each pass of the scan
+#: yields BLOCK lags, and its buffers hold about 1.5 BLOCK n^2 + 3 PANEL n^2
+#: doubles, next to the two chain-sizes of stored spectra.
+BLOCK = 32
+#: Frequency slots per stored panel of spectra and per product; divides BLOCK.
+PANEL = 4
+#: Blocks centred and transformed at a time.
+CHUNK_BLOCKS = 8
 
 
 class DegenerateChainError(ValueError):
@@ -41,6 +59,8 @@ class CovarianceEstimate:
     matrix: np.ndarray
     kind: str  # "empirical" | "minse"
     chain_length: int
+    #: the number of lags a MINSE sums, Sig_0 ... Sig_{lags-1}: two per lag pair
+    lags: int | None = None
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
@@ -87,13 +107,13 @@ def lag_autocovariance(draws, k: int) -> np.ndarray:
 
 
 def empirical_covariance(draws) -> CovarianceEstimate:
-    """Sample covariance with divisor v - 1."""
+    """Sample covariance with divisor v - 1, the draws centred block by
+    block rather than in a copy."""
     draws = _as_draws(draws)
     v = draws.shape[0]
     if v < 2:
         raise DegenerateChainError("need at least two draws for a covariance")
-    centered = draws - draws.mean(axis=0)
-    return CovarianceEstimate(centered.T @ centered / (v - 1), "empirical", v)
+    return CovarianceEstimate(_centered_gram(draws, draws.mean(axis=0)) / (v - 1), "empirical", v)
 
 
 def _cholesky(matrix) -> np.ndarray | None:
@@ -112,15 +132,112 @@ def _chol_logdet(matrix) -> float | None:
     return 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
-def _lag_pair(centered, pairs, k: int) -> np.ndarray:
-    """v (Sig_k + Sig_{k+1}) of centered draws as a single product.
+def _centered_chunks(draws, mean):
+    """The draws less their mean, in chunks of whole BLOCK-row blocks, the
+    last zero-padded to a whole block: one chunk at a time, so no centred
+    copy of the chain is made."""
+    v, n = draws.shape
+    step = CHUNK_BLOCKS * BLOCK
+    for start in range(0, v, step):
+        rows = draws[start : start + step]
+        chunk = np.zeros((-(-len(rows) // BLOCK) * BLOCK, n))
+        np.subtract(rows, mean, out=chunk[: len(rows)])
+        yield chunk
 
-    pairs holds centered[:-1] + centered[1:], so for k + 1 < v
-    sum_i c_i c_{i+k}^T + sum_i c_i c_{i+k+1}^T
-    = c[:v-k-1]^T (c[k:v-1] + c[k+1:]) + c_{v-k-1} c_{v-1}^T.
+
+def _centered_gram(draws, mean) -> np.ndarray:
+    """sum_t (x_t - mean)(x_t - mean)^T, summed chunk by chunk."""
+    gram = np.zeros((draws.shape[1], draws.shape[1]))
+    for chunk in _centered_chunks(draws, mean):
+        gram += chunk.T @ chunk
+    return gram
+
+
+def _dft_rows() -> np.ndarray:
+    """The 2 BLOCK-point DFT of a block zero-padded to 2 BLOCK rows, as a
+    real (BLOCK, 2, BLOCK) matrix: rows [f, 0] and [f, 1] give the real and
+    the imaginary part at frequency f, except [0, 1], which gives the real
+    part at frequency BLOCK (the imaginary parts at 0 and BLOCK are 0)."""
+    t = np.arange(BLOCK)
+    # reduced mod 2 BLOCK first, so every angle lies in [0, 2 pi)
+    angle = np.pi * (np.outer(t, t) % (2 * BLOCK)) / BLOCK
+    rows = np.stack((np.cos(angle), -np.sin(angle)), axis=1)
+    rows[0, 1] = (-1.0) ** t
+    return rows
+
+
+def _block_spectra(draws, mean) -> tuple[list[np.ndarray], np.ndarray]:
+    """Spectra of the centred draws cut into blocks of BLOCK rows, and
+    their Gram matrix, summed in the same pass.
+
+    Each block is transformed once by _dft_rows, a real product that is
+    faster here than an FFT of so short a block. Slot f of block a holds
+    the two values of its rows [f]. The slots are kept in panels of PANEL,
+    (PANEL, blocks, 2, n) arrays that together take two chain-sizes.
     """
-    v = centered.shape[0]
-    return centered[: v - k - 1].T @ pairs[k:] + np.outer(centered[v - k - 1], centered[v - 1])
+    v, n = draws.shape
+    blocks = -(-v // BLOCK)
+    panels = [np.empty((PANEL, blocks, 2, n)) for _ in range(BLOCK // PANEL)]
+    dft = _dft_rows().reshape(2 * BLOCK, BLOCK)
+    gram = np.zeros((n, n))
+    start = 0
+    for chunk in _centered_chunks(draws, mean):
+        gram += chunk.T @ chunk
+        spectrum = np.matmul(dft, chunk.reshape(-1, BLOCK, n)).reshape(-1, BLOCK, 2, n)
+        stop = start + len(spectrum)
+        for i, panel in enumerate(panels):
+            panel[:, start:stop] = spectrum[:, i * PANEL : (i + 1) * PANEL].swapaxes(0, 1)
+        start = stop
+    return panels, gram
+
+
+def _lag_sums(spectra, combine) -> typing.Iterator[np.ndarray]:
+    """combine @ [R_jK, ..., R_jK+K-1] for passes j = 0, 1, ..., where
+    R_k = sum_t c_t c_{t+k}^T are the lag sums of the centred draws c whose
+    _block_spectra are given, K = BLOCK and combine has K columns.
+
+    With X_a the spectrum of block a, the window of blocks a and a + 1
+    transforms to X_a + (-1)^f X_{a+1}, so pass j's lag sums are the
+    inverse DFT of P_j + (-1)^f P_{j+1}, P_d = sum_a conj(X_a)^T X_{a+d}.
+    Each P_d is a product over the stored spectra, one panel at a time, and
+    serves two passes: its share of pass d - 1 completes that pass and its
+    share of pass d is kept. The inverse DFT is a real product with a
+    coefficient matrix, folded into combine. Each array yielded is
+    overwritten when the next is made.
+    """
+    blocks, n = spectra[0].shape[1], spectra[0].shape[3]
+    dft = _dft_rows()
+    slot = np.arange(BLOCK)
+    inverse = dft.transpose(2, 0, 1) / BLOCK  # (lag, slot, 2)
+    # slot 0 gives P_0 + P_BLOCK and, below, P_0: lag l takes P_0 + (-1)^l P_BLOCK
+    alternate = dft[0, 1]
+    inverse[:, 0] = np.stack((alternate, 1.0 - alternate), axis=-1) / (2 * BLOCK)
+    inverse = np.tensordot(combine, inverse, axes=1)  # (rows, slot, 2)
+    rows = len(inverse)
+    completing = inverse * (-1.0) ** slot[:, None]
+    acc = np.zeros((2, rows, n * n))  # [0] the pass being completed, [1] the next
+    part = np.empty((rows, n * n))
+    cross = np.empty((PANEL, 2, n, n))
+    scratch = np.empty((PANEL, n, n))
+    for d in range(blocks + 1):
+        for lo, panel in zip(range(0, BLOCK, PANEL), spectra):
+            a, b = panel[:, : blocks - d], panel[:, d:]
+            # Re P = sum_a Re X_a^T Re X_b + Im X_a^T Im X_b, one product
+            # over the interleaved real and imaginary rows
+            np.matmul(a.reshape(PANEL, -1, n).swapaxes(1, 2), b.reshape(PANEL, -1, n), out=cross[:, 0])
+            np.matmul(a[:, :, 0].swapaxes(1, 2), b[:, :, 1], out=cross[:, 1])
+            np.matmul(a[:, :, 1].swapaxes(1, 2), b[:, :, 0], out=scratch)
+            cross[:, 1] -= scratch
+            if lo == 0:
+                np.matmul(a[0, :, 0].T, b[0, :, 0], out=cross[0, 1])
+            flat = cross.reshape(-1, n * n)
+            for share, coef in zip(acc, (completing, inverse)):
+                np.matmul(coef[:, lo : lo + PANEL].reshape(rows, -1), flat, out=part)
+                share += part
+        if d:
+            yield acc[0].reshape(rows, n, n)
+        acc[0] = acc[1]
+        acc[1] = 0.0
 
 
 def minse(draws) -> CovarianceEstimate:
@@ -130,7 +247,7 @@ def minse(draws) -> CovarianceEstimate:
     into partial sums C_t = -Sig_0 + 2 sum_{k<=t} Gamma_k and stops at the
     first t where C_t loses positive definiteness or its determinant stops
     increasing, returning the previous partial sum. The scan is capped at
-    t = v/2 - 1.
+    t = v/2 - 1. The lag sums come BLOCK at a time from _lag_sums.
     """
     draws = _as_draws(draws)
     v, n = draws.shape
@@ -142,14 +259,15 @@ def minse(draws) -> CovarianceEstimate:
         raise DegenerateChainError(
             f"zero-variance coordinate(s) {dead.tolist()}: MINSE is undefined"
         )
-    centered = draws - draws.mean(axis=0)
-    pairs = centered[:-1] + centered[1:]
+    spectra, gram = _block_spectra(draws, draws.mean(axis=0))
+    pair_rows = np.kron(np.eye(BLOCK // 2), [1.0, 1.0])  # R_2t + R_2t+1
+    lag_pairs = itertools.chain.from_iterable(_lag_sums(spectra, pair_rows))
 
-    current = -(centered.T @ centered / v)
+    current = -(gram / v)
     prev = None
     prev_logdet = -np.inf
-    for t in range(v // 2):
-        gamma = _lag_pair(centered, pairs, 2 * t) / v
+    for t, lag_pair in enumerate(itertools.islice(lag_pairs, v // 2)):
+        gamma = lag_pair / v
         current = current + gamma + gamma.T  # 2 * symmetrized Gamma_t
         logdet = _chol_logdet(current)
         if logdet is None or logdet <= prev_logdet:
@@ -158,10 +276,10 @@ def minse(draws) -> CovarianceEstimate:
                     "first MINSE partial sum is not positive definite; "
                     "the chain is too short or severely anticorrelated"
                 )
-            return CovarianceEstimate(prev, "minse", v)
-        prev = current.copy()
+            return CovarianceEstimate(prev, "minse", v, 2 * t)
+        prev = current
         prev_logdet = logdet
-    return CovarianceEstimate(prev, "minse", v)
+    return CovarianceEstimate(prev, "minse", v, 2 * (v // 2))
 
 
 @dataclass
@@ -300,19 +418,22 @@ def diagnostics_report(chains, burnin: int = 0) -> dict:
 
 def report_from_summaries(summaries: list[ChainSummary]) -> dict:
     """The report {psrf, regularized, degenerate_chains, ess_per_chain,
-    ess_mean, v, m, n} of summarized chains; regularized says whether the
-    PSRF ridged a singular W, degenerate_chains lists the chains constant in
-    some coordinate. Raises the first error the chains hold, in the order
-    of the checks: shape, burn-in, chain count, MINSE, then each chain's ESS.
+    ess_mean, minse_lag_per_chain, v, m, n} of summarized chains;
+    regularized says whether the PSRF ridged a singular W,
+    degenerate_chains lists the chains constant in some coordinate and
+    minse_lag_per_chain gives the number of lags each chain's MINSE sums.
+    Raises the first error the chains hold, in the order of the checks:
+    shape, burn-in, chain count, MINSE, then each chain's ESS.
     """
     psrf = _psrf(summaries)
-    ess = [s.ess().value for s in summaries]
+    ess = [s.ess().value for s in summaries]  # raises unless every MINSE was made
     return {
         "psrf": psrf.value,
         "regularized": psrf.regularized,
         "degenerate_chains": list(psrf.degenerate_chains),
         "ess_per_chain": ess,
         "ess_mean": float(np.mean(ess)),
+        "minse_lag_per_chain": [s.estimate.lags for s in summaries],
         "v": psrf.chain_length,
         "m": psrf.num_chains,
         "n": summaries[0].shape[1],

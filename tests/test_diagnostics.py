@@ -7,6 +7,7 @@ import pytest
 from bayesmlp import diagnostics
 from bayesmlp.diagnostics import (
     DegenerateChainError,
+    EstimatorError,
     empirical_covariance,
     lag_autocovariance,
     minse,
@@ -234,7 +235,8 @@ class TestDiagnosticsReport:
         chains = [rng.standard_normal((8000, 3)) for _ in range(4)]
         report = diagnostics.diagnostics_report(chains, burnin=1000)
         assert set(report) == {
-            "psrf", "regularized", "degenerate_chains", "ess_per_chain", "ess_mean", "v", "m", "n",
+            "psrf", "regularized", "degenerate_chains", "ess_per_chain", "ess_mean",
+            "minse_lag_per_chain", "v", "m", "n",
         }
         assert report["regularized"] is False
         assert report["degenerate_chains"] == []
@@ -244,6 +246,7 @@ class TestDiagnosticsReport:
         assert report["psrf"] < 1.01
         assert report["ess_mean"] == pytest.approx(7000, rel=0.2)
         assert len(report["ess_per_chain"]) == 4
+        assert report["minse_lag_per_chain"] == [minse(c[1000:]).lags for c in chains]
 
     def test_matches_separate_psrf_and_ess(self):
         """One MINSE per chain gives the same numbers as the public calls."""
@@ -324,6 +327,27 @@ class TestChainsInPlace:
             with pytest.raises(ValueError, match=r"same \(length, dim\) shape"):
                 multivariate_psrf(chains)
 
+    def test_summary_peak_is_the_stored_spectra(self, monkeypatch):
+        """summarize_chain holds two chain-sizes of spectra and the scan's
+        buffers at its peak, and, MINSE aside, no chain-sized array: the
+        draws are centred block by block for the empirical covariance too."""
+        rng = np.random.default_rng(103)
+        draws = ar1_chain(rng, 0.99, 9000, dim=29)
+
+        def peak():
+            diagnostics.summarize_chain(draws[:100])  # first-call allocations are not the chain's
+            tracemalloc.start()
+            try:
+                summary = diagnostics.summarize_chain(draws)
+                return summary, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        summary, whole = peak()
+        assert whole < 2.3 * draws.nbytes
+        monkeypatch.setattr(diagnostics, "minse", lambda chain: summary.estimate)
+        assert peak()[1] < 0.25 * draws.nbytes
+
     def test_holds_no_copy_of_the_chains(self):
         """The allocation peak of a report stays below the chains' bytes."""
         rng = np.random.default_rng(101)
@@ -337,17 +361,71 @@ class TestChainsInPlace:
         assert peak < sum(chain.nbytes for chain in chains)
 
 
-class TestFusedLagPair:
-    def test_matches_separate_lags(self):
+class TestBlockLagSums:
+    def test_matches_lag_autocovariance(self):
+        """Every lag sum R_k / v of the block-DFT scan equals the lag-k
+        autocovariance, for chains shorter than a block, of whole blocks and
+        ending in a partial block; lags past the chain sum to zero."""
+        block = diagnostics.BLOCK
         rng = np.random.default_rng(73)
-        draws = ar1_chain(rng, 0.8, 301, dim=4)
-        v = draws.shape[0]
-        centered = draws - draws.mean(axis=0)
-        pairs = centered[:-1] + centered[1:]
-        for t in (0, 1, 7, v // 2 - 1):
-            fused = diagnostics._lag_pair(centered, pairs, 2 * t) / v
-            separate = lag_autocovariance(draws, 2 * t) + lag_autocovariance(draws, 2 * t + 1)
-            np.testing.assert_allclose(fused, separate, rtol=1e-12, atol=1e-14)
+        for v in (block // 2 + 3, block, block + 1, 4 * block, 4 * block + 13):
+            for dim in (1, 4):
+                draws = ar1_chain(rng, 0.8, v, dim) @ rng.normal(size=(dim, dim)) + 3.0
+                spectra, gram = diagnostics._block_spectra(draws, draws.mean(axis=0))
+                passes = diagnostics._lag_sums(spectra, np.eye(block))
+                sums = np.concatenate([lags.copy() for lags in passes]) / v
+                assert len(sums) == -(-v // block) * block
+                scale = np.abs(lag_autocovariance(draws, 0)).max()
+                np.testing.assert_allclose(gram / v, lag_autocovariance(draws, 0), rtol=1e-13)
+                for k in range(v):
+                    assert np.abs(sums[k] - lag_autocovariance(draws, k)).max() < 1e-14 * scale, (v, dim, k)
+                assert np.abs(sums[v:]).max(initial=0.0) < 1e-14 * scale
+
+
+def direct_minse(draws):
+    """MINSE by the direct scan, one product per lag pair: (matrix, number
+    of lags summed), or None when the first partial sum is not positive
+    definite."""
+    v = draws.shape[0]
+    centered = draws - draws.mean(axis=0)
+    pairs = centered[:-1] + centered[1:]
+    current = -(centered.T @ centered / v)
+    prev, prev_logdet = None, -np.inf
+    for t in range(v // 2):
+        k = 2 * t
+        lag_pair = centered[: v - k - 1].T @ pairs[k:] + np.outer(centered[v - k - 1], centered[v - 1])
+        gamma = lag_pair / v
+        current = current + gamma + gamma.T
+        try:
+            logdet = 2.0 * np.sum(np.log(np.diag(np.linalg.cholesky(current))))
+        except np.linalg.LinAlgError:
+            logdet = None
+        if logdet is None or logdet <= prev_logdet:
+            return None if prev is None else (prev, 2 * t)
+        prev, prev_logdet = current, logdet
+    return prev, 2 * (v // 2)
+
+
+class TestMinseParity:
+    @pytest.mark.parametrize("phi", [0.3, 0.9, 0.995])
+    def test_matches_direct_scan(self, phi):
+        """The block-DFT scan stops at the lag the direct scan stops at and
+        returns its matrix, around the block length and at benchmark sizes,
+        on AR(1) chains with mixed coordinates."""
+        block = diagnostics.BLOCK
+        rng = np.random.default_rng(int(phi * 1000))
+        lengths = (5, block - 1, block, block + 1, 63, 64, 65, 1450, 9000)
+        for v in lengths:
+            for dim in (1, 3, 29):
+                draws = ar1_chain(rng, phi, v, dim) @ rng.normal(size=(dim, dim))
+                expected = direct_minse(draws)
+                if expected is None:
+                    with pytest.raises(EstimatorError, match="first MINSE partial sum"):
+                        minse(draws)
+                    continue
+                est = minse(draws)
+                assert est.lags == expected[1], (v, dim)
+                np.testing.assert_allclose(est.matrix, expected[0], rtol=1e-10, err_msg=str((v, dim)))
 
 
 class TestPsrfEigenproblem:
