@@ -1,6 +1,6 @@
-"""Chain persistence: one headerless CSV per chain (17 significant digits,
-one iteration per row), a JSON metadata sidecar and, beside both, an exact
-binary copy of the draws.
+"""Chain persistence: the ``Chain`` container, one headerless CSV per chain
+(17 significant digits, one iteration per row), a JSON metadata sidecar and,
+beside both, an exact binary copy of the draws.
 
 Each file is written to a temporary name in its directory, and the files
 are renamed into place only once all of them are written, the sidecar
@@ -8,12 +8,13 @@ last, so a chain's files are complete or absent and a sidecar vouches for
 files that are all there. The sidecar records the chain's shape, a CRC-32
 of the CSV bytes (``crc32``) and a CRC-32 of the binary copy
 (``npy_crc32``), a float64 C-order ``.npy`` file of shape
-``(iterations, dim)``. A load with a sidecar checks the CSV's rows and
-checksum; when the binary copy and its checksum are there, it checks the
-copy's checksum, dtype, order and shape and reads the rows it returns from
-the copy, parsing no text. Without the copy it parses the CSV, and once the
-CSV's checksum has verified the whole file, a load that wants only the
-rows from some start on skips the rows before it unparsed.
+``(iterations, dim)``. A load with a sidecar reads each file once, block
+by block: it counts the CSV's rows and checks its checksum; when the
+binary copy and its checksum are there, it checks the copy's checksum,
+dtype, order and shape and copies the rows it returns out of the blocks
+that the checksum reads, parsing no text. Without the copy it parses the
+CSV, and once the CSV's checksum has verified the whole file, a load that
+wants only the rows from some start on skips the rows before it unparsed.
 """
 
 from __future__ import annotations
@@ -21,11 +22,10 @@ from __future__ import annotations
 import json
 import os
 import zlib
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-from .samplers import Chain
 
 #: Bytes read at a time while checksumming a chain file, so a file is never
 #: held in memory whole. Blocks of 1 MiB, which hold a whole 350 kB hawks
@@ -40,6 +40,60 @@ BINARY_CRC_KEY = "npy_crc32"
 class ChainFileError(ValueError):
     """A chain CSV or its binary copy does not match the shape or checksum
     its metadata sidecar records."""
+
+
+@dataclass
+class Chain:
+    """A realized chain, one iteration per row.
+
+    draws holds the iterations from first_row on: all of them (burn-in
+    included) for a sampled chain, a tail for a partially loaded one.
+    burnin and accepted always count over the whole chain.
+    """
+
+    draws: np.ndarray
+    burnin: int
+    seed: int
+    accepted: int
+    sampler_tag: str
+    runtime_seconds: float = 0.0
+    swap_accepted: int | None = None
+    swap_attempts: int | None = None
+    divergences: int = 0
+    first_row: int = 0
+
+    def __post_init__(self):
+        self.draws = np.atleast_2d(np.asarray(self.draws, dtype=float))
+        if self.first_row < 0:
+            raise ValueError("first row must be >= 0")
+        if not 0 <= self.burnin < self.iterations:
+            raise ValueError("burn-in must be smaller than the chain length")
+        if not 0 <= self.accepted <= self.iterations:
+            raise ValueError("accepted count cannot exceed the chain length")
+
+    def __len__(self) -> int:
+        return self.draws.shape[0]
+
+    @property
+    def iterations(self) -> int:
+        """Length of the whole chain, rows before first_row included."""
+        return self.first_row + len(self)
+
+    @property
+    def dim(self) -> int:
+        return self.draws.shape[1]
+
+    @property
+    def acceptance_rate(self) -> float:
+        return self.accepted / self.iterations
+
+    def post_burnin(self) -> np.ndarray:
+        return self.draws[max(self.burnin - self.first_row, 0) :]
+
+    def tail(self, length: int) -> np.ndarray:
+        if not 0 < length <= len(self):
+            raise ValueError(f"tail length must lie in [1, {len(self)}]")
+        return self.draws[-length:]
 
 
 def format_hms(seconds: float) -> str:
@@ -81,7 +135,7 @@ def _scan(path) -> tuple[int, int]:
     rows = crc = 0
     with open(path, "rb") as fh:
         while block := fh.read(_SCAN_BLOCK):
-            rows += block.count(b"\n")
+            rows += int(np.count_nonzero(np.frombuffer(block, np.uint8) == 10))
             crc = zlib.crc32(block, crc)
     return rows, crc
 
@@ -126,26 +180,60 @@ def _check_field(found, meta: dict, key: str, what: str, csv_path, metadata_path
         )
 
 
+#: Header readers of the .npy format versions that np.save writes.
+_NPY_HEADERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
+
+
+def _npy_header(fh) -> tuple[tuple, bool, np.dtype]:
+    """Shape, Fortran-order flag and dtype in the header of the .npy file
+    that fh is at the start of; leaves fh at the first byte of the data."""
+    version = np.lib.format.read_magic(fh)
+    if version not in _NPY_HEADERS:
+        raise ValueError(f"unsupported .npy format version {version}")
+    return _NPY_HEADERS[version](fh)
+
+
 def _binary_rows(path: Path, meta: dict, first: int, metadata_path) -> np.ndarray:
     """Copy of rows [first:] of a chain's binary copy, after checking its
-    CRC-32, dtype, order and shape against the sidecar. The file is mapped,
-    not read whole, so only the returned rows are held in memory."""
-    if _scan(path)[1] != meta[BINARY_CRC_KEY]:
+    CRC-32, then its dtype, order and shape, against the sidecar. The file
+    is read once, block by block: every block goes into the checksum, and
+    its bytes of the wanted rows are copied out, so only those rows are
+    held in memory."""
+    shape = (meta.get("iterations"), meta.get("dim"))
+    with open(path, "rb") as fh:
+        try:
+            found, fortran, dtype = _npy_header(fh)
+        except ValueError as exc:
+            problem, found = exc, None
+        wanted = found == shape and not fortran and dtype == np.float64
+        draws = np.empty((found[0] - first, found[1]) if wanted else (0, 0))
+        out = draws.reshape(-1).view(np.uint8)
+        skip = fh.tell() + first * draws.strides[0]  # where row first starts
+        fh.seek(0)
+        crc = pos = 0
+        while block := fh.read(_SCAN_BLOCK):
+            crc = zlib.crc32(block, crc)
+            lo, hi = max(skip, pos), min(skip + out.size, pos + len(block))
+            if lo < hi:
+                out[lo - skip : hi - skip] = np.frombuffer(block, np.uint8, hi - lo, lo - pos)
+            pos += len(block)
+    if crc != meta[BINARY_CRC_KEY]:
         raise ChainFileError(
             f"{path} does not match the CRC-32 its metadata {metadata_path} records"
         )
-    try:
-        stored = np.load(path, mmap_mode="r")
-    except ValueError as exc:
-        raise ChainFileError(f"{path} is not a readable .npy file: {exc}") from None
-    shape = (meta.get("iterations"), meta.get("dim"))
-    if stored.dtype != np.float64 or not stored.flags.c_contiguous or stored.shape != shape:
-        order = "C" if stored.flags.c_contiguous else "Fortran"
+    if found is None:
+        raise ChainFileError(f"{path} is not a readable .npy file: {problem}")
+    if not wanted:
         raise ChainFileError(
-            f"{path} holds {stored.dtype} {stored.shape} in {order} order; its metadata "
+            f"{path} holds {dtype} {found} in {'Fortran' if fortran else 'C'} order; its metadata "
             f"{metadata_path} records float64 {shape} in C order"
         )
-    return np.array(stored[first:])
+    if pos < skip + out.size:
+        raise ChainFileError(f"{path} is not a readable .npy file: it ends inside its {found} draws")
+    return draws
 
 
 def load_chain(csv_path, metadata_path=None, start: int = 0) -> Chain:

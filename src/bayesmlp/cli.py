@@ -11,14 +11,20 @@ variance 10.
 Every command is deterministic given (config, seed): chain i draws its
 private RNG stream from seed XOR i, so rerunning a config reproduces all
 chain files byte for byte.
+
+Each command imports the bayesmlp modules it runs when it runs, so
+``diagnose`` never loads the model, the samplers or the predictive. The
+process entry (``entry``) freezes the heap once the command returns, so
+the interpreter's exit skips a full collection over everything the imports
+made.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import functools
+import gc
 import json
 import os
 import sys
@@ -29,8 +35,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import chainio, data, diagnostics, mlp, predictive, samplers
-
 #: Environment variable naming the default output directory.
 OUTPUT_DIR_ENV = "BAYESMLP_OUTPUT_DIR"
 
@@ -39,15 +43,20 @@ class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
 
-# exit codes by error category; argparse itself exits with 2 on bad usage
-_ERROR_CATEGORIES = (
-    (ConfigError, "config", 2),
-    ((FileNotFoundError, OSError, chainio.ChainFileError), "io", 3),
-    (mlp.DimensionError, "dimension", 4),
-    (samplers.SamplerStartupError, "sampler", 5),
-    ((diagnostics.DegenerateChainError, diagnostics.EstimatorError), "diagnostics", 6),
-    (ValueError, "invalid-input", 4),
-)
+def _error_categories() -> tuple:
+    """Exit codes by error category; argparse itself exits with 2 on bad
+    usage. Built on the error path, so a command that succeeds loads no
+    module only for its error types."""
+    from . import chainio, diagnostics, mlp, samplers
+
+    return (
+        (ConfigError, "config", 2),
+        ((FileNotFoundError, OSError, chainio.ChainFileError), "io", 3),
+        (mlp.DimensionError, "dimension", 4),
+        (samplers.SamplerStartupError, "sampler", 5),
+        ((diagnostics.DegenerateChainError, diagnostics.EstimatorError), "diagnostics", 6),
+        (ValueError, "invalid-input", 4),
+    )
 
 
 _JSON_TYPES = {int: "an integer", float: "a finite number", str: "a string", dict: "a JSON object"}
@@ -83,15 +92,16 @@ def _json_value(where: str, value, hint):
     return value
 
 
-def _from_section(cls, name: str, doc, keys=None):
+def _from_section(cls, name: str, doc, keys=None, hint_names=None):
     """An instance of the dataclass cls built from the config section doc.
 
     The section takes the init fields of cls (or those named in keys); a
     key it leaves out takes its field's default, and every value must have
-    the JSON type of its field's annotation.
+    the JSON type of its field's annotation. hint_names binds the names
+    that cls's annotations use beyond its module's globals.
     """
     doc = _json_value(name, doc, dict)
-    hints = typing.get_type_hints(cls)
+    hints = typing.get_type_hints(cls, localns=hint_names)
     keys = keys or [f.name for f in fields(cls) if f.init]
     unknown = set(doc) - set(keys)
     if unknown:
@@ -122,7 +132,8 @@ class CsvFiles:
     name: str | None = None
 
 
-_SAMPLER_KINDS = {"MH": samplers.MhConfig, "HMC": samplers.HmcConfig, "PP": samplers.PpConfig}
+#: Sampler kind -> the name of its config class in samplers.
+_SAMPLER_KINDS = {"MH": "MhConfig", "HMC": "HmcConfig", "PP": "PpConfig"}
 
 
 def _sampler_kind(doc: dict) -> str:
@@ -135,6 +146,8 @@ def _sampler_kind(doc: dict) -> str:
 def _dataset_source(doc: dict):
     """What a dataset section names: a NoisyXorConfig, the name of a
     vendored dataset, or CsvFiles."""
+    from . import data
+
     name = _json_value("dataset", doc, dict).get("name")
     if name == "noisy-xor":
         return _from_section(data.NoisyXorConfig, "dataset", _without(doc, "name"))
@@ -190,22 +203,31 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        return _from_section(cls, "config", doc)
+        from . import mlp  # the arch hint; validation builds the architecture anyway
+
+        return _from_section(cls, "config", doc, hint_names={"mlp": mlp})
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
 
 
 def build_architecture(doc: dict) -> mlp.Architecture:
+    from . import mlp
+
     return _from_section(mlp.Architecture, "architecture", doc, keys=("layer_widths", "hidden_activation"))
 
 
 def build_sampler_config(doc: dict):
-    return _from_section(_SAMPLER_KINDS[_sampler_kind(doc)], "sampler", _without(doc, "kind"))
+    from . import samplers
+
+    config_class = getattr(samplers, _SAMPLER_KINDS[_sampler_kind(doc)])
+    return _from_section(config_class, "sampler", _without(doc, "kind"))
 
 
 def resolve_dataset(doc: dict) -> tuple[data.LabeledDataset, data.LabeledDataset]:
     """Materialize the (train, test) pair a config refers to."""
+    from . import data
+
     source = _dataset_source(doc)
     if isinstance(source, data.NoisyXorConfig):
         return data.generate_noisy_xor(source)
@@ -278,6 +300,8 @@ def _out_dir(args) -> Path:
 
 
 def _chain_paths(out_dir: Path, index: int) -> tuple[Path, Path]:
+    from . import chainio
+
     csv_path = out_dir / f"chain_{index:02d}.csv"
     return csv_path, chainio.companion_paths(csv_path)[0]
 
@@ -288,6 +312,8 @@ def _chain_paths(out_dir: Path, index: int) -> tuple[Path, Path]:
 
 
 def cmd_generate_data(args) -> int:
+    from . import data
+
     flags = _given(args, *(f.name for f in fields(data.NoisyXorConfig)))
     cfg = _from_section(data.NoisyXorConfig, "generate-data", flags)
     out_dir = _out_dir(args)
@@ -311,6 +337,8 @@ def _sample_worker(
     cfg: ExperimentConfig, train: data.LabeledDataset, out_dir: Path, indices: list[int]
 ) -> list[str]:
     """Sample the chains of the given indices in lockstep and write their files."""
+    from . import chainio, samplers
+
     seeds = [samplers.derive_chain_seed(cfg.seed, index) for index in indices]
     chains = samplers.run_posterior_chains(
         cfg.arch, train, cfg.prior_variance, cfg.sampler_config, cfg.iterations, seeds,
@@ -335,6 +363,8 @@ def cmd_sample(args) -> int:
     groups = np.array_split(np.arange(cfg.num_chains), min(args.jobs, cfg.num_chains))
     groups = [group.tolist() for group in groups]
     if len(groups) > 1:
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=len(groups)) as pool:
             paths = [path for group in pool.map(work, groups) for path in group]
     else:
@@ -345,9 +375,11 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _load_chains(paths, start: int = 0) -> typing.Iterator[samplers.Chain]:
+def _load_chains(paths, start: int = 0) -> typing.Iterator[chainio.Chain]:
     """Rows draws[start:] of each chain, checked against its sidecar when
     one sits beside it, loaded one chain at a time as the caller asks."""
+    from . import chainio
+
     for path in paths:
         meta, _ = chainio.companion_paths(path)
         yield chainio.load_chain(path, meta if meta.exists() else None, start=start)
@@ -356,6 +388,8 @@ def _load_chains(paths, start: int = 0) -> typing.Iterator[samplers.Chain]:
 def _recorded_burnin(path):
     """The burn-in the sidecar beside a chain records: 0 without one, and
     for one that cannot be read, which the chain's load then rejects."""
+    from . import chainio
+
     try:
         return json.loads(chainio.companion_paths(path)[0].read_text()).get("burnin", 0)
     except (OSError, ValueError, AttributeError):
@@ -363,6 +397,8 @@ def _recorded_burnin(path):
 
 
 def cmd_diagnose(args) -> int:
+    from . import diagnostics
+
     burnin = args.burnin
     if burnin is None:
         # read before any draws, so no chain's burn-in rows are loaded
@@ -401,6 +437,8 @@ def _tail_reports(paths, tail: int, arch, test) -> list[predictive.PredictionRep
     """The posterior predictive report of each chain's last tail draws, one
     chain loaded at a time. Every chain is evaluated before the caller
     writes a file, so a chain that fails leaves no output."""
+    from . import predictive
+
     reports = []
     for chain in _load_chains(paths, start=-tail):
         reports.append(predictive.accuracy(arch, chain.draws, test)[1])
@@ -409,6 +447,8 @@ def _tail_reports(paths, tail: int, arch, test) -> list[predictive.PredictionRep
 
 
 def cmd_predict(args) -> int:
+    from . import predictive
+
     if not args.prior_baseline and not args.chains:
         raise ConfigError("predict needs --chains, or --prior-baseline")
     cfg, arch, test = _predictive_setup(args)
@@ -441,35 +481,46 @@ def cmd_predict(args) -> int:
 
 
 def cmd_grid(args) -> int:
+    from . import predictive
+
     cfg, arch, _ = _predictive_setup(args)
     out_dir = _out_dir(args)
     chain = next(_load_chains([args.chain], start=-cfg.tail))
-    bounds = tuple(args.bounds)
-    grid = predictive.grid_predictive(arch, chain.draws, bounds, args.resolution)
-    truth = predictive.xor_truth_grid(bounds, args.resolution)
+    bounds = predictive.DEFAULT_GRID_BOUNDS if args.bounds is None else tuple(args.bounds)
+    resolution = predictive.DEFAULT_GRID_RESOLUTION if args.resolution is None else args.resolution
+    grid = predictive.grid_predictive(arch, chain.draws, bounds, resolution)
+    truth = predictive.xor_truth_grid(bounds, resolution)
     np.savetxt(out_dir / "grid.csv", grid, fmt="%.17g", delimiter=",")
     np.savetxt(out_dir / "grid_truth.csv", truth, fmt="%d", delimiter=",")
-    print(f"wrote {args.resolution}x{args.resolution} grid to {out_dir}")
+    print(f"wrote {resolution}x{resolution} grid to {out_dir}")
     return 0
 
 
 def cmd_traces(args) -> int:
-    chains = list(_load_chains(args.chains))
-    burnin = args.burnin if args.burnin is not None else max(c.burnin for c in chains)
-    length = min(len(c) for c in chains)
+    # each chain is cut to the requested columns before the next one loads
+    columns, burnins, lengths, dims = [], [], [], []
+    for chain in _load_chains(args.chains):
+        wanted = [coord for coord in args.coords if 0 <= coord < chain.dim]
+        columns.append(chain.draws[:, wanted])
+        burnins.append(chain.burnin)
+        lengths.append(len(chain))
+        dims.append(chain.dim)
+        del chain  # so it is freed before the next chain loads
+    burnin = args.burnin if args.burnin is not None else max(burnins)
+    length = min(lengths)
     if burnin < 0:
         raise ValueError(f"burn-in must be >= 0, got {burnin}")
     if burnin >= length:
         raise ValueError("burn-in leaves no draws")
-    dim = chains[0].dim
-    if any(c.dim != dim for c in chains):
+    dim = dims[0]
+    if any(d != dim for d in dims):
         raise ValueError("all chains must share the same dimension")
     for coord in args.coords:
         if not 0 <= coord < dim:
             raise ValueError(f"coordinate {coord} outside [0, {dim})")
     out_dir = _out_dir(args)
     header = ["iteration", "burnin"] + [
-        f"chain{ci}_coord{coord}" for ci in range(len(chains)) for coord in args.coords
+        f"chain{ci}_coord{coord}" for ci in range(len(columns)) for coord in args.coords
     ]
     path = out_dir / "traces.csv"
     with path.open("w", newline="") as fh:
@@ -477,8 +528,8 @@ def cmd_traces(args) -> int:
         writer.writerow(header)
         for it in range(length):
             row = [it, int(it < burnin)]
-            for chain in chains:
-                row.extend(f"{chain.draws[it, coord]:.17g}" for coord in args.coords)
+            for values in columns:
+                row.extend(f"{value:.17g}" for value in values[it].tolist())
             writer.writerow(row)
     print(path)
     return 0
@@ -499,6 +550,8 @@ def cmd_boxplot_data(args) -> int:
 
 
 def cmd_sgd_ensemble(args) -> int:
+    from . import samplers
+
     cfg = _load_config(args)
     flags = _given(args, *(f.name for f in fields(samplers.SgdConfig)))
     sgd_cfg = _from_section(samplers.SgdConfig, "sgd-ensemble", flags)
@@ -575,8 +628,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grid", help="predictive probability heatmap data")
     add_common(p)
     p.add_argument("--chain", required=True)
-    p.add_argument("--bounds", nargs=2, type=float, default=list(predictive.DEFAULT_GRID_BOUNDS))
-    p.add_argument("--resolution", type=int, default=predictive.DEFAULT_GRID_RESOLUTION)
+    # None: cmd_grid fills in predictive's defaults, so the parser loads no predictive
+    p.add_argument("--bounds", nargs=2, type=float, default=None)
+    p.add_argument("--resolution", type=int, default=None)
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("traces", help="traceplot data for chosen coordinates")
@@ -609,7 +663,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - map to categorized exit codes
-        for types, category, code in _ERROR_CATEGORIES:
+        for types, category, code in _error_categories():
             if isinstance(exc, types):
                 sys.stderr.write(_json_text({"error": category, "message": str(exc)}, indent=None))
                 return code
@@ -617,5 +671,16 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry() -> int:
+    """Process entry of the ``bayesmlp`` script and of ``python -m
+    bayesmlp.cli``: main, then gc.freeze, so that the interpreter's exit
+    skips the full collections over every object the command's imports
+    made. Every file is closed by ``with`` before main returns, so no
+    output waits on a finalizer that the frozen heap would never run."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

@@ -29,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import mlp, predictive
+from .chainio import Chain
 from .data import LabeledDataset
 
 #: HMC energy-error threshold beyond which a trajectory counts as divergent.
@@ -111,60 +112,6 @@ class SgdConfig:
             raise ValueError("accept threshold must lie in (0, 1)")
         if self.max_sessions < self.ensemble_size:
             raise ValueError("max_sessions must be at least ensemble_size")
-
-
-@dataclass
-class Chain:
-    """A realized chain, one iteration per row.
-
-    draws holds the iterations from first_row on: all of them (burn-in
-    included) for a sampled chain, a tail for a partially loaded one.
-    burnin and accepted always count over the whole chain.
-    """
-
-    draws: np.ndarray
-    burnin: int
-    seed: int
-    accepted: int
-    sampler_tag: str
-    runtime_seconds: float = 0.0
-    swap_accepted: int | None = None
-    swap_attempts: int | None = None
-    divergences: int = 0
-    first_row: int = 0
-
-    def __post_init__(self):
-        self.draws = np.atleast_2d(np.asarray(self.draws, dtype=float))
-        if self.first_row < 0:
-            raise ValueError("first row must be >= 0")
-        if not 0 <= self.burnin < self.iterations:
-            raise ValueError("burn-in must be smaller than the chain length")
-        if not 0 <= self.accepted <= self.iterations:
-            raise ValueError("accepted count cannot exceed the chain length")
-
-    def __len__(self) -> int:
-        return self.draws.shape[0]
-
-    @property
-    def iterations(self) -> int:
-        """Length of the whole chain, rows before first_row included."""
-        return self.first_row + len(self)
-
-    @property
-    def dim(self) -> int:
-        return self.draws.shape[1]
-
-    @property
-    def acceptance_rate(self) -> float:
-        return self.accepted / self.iterations
-
-    def post_burnin(self) -> np.ndarray:
-        return self.draws[max(self.burnin - self.first_row, 0) :]
-
-    def tail(self, length: int) -> np.ndarray:
-        if not 0 < length <= len(self):
-            raise ValueError(f"tail length must lie in [1, {len(self)}]")
-        return self.draws[-length:]
 
 
 def _accept(rng: np.random.Generator, delta_log: float) -> bool:

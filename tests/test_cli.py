@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -134,7 +135,7 @@ class TestSample:
                 requested.append(items)
                 return map(fn, items)
 
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         out = tmp_path / "o"
         assert run([
             "sample", "--config", xor_config, "--out-dir", out, "--jobs", jobs,
@@ -635,6 +636,53 @@ class TestTracesAndBoxplot:
         assert json.loads(capsys.readouterr().err)["error"] == "invalid-input"
         assert not trace_dir.exists()
 
+    def test_traces_match_whole_chains_in_memory(self, tmp_path):
+        """Chains of different lengths and burn-ins: the rows stop at the
+        shortest chain, the marker follows the largest burn-in and every
+        value is the stored draw."""
+        rng = np.random.default_rng(113)
+        paths, draws = [], []
+        for i, (length, burnin) in enumerate([(50, 5), (40, 12), (60, 0)]):
+            draws.append(rng.standard_normal((length, 4)))
+            paths.append(tmp_path / f"c{i}.csv")
+            chain = Chain(draws[-1], burnin=burnin, seed=i, accepted=0, sampler_tag="MH")
+            save_chain(chain, paths[-1], paths[-1].with_suffix(".json"))
+        out = tmp_path / "traces"
+        assert run(["traces", "--chains", *paths, "--coords", 3, 0, "--out-dir", out]) == 0
+        lines = (out / "traces.csv").read_text().splitlines()
+        assert lines[0] == ",".join(
+            ["iteration", "burnin"] + [f"chain{c}_coord{k}" for c in range(3) for k in (3, 0)]
+        )
+        expected = [
+            ",".join([str(it), str(int(it < 12))] + [f"{d[it, k]:.17g}" for d in draws for k in (3, 0)])
+            for it in range(40)
+        ]
+        assert lines[1:] == expected
+
+    def test_traces_peak_does_not_grow_with_chain_count(self, tmp_path):
+        """The allocation peak over 8 chains stays below the peak over 4 of
+        them plus one chain's bytes: a chain is cut to its one requested
+        column, a ninth of it, before the next one loads."""
+        rng = np.random.default_rng(127)
+        length, dim = 6000, 9
+        paths = []
+        for i in range(8):
+            path = tmp_path / f"c{i}.csv"
+            chain = Chain(rng.standard_normal((length, dim)), burnin=500, seed=i, accepted=0, sampler_tag="MH")
+            save_chain(chain, path, path.with_suffix(".json"))
+            paths.append(path)
+
+        def peak(chains):
+            tracemalloc.start()
+            try:
+                assert run(["traces", "--chains", *chains, "--coords", 4, "--out-dir", tmp_path / "t"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(paths[:2])  # warm-up: first-call allocations are not the chains'
+        assert peak(paths) < peak(paths[:4]) + length * dim * 8
+
     def test_boxplot_accuracy_list(self, tmp_path, xor_config):
         out = tmp_path / "chains"
         run(["sample", "--config", xor_config, "--out-dir", out])
@@ -866,3 +914,95 @@ def test_cli_import_leaves_scipy_unloaded():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def run_python(*argv, code=None, check=True):
+    """A fresh interpreter on this test session's import path, running
+    code with argv, or ``-m bayesmlp.cli`` with argv when code is None."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    head = ["-m", "bayesmlp.cli"] if code is None else ["-c", code]
+    argv = [sys.executable, *head, *map(str, argv)]
+    return subprocess.run(argv, env=env, capture_output=True, text=True, check=check)
+
+
+#: Prints, as a JSON last line, the exit code of cli.main on the argv and
+#: the modules it loaded.
+MODULES_AFTER_COMMAND = (
+    "import json, sys; from bayesmlp import cli; before = set(sys.modules); "
+    "code = cli.main(sys.argv[1:]); "
+    "print(json.dumps([code, sorted(set(sys.modules) - before)]))"
+)
+
+
+class TestLazyLoading:
+    """Each command loads only the bayesmlp modules it runs."""
+
+    def test_package_import_loads_no_submodule(self):
+        code = (
+            "import json, sys, bayesmlp; "
+            "loaded = sorted(m for m in sys.modules if m.startswith('bayesmlp.')); "
+            "listed = set(dir(bayesmlp)) >= set(bayesmlp.__all__); "
+            "missing = [n for n in bayesmlp.__all__ if not hasattr(bayesmlp, n)]; "
+            "print(json.dumps([loaded, listed, missing]))"
+        )
+        assert json.loads(run_python(code=code).stdout) == [[], True, []]
+
+    def test_exports_come_from_their_modules(self):
+        import bayesmlp
+        from bayesmlp import chainio, samplers
+
+        assert bayesmlp.Chain is chainio.Chain is samplers.Chain
+        with pytest.raises(AttributeError):
+            bayesmlp.no_such_name
+
+    @pytest.fixture
+    def chains(self, tmp_path):
+        rng = np.random.default_rng(131)
+        paths = []
+        for i in range(2):
+            path = tmp_path / f"c{i}.csv"
+            chain = Chain(rng.standard_normal((300, 9)), burnin=50, seed=i, accepted=0, sampler_tag="MH")
+            save_chain(chain, path, path.with_suffix(".json"))
+            paths.append(path)
+        return paths
+
+    def test_diagnose_loads_no_model_sampler_predictive_or_pool(self, chains):
+        result = run_python("diagnose", "--chains", *chains, code=MODULES_AFTER_COMMAND)
+        code, loaded = json.loads(result.stdout.splitlines()[-1])
+        assert code == 0
+        assert "bayesmlp.diagnostics" in loaded
+        unwanted = ["bayesmlp.mlp", "bayesmlp.samplers", "bayesmlp.predictive", "bayesmlp.data",
+                    "concurrent.futures"]
+        assert [m for m in unwanted if m in loaded] == []
+
+    def test_predict_loads_no_diagnostics(self, tmp_path, xor_config, chains):
+        result = run_python(
+            "predict", "--config", xor_config, "--chains", *chains, "--out-dir", tmp_path / "pred",
+            code=MODULES_AFTER_COMMAND,
+        )
+        code, loaded = json.loads(result.stdout.splitlines()[-1])
+        assert code == 0
+        assert "bayesmlp.predictive" in loaded
+        assert "bayesmlp.diagnostics" not in loaded
+
+
+class TestProcessEntry:
+    """``python -m bayesmlp.cli`` freezes the heap after the command
+    returns; every output is complete by then."""
+
+    def test_sample_then_diagnose(self, tmp_path, xor_config):
+        out = tmp_path / "chains"
+        sample = run_python("sample", "--config", xor_config, "--out-dir", out)
+        paths = sample.stdout.split()
+        assert paths == [str(out / f"chain_{i:02d}.csv") for i in range(2)]
+        chains = [load_chain(p, out / f"chain_{i:02d}.json") for i, p in enumerate(paths)]
+        assert [len(chain) for chain in chains] == [400, 400]
+        report = tmp_path / "report.json"
+        run_python("diagnose", "--chains", *paths, "--out", report)
+        expected = diagnostics_report([chain.draws for chain in chains], burnin=100)
+        assert report.read_text() == cli._json_text(expected)
+
+    def test_error_exit_code(self, tmp_path):
+        result = run_python("diagnose", "--chains", tmp_path / "missing.csv", check=False)
+        assert result.returncode == 3
+        assert json.loads(result.stderr)["error"] == "io"
