@@ -317,11 +317,16 @@ class ChainSummary:
 
 def summarize_chain(draws, burnin: int = 0, first_row: int = 0) -> ChainSummary:
     """Summary of the draws after burnin of a chain given from row first_row
-    on (first_row <= burnin), so a caller may leave the burn-in rows unread.
+    on (0 <= first_row <= burnin), so a caller may leave the burn-in rows
+    unread; other values raise ValueError.
 
     The draws' MINSE is computed here, once. A burn-in that leaves no draws
     gives a summary without statistics, which the report rejects.
     """
+    if burnin < 0:
+        raise ValueError(f"burn-in must be >= 0, got {burnin}")
+    if not 0 <= first_row <= burnin:
+        raise ValueError(f"first row must lie in [0, burn-in {burnin}], got {first_row}")
     draws = _as_draws(draws)
     shape = (first_row + draws.shape[0], draws.shape[1])
     if burnin and burnin >= shape[0]:
@@ -411,8 +416,6 @@ def diagnostics_report(chains, burnin: int = 0) -> dict:
     next one is made. Returns the report dictionary of
     report_from_summaries.
     """
-    if burnin < 0:
-        raise ValueError(f"burn-in must be >= 0, got {burnin}")
     return report_from_summaries(list(map(lambda chain: summarize_chain(chain, burnin), chains)))
 
 

@@ -297,10 +297,9 @@ def _check_labels(arch, data):
             raise ValueError(f"multiclass labels must lie in {{1, ..., {k}}}")
 
 
-def _prior_constant(n: int, sigma2: float) -> float:
+def _check_variance(sigma2: float):
     if not sigma2 > 0:
         raise ValueError("prior variance must be positive")
-    return -0.5 * n * math.log(2.0 * math.pi * sigma2)
 
 
 class Posterior:
@@ -310,9 +309,8 @@ class Posterior:
     a contiguous (k_0, s) array, the layout of the feature-major pass
     (_forward_features). A binary model keeps y and 1 - y, a multiclass
     model the (k_rho, s) one-hot label matrix and each row's flat index of
-    its true class in a (k_rho, s) output; the normal prior keeps its
-    constant. An empty dataset is a (k_0, 0) feature array, whose
-    log-likelihood is 0 and gradient 0.
+    its true class in a (k_rho, s) output. An empty dataset is a (k_0, 0)
+    feature array, whose log-likelihood is 0 and gradient 0.
 
     Four evaluation methods: log_likelihood, log_prior, grad_log_likelihood
     and value_and_grad (the log-posterior and its gradient, read off one
@@ -323,12 +321,13 @@ class Posterior:
     vectors of shape (m, n) and returns an (m,) array (and an (m, n)
     gradient) whose row i equals, bit for bit, the result for row i alone.
     The module functions log_likelihood, log_posterior and
-    grad_log_posterior are single calls into this class.
+    grad_log_posterior are single calls into this class, and its log_prior
+    is a call of the module log_prior.
     """
 
     def __init__(self, arch: Architecture, data: LabeledDataset, sigma2: float):
         self.dim = parameter_count(arch)
-        self._prior_const = _prior_constant(self.dim, sigma2)
+        _check_variance(sigma2)
         _check_labels(arch, data)
         X = np.asarray(data.features, dtype=float)
         if not len(data):
@@ -429,12 +428,7 @@ class Posterior:
 
     def log_prior(self, theta):
         """Log-density of the normal prior N(0, sigma2 I)."""
-        theta = np.asarray(theta, dtype=float)
-        # each chain's theta . theta: a batched (1, n) @ (n, 1) matmul is the
-        # BLAS dot of a single vector
-        squares = (theta[..., None, :] @ theta[..., None])[..., 0, 0]
-        value = self._prior_const - squares / (2.0 * self.sigma2)
-        return float(value) if theta.ndim == 1 else value
+        return log_prior(theta, self.sigma2)
 
     def grad_log_likelihood(self, theta) -> np.ndarray:
         """Exact gradient of the classification log-likelihood, flat layout."""
@@ -456,13 +450,19 @@ def log_likelihood(arch: Architecture, theta, data: LabeledDataset) -> float:
     return Posterior(arch, data, 1.0).log_likelihood(theta)
 
 
-def log_prior(theta, sigma2: float) -> float:
-    """Log-density of the isotropic normal prior N(0, sigma2 I).
+def log_prior(theta, sigma2: float):
+    """Log-density of the isotropic normal prior N(0, sigma2 I): a float for
+    one parameter vector of shape (n,), an (m,) array for an (m, n) stack.
 
     Fully normalized, so tempered posteriors stay well-defined.
     """
+    _check_variance(sigma2)
     theta = np.asarray(theta, dtype=float)
-    return float(_prior_constant(theta.size, sigma2) - theta @ theta / (2.0 * sigma2))
+    # each row's theta . theta: a batched (1, n) @ (n, 1) matmul is the BLAS
+    # dot of a single vector
+    squares = (theta[..., None, :] @ theta[..., None])[..., 0, 0]
+    value = -0.5 * theta.shape[-1] * math.log(2.0 * math.pi * sigma2) - squares / (2.0 * sigma2)
+    return float(value) if theta.ndim == 1 else value
 
 
 def log_posterior(arch: Architecture, theta, data: LabeledDataset, sigma2: float) -> float:
@@ -472,8 +472,7 @@ def log_posterior(arch: Architecture, theta, data: LabeledDataset, sigma2: float
 
 
 def grad_log_prior(theta, sigma2: float) -> np.ndarray:
-    if not sigma2 > 0:
-        raise ValueError("prior variance must be positive")
+    _check_variance(sigma2)
     return -np.asarray(theta, dtype=float) / sigma2
 
 

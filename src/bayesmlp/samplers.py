@@ -124,15 +124,28 @@ def _accept(rng: np.random.Generator, delta_log: float) -> bool:
 
 
 def _chain_group(init, seeds: Sequence[int], shape: tuple[int, ...]):
-    """The states, seeds and RNGs of a group of m chains, from an
-    (m,) + shape init stack and m seeds. Chain i draws from its own RNG on
-    seeds[i], so stepping the group together changes no chain's draws.
+    """The start time, states, seeds and RNGs of a group of m chains, from
+    an (m,) + shape init stack and m seeds. Chain i draws from its own RNG
+    on seeds[i], so stepping the group together changes no chain's draws.
     """
+    start = time.perf_counter()
     seeds = [int(s) for s in seeds]
     states = np.array(init, dtype=float)
     if states.shape != (len(seeds),) + shape:
         raise ValueError(f"init must have shape {(len(seeds),) + shape}, got {states.shape}")
-    return states, seeds, [np.random.default_rng(s) for s in seeds]
+    return start, states, seeds, [np.random.default_rng(s) for s in seeds]
+
+
+def _chains(tag: str, start: float, seeds, draws, **counts) -> list[Chain]:
+    """The Chains of a group from its (m, iterations, n) draws: chain i gets
+    draws[i], seeds[i], entry i of each per-chain count (accepted,
+    divergences, swap_accepted, swap_attempts) and the group's wall time."""
+    runtime = time.perf_counter() - start
+    return [
+        Chain(draws[i], burnin=0, seed=s, sampler_tag=tag, runtime_seconds=runtime,
+              **{name: int(count[i]) for name, count in counts.items()})
+        for i, s in enumerate(seeds)
+    ]
 
 
 def _check_start(log_target):
@@ -160,30 +173,61 @@ def _metropolis_step(rngs, target, scale: float, t: float, theta, ll, lp) -> np.
     return moved
 
 
+def _population(target, states, rngs, iterations: int, proposal_variance: float, temps=(1.0,), beta=None):
+    """The population loop of pp_chain and mh_chain on the (m, rungs, n)
+    states, changed in place: rung c of every population takes a
+    random-walk Metropolis move on the target temps[c] * ll + lp, then,
+    given two rungs or more, each population attempts one swap on its RNG.
+
+    Returns the last rung's (m, iterations, n) draws and the per-chain
+    counts: its accepted moves and, given two rungs or more, the accepted
+    and attempted swaps. A single rung draws nothing for swaps.
+    """
+    m, rungs = states.shape[:2]
+    scale = math.sqrt(proposal_variance)
+    lls = np.empty((m, rungs))
+    lps = np.empty((m, rungs))
+    for c in range(rungs):
+        lls[:, c] = target.log_likelihood(states[:, c])
+        lps[:, c] = target.log_prior(states[:, c])
+        _check_start(temps[c] * lls[:, c] + lps[:, c])
+
+    draws = np.empty((m, iterations, target.dim))
+    accepted = np.zeros(m, dtype=int)
+    swap_accepted = np.zeros(m, dtype=int)
+    # swap partner distributions are iteration-independent; precompute
+    pmfs = [pp_swap_pmf(i, rungs - 1, beta) for i in range(rungs)] if rungs > 1 else None
+
+    for it in range(iterations):
+        for c in range(rungs):
+            moved = _metropolis_step(rngs, target, scale, temps[c], states[:, c], lls[:, c], lps[:, c])
+        accepted += moved  # the moves of the last rung, t_m = 1
+        for p, rng in enumerate(rngs if pmfs else ()):
+            i = int(rng.integers(rungs))
+            j = int(rng.choice(rungs, p=pmfs[i]))
+            delta = (temps[i] - temps[j]) * (lls[p, j] - lls[p, i])
+            if _accept(rng, delta):
+                for values in (states, lls, lps):
+                    values[p, [i, j]] = values[p, [j, i]]
+                swap_accepted[p] += 1
+        draws[:, it] = states[:, -1]
+
+    swaps = {"swap_accepted": swap_accepted, "swap_attempts": np.full(m, iterations)} if pmfs else {}
+    return draws, {"accepted": accepted, **swaps}
+
+
 def mh_chain(target, inits, config: MhConfig, iterations: int, seeds: Sequence[int]) -> list[Chain]:
     """Random-walk Metropolis with proposals theta* ~ N(theta, lambda I),
-    one chain per row of the (m, n) inits and per seed.
+    one chain per row of the (m, n) inits and per seed: the population loop
+    with the single rung t = 1, which attempts no swap.
 
     Records one row per iteration; rejected steps repeat the current
     state. Raises SamplerStartupError if the log-target is non-finite
     at an initial state.
     """
-    start = time.perf_counter()
-    theta, seeds, rngs = _chain_group(inits, seeds, (target.dim,))
-    ll, lp = target.log_likelihood(theta), target.log_prior(theta)
-    _check_start(ll + lp)
-    scale = math.sqrt(config.proposal_variance)
-    draws = np.empty((len(seeds), iterations, target.dim))
-    accepted = np.zeros(len(seeds), dtype=int)
-    for it in range(iterations):
-        accepted += _metropolis_step(rngs, target, scale, 1.0, theta, ll, lp)
-        draws[:, it] = theta
-    runtime = time.perf_counter() - start
-    return [
-        Chain(draws[i], burnin=0, seed=s, accepted=int(accepted[i]), sampler_tag="MH",
-              runtime_seconds=runtime)
-        for i, s in enumerate(seeds)
-    ]
+    start, theta, seeds, rngs = _chain_group(inits, seeds, (target.dim,))
+    draws, counts = _population(target, theta[:, None], rngs, iterations, config.proposal_variance)
+    return _chains("MH", start, seeds, draws, **counts)
 
 
 def leapfrog(value_and_grad, theta, value, grad, momentum, steps: int, step_size: float):
@@ -238,8 +282,7 @@ def hmc_chain(target, inits, config: HmcConfig, iterations: int, seeds: Sequence
     """
     if not callable(getattr(target, "value_and_grad", None)):
         raise ValueError("HMC requires a target with value_and_grad")
-    start = time.perf_counter()
-    theta, seeds, rngs = _chain_group(inits, seeds, (target.dim,))
+    start, theta, seeds, rngs = _chain_group(inits, seeds, (target.dim,))
     logp, grad = target.value_and_grad(theta)
     _check_start(logp)
     if not np.isfinite(grad).all():
@@ -271,12 +314,7 @@ def hmc_chain(target, inits, config: HmcConfig, iterations: int, seeds: Sequence
         np.copyto(grad, prop_grad, where=moved[:, None])
         accepted += moved
         draws[:, it] = theta
-    runtime = time.perf_counter() - start
-    return [
-        Chain(draws[i], burnin=0, seed=s, accepted=int(accepted[i]), sampler_tag="HMC",
-              runtime_seconds=runtime, divergences=int(divergences[i]))
-        for i, s in enumerate(seeds)
-    ]
+    return _chains("HMC", start, seeds, draws, accepted=accepted, divergences=divergences)
 
 
 # ---------------------------------------------------------------------------
@@ -326,45 +364,10 @@ def pp_chain(target, inits, config: PpConfig, iterations: int, seeds: Sequence[i
     rungs' draws are not kept. Rung c of every population moves in one
     batched target call, and each population swaps on its own RNG.
     """
-    start = time.perf_counter()
-    temps = config.temperatures
-    num_chains = len(temps)
-    states, seeds, rngs = _chain_group(inits, seeds, (num_chains, target.dim))
-    scale = math.sqrt(config.proposal_variance)
-
-    lls = np.empty((len(seeds), num_chains))
-    lps = np.empty((len(seeds), num_chains))
-    for c in range(num_chains):
-        lls[:, c] = target.log_likelihood(states[:, c])
-        lps[:, c] = target.log_prior(states[:, c])
-        _check_start(temps[c] * lls[:, c] + lps[:, c])
-
-    draws = np.empty((len(seeds), iterations, target.dim))
-    accepted = np.zeros(len(seeds), dtype=int)
-    swap_accepted = np.zeros(len(seeds), dtype=int)
-    # swap partner distributions are iteration-independent; precompute
-    pmfs = [pp_swap_pmf(i, num_chains - 1, config.beta) for i in range(num_chains)]
-
-    for it in range(iterations):
-        for c in range(num_chains):
-            moved = _metropolis_step(rngs, target, scale, temps[c], states[:, c], lls[:, c], lps[:, c])
-        accepted += moved  # the moves of the last rung, t_m = 1
-        for p, rng in enumerate(rngs):
-            i = int(rng.integers(num_chains))
-            j = int(rng.choice(num_chains, p=pmfs[i]))
-            delta = (temps[i] - temps[j]) * (lls[p, j] - lls[p, i])
-            if _accept(rng, delta):
-                for values in (states, lls, lps):
-                    values[p, [i, j]] = values[p, [j, i]]
-                swap_accepted[p] += 1
-        draws[:, it] = states[:, -1]
-
-    runtime = time.perf_counter() - start
-    return [
-        Chain(draws[p], burnin=0, seed=s, accepted=int(accepted[p]), sampler_tag="PP",
-              runtime_seconds=runtime, swap_accepted=int(swap_accepted[p]), swap_attempts=iterations)
-        for p, s in enumerate(seeds)
-    ]
+    start, states, seeds, rngs = _chain_group(inits, seeds, (len(config.temperatures), target.dim))
+    draws, counts = _population(target, states, rngs, iterations, config.proposal_variance,
+                                config.temperatures, config.beta)
+    return _chains("PP", start, seeds, draws, **counts)
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +444,6 @@ def run_posterior_chain(
 # ---------------------------------------------------------------------------
 
 
-def _point_accuracy(arch, theta, data: LabeledDataset) -> float:
-    """Plain classification accuracy of a single parameter vector."""
-    probs = mlp.event_probabilities(arch, theta, data.features)
-    predicted = predictive.classify(probs, "binary" if arch.is_binary else "multiclass")
-    return float(np.mean(predicted == data.labels))
-
-
 def sgd_ensemble(
     arch: mlp.Architecture,
     train: LabeledDataset,
@@ -483,7 +479,7 @@ def sgd_ensemble(
             for lo in range(0, s, config.batch_size):
                 batch = likelihood.subset(order[lo : lo + config.batch_size])
                 theta = theta + config.learning_rate * batch.grad_log_likelihood(theta)
-        acc = _point_accuracy(arch, theta, test)
+        acc = predictive.accuracy(arch, theta, test)[0]
         if acc > config.accept_threshold:
             solutions.append(theta)
             accuracies.append(acc)

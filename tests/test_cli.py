@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import os
 import subprocess
@@ -707,6 +708,13 @@ class TestTracesAndBoxplot:
         assert list(box_dir.iterdir()) == []
 
 
+#: SHA-256 of the outputs of TestSgdCommand::test_small_ensemble.
+SGD_PINS = {
+    "sgd_solutions.csv": "516ab371c438cc55e85aa11ff90c530085570a288eb8e6f7114b9b4176421f08",
+    "sgd_accuracies.csv": "e969f5613d9de749984bae8495d2fa58211cd5324fd3d737e1e9608cf510e929",
+}
+
+
 class TestSgdCommand:
     def test_small_ensemble(self, tmp_path, capsys):
         out = tmp_path / "sgd"
@@ -718,6 +726,8 @@ class TestSgdCommand:
         ]) == 0
         solutions = np.loadtxt(out / "sgd_solutions.csv", delimiter=",")
         assert solutions.shape == (2, 9)
+        # the accept decisions hinge on accuracy > threshold, so the bytes pin them
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in SGD_PINS} == SGD_PINS
 
 
 class TestErrors:

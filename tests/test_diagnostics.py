@@ -279,6 +279,14 @@ class TestDiagnosticsReport:
         assert report == diagnostics.diagnostics_report(chains, burnin=200)
         assert multivariate_psrf(iter(chains)) == multivariate_psrf(chains)
 
+    @pytest.mark.parametrize("burnin,first_row", [(0, 10), (5, 10), (-3, 0), (-10, 0)])
+    def test_summary_rows_outside_the_chain_rejected(self, burnin, first_row):
+        """A first row past the burn-in, or a negative burn-in, is an error,
+        not a summary of the last draws."""
+        draws = np.random.default_rng(83).standard_normal((90, 2))
+        with pytest.raises(ValueError):
+            diagnostics.summarize_chain(draws, burnin, first_row)
+
     def test_negative_burnin_rejected(self):
         """A negative burn-in is an error, not a slice of the last draws."""
         rng = np.random.default_rng(73)

@@ -362,10 +362,19 @@ class TestLogPrior:
         base = log_prior(theta, 10.0)
         assert log_prior(theta + np.sign(theta) * 0.5, 10.0) < base
 
+    def test_stack_rows_match_single_vectors(self, rng):
+        """An (m, n) stack gives each row's own value, bit for bit."""
+        thetas = rng.normal(size=(4, 9))
+        values = log_prior(thetas, 10.0)
+        assert values.shape == (4,)
+        np.testing.assert_array_equal(bits(values), bits([log_prior(theta, 10.0) for theta in thetas]))
+
     def test_positive_variance_required(self):
         for sigma2 in (0.0, float("nan")):
             with pytest.raises(ValueError):
                 log_prior(np.zeros(2), sigma2)
+            with pytest.raises(ValueError):
+                log_prior(np.zeros((3, 2)), sigma2)
             with pytest.raises(ValueError):
                 grad_log_prior(np.zeros(2), sigma2)
 

@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 
@@ -9,6 +10,7 @@ from bayesmlp import Architecture, NoisyXorConfig, generate_noisy_xor, mlp
 from bayesmlp.data import load_vendored
 from bayesmlp.mlp import Posterior, log_likelihood, unpack_parameters
 from bayesmlp import samplers
+from bayesmlp.chainio import save_chain
 from bayesmlp.samplers import (
     Chain,
     HmcConfig,
@@ -428,6 +430,24 @@ class TestPosteriorRunner:
             xor_arch, train, 10.0, MhConfig(1e-20), 5, seed=3, init=init
         )
         np.testing.assert_allclose(chain.draws[0], init, atol=1e-8)
+
+    def test_only_populations_record_swaps(self, tmp_path, xor_arch):
+        """MH chains, the one-rung case of the population loop, carry no swap
+        record and save no swap keys; PP chains carry both counts."""
+        train, _ = generate_noisy_xor(NoisyXorConfig(train_per_corner=5, test_per_corner=1, seed=0))
+        mh = mh_chain(standard_normal_target(2), np.zeros((2, 2)), MhConfig(0.5), 20, [1, 2])
+        mh += run_posterior_chains(xor_arch, train, 10.0, MhConfig(0.01), 20, [3, 4])
+        pp = run_posterior_chains(xor_arch, train, 10.0, PpConfig((0.5, 1.0), proposal_variance=0.01), 20, [3])
+        for i, chain in enumerate(mh + pp):
+            path = tmp_path / f"chain_{i}.csv"
+            save_chain(chain, path, path.with_suffix(".json"))
+            keys = {k for k in json.loads(path.with_suffix(".json").read_text()) if k.startswith("swap_")}
+            if chain.sampler_tag == "MH":
+                assert chain.swap_accepted is None and chain.swap_attempts is None
+                assert keys == set()
+            else:
+                assert 0 <= chain.swap_accepted <= chain.swap_attempts == 20
+                assert keys == {"swap_accepted", "swap_attempts"}
 
     def test_chain_seed_derivation(self):
         assert derive_chain_seed(12, 0) == 12
