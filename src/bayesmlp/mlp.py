@@ -4,6 +4,10 @@ Gaussian log-prior, unnormalized log-posterior and exact gradients.
 Parameters live in a single flat vector. For each layer j the weight
 matrix W_j (shape k_j x k_{j-1}) is stored row-wise, followed by the bias
 vector b_j, so the vector length is sum_j k_j (k_{j-1} + 1).
+
+Posterior compiles the log-posterior on one dataset. Its five evaluation
+methods run the one feature-major forward pass (_forward_features) and
+backprop inside a workspace of buffers kept per stack size.
 """
 
 from __future__ import annotations
@@ -184,16 +188,20 @@ def _apply_activation(kind: ActivationKind, g, axis=-1, out=None):
     return g
 
 
-def _hidden_derivative(kind: ActivationKind, h):
+def _hidden_derivative(kind: ActivationKind, h, out):
     """Elementwise derivative of a hidden activation, read off its output h
-    (the pass keeps no pre-activations)."""
+    (the pass keeps no pre-activations), written to out."""
     if kind is ActivationKind.SIGMOID:
-        return h * (1.0 - h)
+        np.subtract(1.0, h, out=out)
+        return np.multiply(h, out, out=out)
     if kind is ActivationKind.TANH:
-        return 1.0 - h * h
+        np.multiply(h, h, out=out)
+        return np.subtract(1.0, out, out=out)
     if kind is ActivationKind.RELU:
-        return h > 0  # g > 0 exactly, NaN included; subgradient 0 at the kink
-    return 1.0
+        # g > 0 exactly, NaN included; subgradient 0 at the kink
+        return np.greater(h, 0.0, out=out)
+    out.fill(1.0)
+    return out
 
 
 def _layer_kind(arch, j: int) -> ActivationKind:
@@ -302,6 +310,41 @@ def _check_variance(sigma2: float):
         raise ValueError("prior variance must be positive")
 
 
+class _Workspace:
+    """The buffers of an evaluation at stack size m on s points.
+
+    theta is an (m, n) stack whose per-layer (W, b) views and W^T views are
+    built once, as are the per-layer views of the gradient buffer. buffers
+    holds the (m, k_j, s) post-activations of every layer, which
+    _forward_features fills, with the transposed views of the hidden ones,
+    and deltas one (m, k_j, s) backprop buffer per layer. p is the (m, s)
+    per-point probability of the observed event: a view of the output
+    buffer for a binary model, a buffer of its own, taken from the flat
+    output view, for a multiclass one.
+
+    A call writes every buffer before it reads it, and the points are not
+    kept here, so no call sees what an earlier one left behind.
+    """
+
+    def __init__(self, arch, n, m, s):
+        self.theta = np.empty((m, n))
+        self.layers = _layer_views(arch, self.theta)
+        self.transposed = [W.swapaxes(-1, -2) for W, _ in self.layers]
+        self.buffers = [np.empty((m, k, s)) for k in arch.layer_widths[1:]]
+        self.hidden_transposed = [h.swapaxes(-1, -2) for h in self.buffers[:-1]]
+        self.deltas = [np.empty((m, k, s)) for k in arch.layer_widths[1:]]
+        if arch.is_binary:
+            self.p = self.buffers[-1][:, 0]
+        else:
+            self.p = np.empty((m, s))
+            # the (m, k_rho s) output, which the true classes index into
+            self.flat_output = self.buffers[-1].reshape(m, arch.output_dim * s)
+        self.clamped, self.terms = np.empty((m, s)), np.empty((m, s))
+        self.low, self.high = np.empty((m, s), dtype=bool), np.empty((m, s), dtype=bool)
+        self.grad = np.empty((m, n))
+        self.grads = _layer_views(arch, self.grad)
+
+
 class Posterior:
     """Unnormalized MLP log-posterior on one dataset, compiled once.
 
@@ -312,17 +355,24 @@ class Posterior:
     its true class in a (k_rho, s) output. An empty dataset is a (k_0, 0)
     feature array, whose log-likelihood is 0 and gradient 0.
 
-    Four evaluation methods: log_likelihood, log_prior, grad_log_likelihood
-    and value_and_grad (the log-posterior and its gradient, read off one
-    forward pass), plus subset, the posterior on some of the stored rows.
-    Each evaluation is one feature-major pass over the stored features, and
-    backprop runs in the same layout. A method takes one parameter vector of
-    shape (n,) and returns a float (and an (n,) gradient), or a stack of m
-    vectors of shape (m, n) and returns an (m,) array (and an (m, n)
-    gradient) whose row i equals, bit for bit, the result for row i alone.
-    The module functions log_likelihood, log_posterior and
-    grad_log_posterior are single calls into this class, and its log_prior
-    is a call of the module log_prior.
+    Five evaluation methods: log_likelihood, log_prior, grad_log_likelihood,
+    grad (the log-posterior gradient) and value_and_grad (the log-posterior
+    and its gradient, read off one forward pass), plus subset, the posterior
+    on some of the stored rows. Each evaluation but log_prior is one
+    feature-major pass over the stored features, and backprop runs in the
+    same layout. A method takes one parameter vector of shape (n,) and
+    returns a float (or an (n,) gradient), or a stack of m vectors of shape
+    (m, n) and returns an (m,) array (or an (m, n) gradient) whose row i
+    equals, bit for bit, the result for row i alone.
+
+    The pass and backprop run in a workspace of buffers kept for each stack
+    size m the posterior meets, an (n,) vector being the stack of one, and
+    shared with its subsets of as many rows. A call copies theta in and
+    returns fresh arrays, never workspace memory, so a later call changes no
+    result already returned; a posterior and its subsets are not to be
+    evaluated from two threads at once. The module functions log_likelihood,
+    log_posterior and grad_log_posterior are single calls into this class,
+    and its log_prior is a call of the module log_prior.
     """
 
     def __init__(self, arch: Architecture, data: LabeledDataset, sigma2: float):
@@ -336,6 +386,9 @@ class Posterior:
             raise DimensionError("feature width does not match input width")
         self.arch = arch
         self.sigma2 = sigma2
+        # (m, s) -> _Workspace; subset shares this dict with its parent, so a
+        # posterior and its subsets build one workspace per shape between them
+        self._workspaces = {}
         self._keep(X.T, data.labels)
 
     def _keep(self, XT, labels):
@@ -360,71 +413,92 @@ class Posterior:
         return sub
 
     def _pass(self, theta):
-        """theta as a float array of shape (n,) or (m, n), its per-layer
-        (W, b) views, the post-activations of the pass over the stored
-        features, and the per-point probability of the observed event
-        before clamping: h for a binary model, the true class's p for a
-        multiclass one, as an (s,) or C-contiguous (m, s) array."""
+        """Copy theta, of shape (n,) or (m, n), into the workspace of its
+        stack size and run the pass over the stored features there, filling
+        the post-activations and the event probabilities p before clamping
+        (h for a binary model, the true class's p for a multiclass one).
+        Returns the workspace and whether theta is a single vector, which
+        runs as the stack of one."""
         theta = np.asarray(theta, dtype=float)
         if theta.ndim not in (1, 2) or theta.shape[-1] != self.dim:
             raise DimensionError(
                 f"parameter array of shape {theta.shape} does not match (n,) or "
                 f"(m, n) with n = {self.dim} for architecture {self.arch.layer_widths}"
             )
-        layers = _layer_views(self.arch, theta)
-        hs = _forward_features(self.arch, layers, self._XT)
-        out = hs[-1]
-        if self.arch.is_binary:
-            p = out[..., 0, :]
-        else:
-            p = np.take(out.reshape(out.shape[:-2] + (-1,)), self._true, axis=-1)
-        return theta, layers, hs, p
+        m, s = 1 if theta.ndim == 1 else len(theta), self._XT.shape[1]
+        ws = self._workspaces.get((m, s))
+        if ws is None:
+            ws = self._workspaces[m, s] = _Workspace(self.arch, self.dim, m, s)
+        np.copyto(ws.theta, theta)
+        _forward_features(self.arch, ws.layers, self._XT, ws.buffers)
+        if not self.arch.is_binary:
+            # the indices are valid; mode "raise" would take into a copy of out
+            np.take(ws.flat_output, self._true, axis=-1, out=ws.p, mode="clip")
+        return ws, theta.ndim == 1
 
-    def _log_likelihood_of(self, p):
-        """Log-likelihood from the event probabilities p, clamped away from
-        0 and 1; one value per row of a stack."""
-        p = np.maximum(p, PROB_EPS)
+    def _log_likelihood_of(self, ws) -> np.ndarray:
+        """Log-likelihood of each row of the stack, from its event
+        probabilities ws.p clamped away from 0 and 1."""
+        p = np.maximum(ws.p, PROB_EPS, out=ws.clamped)
         np.minimum(p, 1.0 - PROB_EPS, out=p)
         if self.arch.is_binary:
-            terms = self._y * np.log(p) + self._not_y * np.log1p(-p)
+            # y log(p) + (1 - y) log1p(-p), one term per buffer
+            q = np.negative(p, out=ws.terms)
+            np.log1p(q, out=q)
+            np.multiply(self._not_y, q, out=q)
+            np.log(p, out=p)
+            np.multiply(self._y, p, out=p)
+            p += q
         else:
-            terms = np.log(p)
-        if terms.ndim == 1:
-            return float(np.add.reduce(terms))
+            np.log(p, out=p)
         # a 1-D sum per chain keeps each chain's bits, which one sum over
         # the last axis of the stack is not guaranteed to do
-        return np.array([np.add.reduce(row) for row in terms])
+        return np.array([np.add.reduce(row) for row in p])
 
-    def _backprop(self, layers, hs, p) -> np.ndarray:
-        """Log-likelihood gradient by feature-major backprop over the
-        post-activations hs of a pass with event probabilities p.
+    def _backprop(self, ws) -> np.ndarray:
+        """Log-likelihood gradient of the pass in ws by feature-major
+        backprop, written to ws.grad.
 
         delta is (m, k_j, s): each bias gradient is a sum along the points,
         each weight gradient delta @ H^T, and delta moves back a layer as
-        W^T @ delta. A point whose event probability is clamped adds a
-        constant to the likelihood, so its output-layer delta is zero.
+        W^T @ delta times the activation's derivative. A point whose event
+        probability is clamped adds a constant to the likelihood, so its
+        output-layer delta is zero. The hidden post-activations are
+        overwritten.
         """
+        p, delta = ws.p, ws.deltas[-1]
         # dl/dg at the output layer: residual form for both link functions
         if self.arch.is_binary:
-            delta = (self._y - p)[..., None, :]
+            np.subtract(self._y, p, out=delta[:, 0])
         else:
-            delta = self._onehot - hs[-1]
-        np.copyto(delta, 0.0, where=((p < PROB_EPS) | (p > 1.0 - PROB_EPS))[..., None, :])
+            np.subtract(self._onehot, ws.buffers[-1], out=delta)
+        clamped = np.less(p, PROB_EPS, out=ws.low)
+        clamped |= np.greater(p, 1.0 - PROB_EPS, out=ws.high)
+        np.copyto(delta, 0.0, where=clamped[:, None])
         # written layer by layer into the flat layout W_1, b_1, ..., W_rho, b_rho
-        grad = np.empty(p.shape[:-1] + (self.dim,))
-        grads = _layer_views(self.arch, grad)
-        for j in range(len(layers) - 1, -1, -1):
-            gW, gb = grads[j]
+        for j in range(len(ws.layers) - 1, -1, -1):
+            gW, gb = ws.grads[j]
             np.add.reduce(delta, axis=-1, out=gb)
-            np.matmul(delta, hs[j].swapaxes(-1, -2), out=gW)
+            np.matmul(delta, ws.hidden_transposed[j - 1] if j else self._XT.T, out=gW)
             if j > 0:
-                delta = layers[j][0].swapaxes(-1, -2) @ delta
-                delta *= _hidden_derivative(self.arch.hidden_activation, hs[j])
-        return grad
+                # layer j's input h is read here for the last time, so
+                # W^T @ delta goes there
+                h = ws.buffers[j - 1]
+                below = _hidden_derivative(self.arch.hidden_activation, h, ws.deltas[j - 1])
+                np.matmul(ws.transposed[j], delta, out=h)
+                delta = np.multiply(h, below, out=below)
+        return ws.grad
+
+    def _posterior_grad(self, ws) -> np.ndarray:
+        """Log-posterior gradient of the pass in ws, as a fresh array."""
+        prior = grad_log_prior(ws.theta, self.sigma2)
+        return np.add(self._backprop(ws), prior, out=prior)
 
     def log_likelihood(self, theta):
         """Classification log-likelihood; 0 on an empty dataset."""
-        return self._log_likelihood_of(self._pass(theta)[-1])
+        ws, single = self._pass(theta)
+        ll = self._log_likelihood_of(ws)
+        return float(ll[0]) if single else ll
 
     def log_prior(self, theta):
         """Log-density of the normal prior N(0, sigma2 I)."""
@@ -432,14 +506,23 @@ class Posterior:
 
     def grad_log_likelihood(self, theta) -> np.ndarray:
         """Exact gradient of the classification log-likelihood, flat layout."""
-        _, layers, hs, p = self._pass(theta)
-        return self._backprop(layers, hs, p)
+        ws, single = self._pass(theta)
+        grad = self._backprop(ws)
+        return grad[0].copy() if single else grad.copy()
+
+    def grad(self, theta) -> np.ndarray:
+        """Exact gradient of the log-posterior, flat layout: the gradient of
+        value_and_grad, without the log-likelihood value."""
+        ws, single = self._pass(theta)
+        grad = self._posterior_grad(ws)
+        return grad[0] if single else grad
 
     def value_and_grad(self, theta):
         """Log-posterior and its gradient from one forward pass."""
-        theta, layers, hs, p = self._pass(theta)
-        ll, grad = self._log_likelihood_of(p), self._backprop(layers, hs, p)
-        return ll + self.log_prior(theta), grad + grad_log_prior(theta, self.sigma2)
+        ws, single = self._pass(theta)
+        value = self._log_likelihood_of(ws) + self.log_prior(ws.theta)
+        grad = self._posterior_grad(ws)
+        return (float(value[0]), grad[0]) if single else (value, grad)
 
 
 def log_likelihood(arch: Architecture, theta, data: LabeledDataset) -> float:
@@ -478,4 +561,4 @@ def grad_log_prior(theta, sigma2: float) -> np.ndarray:
 
 def grad_log_posterior(arch: Architecture, theta, data: LabeledDataset, sigma2: float) -> np.ndarray:
     """Exact gradient of the unnormalized log-posterior, flat layout."""
-    return Posterior(arch, data, sigma2).value_and_grad(theta)[1]
+    return Posterior(arch, data, sigma2).grad(theta)

@@ -3,11 +3,12 @@ Hamiltonian Monte Carlo and power-posterior population sampling, plus an
 SGD ensemble trainer for comparison runs.
 
 A sampler target has ``dim``, ``log_likelihood(theta)`` and
-``log_prior(theta)``; HMC also needs ``value_and_grad(theta)``, the
-log-posterior and its gradient. The samplers call them on an (m, n)
-stack, one row per chain, and read one value (and gradient row) per row,
-which must equal the row's own evaluation. ``mlp.Posterior`` is the
-target of every posterior run.
+``log_prior(theta)``; HMC also needs ``grad(theta)``, the log-posterior
+gradient, and ``value_and_grad(theta)``, the log-posterior and its
+gradient, which it calls only at the end of a trajectory. The samplers
+call them on an (m, n) stack, one row per chain, and read one value (and
+gradient row) per row, which must equal the row's own evaluation.
+``mlp.Posterior`` is the target of every posterior run.
 
 ``mh_chain``, ``hmc_chain`` and ``pp_chain`` each take an (m, ...) stack
 of initial states and m seeds, advance the m chains in lockstep, one
@@ -195,16 +196,15 @@ def _population(target, states, rngs, iterations: int, proposal_variance: float,
     draws = np.empty((m, iterations, target.dim))
     accepted = np.zeros(m, dtype=int)
     swap_accepted = np.zeros(m, dtype=int)
-    # swap partner distributions are iteration-independent; precompute
-    pmfs = [pp_swap_pmf(i, rungs - 1, beta) for i in range(rungs)] if rungs > 1 else None
+    cdfs = _swap_cdfs(rungs, beta) if rungs > 1 else None
 
     for it in range(iterations):
         for c in range(rungs):
             moved = _metropolis_step(rngs, target, scale, temps[c], states[:, c], lls[:, c], lps[:, c])
         accepted += moved  # the moves of the last rung, t_m = 1
-        for p, rng in enumerate(rngs if pmfs else ()):
+        for p, rng in enumerate(rngs if cdfs else ()):
             i = int(rng.integers(rungs))
-            j = int(rng.choice(rungs, p=pmfs[i]))
+            j = int(cdfs[i].searchsorted(rng.random(), side="right"))
             delta = (temps[i] - temps[j]) * (lls[p, j] - lls[p, i])
             if _accept(rng, delta):
                 for values in (states, lls, lps):
@@ -212,7 +212,7 @@ def _population(target, states, rngs, iterations: int, proposal_variance: float,
                 swap_accepted[p] += 1
         draws[:, it] = states[:, -1]
 
-    swaps = {"swap_accepted": swap_accepted, "swap_attempts": np.full(m, iterations)} if pmfs else {}
+    swaps = {"swap_accepted": swap_accepted, "swap_attempts": np.full(m, iterations)} if cdfs else {}
     return draws, {"accepted": accepted, **swaps}
 
 
@@ -230,18 +230,20 @@ def mh_chain(target, inits, config: MhConfig, iterations: int, seeds: Sequence[i
     return _chains("MH", start, seeds, draws, **counts)
 
 
-def leapfrog(value_and_grad, theta, value, grad, momentum, steps: int, step_size: float):
+def leapfrog(target, theta, value, grad, momentum, steps: int, step_size: float):
     """Leapfrog integration of H(theta, r) = -log p(theta) + ||r||^2 / 2,
     for one parameter vector or for each row of an (m, n) stack, from
     theta with its log-density value and gradient grad.
 
     Returns (theta, momentum, value, grad, ok): value and grad are those
-    of the returned theta, from the last of the L value_and_grad calls.
-    ok, one flag per row, is False for a row in which a non-finite value
-    appears during the trajectory. Such a row is held at its start with
-    zero momentum and gradient from then on, so it evaluates nothing
-    non-finite again, and its returned state is meaningless; when no row
-    is left, the trajectory stops.
+    of the returned theta. The L - 1 interior positions take target.grad
+    and the last target.value_and_grad, so the trajectory makes L model
+    passes and reads the log-density only at its end. ok, one flag per row,
+    is False for a row in which a non-finite position or gradient appears
+    during the trajectory. Such a row is held at its start with zero
+    momentum and gradient from then on, so it evaluates nothing non-finite
+    again, and its returned state is meaningless; when no row is left, the
+    trajectory stops.
     """
     start = theta
     ok = np.isfinite(grad).all(axis=-1)
@@ -251,8 +253,13 @@ def leapfrog(value_and_grad, theta, value, grad, momentum, steps: int, step_size
     for step in range(steps + 1):
         if step:
             theta = theta + step_size * r
-            value, grad = value_and_grad(theta)
-            ok &= np.isfinite(grad).all(axis=-1) & np.isfinite(theta).all(axis=-1)
+            if step < steps:
+                grad = target.grad(theta)
+            else:
+                value, grad = target.value_and_grad(theta)
+            # one whole-array test; the rows are looked at only when it fails
+            if not (np.isfinite(grad).all() and np.isfinite(theta).all()):
+                ok &= np.isfinite(grad).all(axis=-1) & np.isfinite(theta).all(axis=-1)
         if not ok.all():
             if not ok.any():
                 return theta, r, value, grad, ok
@@ -276,12 +283,13 @@ def hmc_chain(target, inits, config: HmcConfig, iterations: int, seeds: Sequence
     Non-finite trajectories and |dH| above DIVERGENCE_THRESHOLD count
     as rejections and are flagged as divergences.
 
-    A trajectory costs L calls of ``target.value_and_grad``: each chain
-    carries the value and gradient of its state from one iteration to the
-    next, and leapfrog returns those of the trajectory's end.
+    A trajectory costs L model passes, L - 1 calls of ``target.grad`` and
+    one of ``target.value_and_grad``: each chain carries the value and
+    gradient of its state from one iteration to the next, and leapfrog
+    returns those of the trajectory's end.
     """
-    if not callable(getattr(target, "value_and_grad", None)):
-        raise ValueError("HMC requires a target with value_and_grad")
+    if not all(callable(getattr(target, name, None)) for name in ("grad", "value_and_grad")):
+        raise ValueError("HMC requires a target with grad and value_and_grad")
     start, theta, seeds, rngs = _chain_group(inits, seeds, (target.dim,))
     logp, grad = target.value_and_grad(theta)
     _check_start(logp)
@@ -290,10 +298,12 @@ def hmc_chain(target, inits, config: HmcConfig, iterations: int, seeds: Sequence
     draws = np.empty((len(seeds), iterations, target.dim))
     accepted = np.zeros(len(seeds), dtype=int)
     divergences = np.zeros(len(seeds), dtype=int)
+    r0 = np.empty_like(theta)  # leapfrog leaves its momentum argument as it is
     for it in range(iterations):
-        r0 = np.array([rng.standard_normal(target.dim) for rng in rngs])
+        for rng, row in zip(rngs, r0):
+            rng.standard_normal(out=row)
         prop, r1, prop_logp, prop_grad, ok = leapfrog(
-            target.value_and_grad, theta, logp, grad, r0, config.leapfrog_steps, config.step_size
+            target, theta, logp, grad, r0, config.leapfrog_steps, config.step_size
         )
         moved = np.zeros(len(seeds), dtype=bool)
         if ok.any():
@@ -348,6 +358,17 @@ def pp_swap_pmf(i: int, m: int, beta: float) -> np.ndarray:
     probs = np.exp(-beta * np.abs(j - i)) / gamma
     probs[i] = 0.0
     return probs
+
+
+def _swap_cdfs(rungs: int, beta: float) -> list[np.ndarray]:
+    """Each rung's swap-partner CDF, normalised as Generator.choice
+    normalises its p: cdfs[i].searchsorted(rng.random(), side="right") is
+    the partner that rng.choice(rungs, p=pp_swap_pmf(i, rungs - 1, beta))
+    draws, from the one uniform that choice draws too."""
+    cdfs = [pp_swap_pmf(i, rungs - 1, beta).cumsum() for i in range(rungs)]
+    for cdf in cdfs:
+        cdf /= cdf[-1]
+    return cdfs
 
 
 def pp_chain(target, inits, config: PpConfig, iterations: int, seeds: Sequence[int]) -> list[Chain]:

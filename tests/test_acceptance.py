@@ -161,10 +161,8 @@ def test_criterion_2_samplers_on_analytic_target():
         )
     rng = np.random.default_rng(0)
     theta0, r0 = rng.normal(size=3), rng.normal(size=3)
-    fwd_theta, fwd_r, *_ = leapfrog(target.value_and_grad, theta0, *target.value_and_grad(theta0), r0, 30, 0.1)
-    back_theta, back_r, *_ = leapfrog(
-        target.value_and_grad, fwd_theta, *target.value_and_grad(fwd_theta), -fwd_r, 30, 0.1
-    )
+    fwd_theta, fwd_r, *_ = leapfrog(target, theta0, *target.value_and_grad(theta0), r0, 30, 0.1)
+    back_theta, back_r, *_ = leapfrog(target, fwd_theta, *target.value_and_grad(fwd_theta), -fwd_r, 30, 0.1)
     reversal = max(float(np.abs(back_theta - theta0).max()), float(np.abs(-back_r - r0).max()))
     elapsed = time.perf_counter() - start
     ok = (

@@ -507,6 +507,17 @@ class TestStackedPosterior:
             assert bits(lp[i]) == bits(post.log_prior(theta))
             np.testing.assert_array_equal(bits(grad_ll[i]), bits(post.grad_log_likelihood(theta)))
 
+    @pytest.mark.parametrize("widths", [(2, 2, 1), (6, 2, 2, 3)])
+    def test_empty_stack(self, rng, widths):
+        """A stack of no vectors has no values and no gradient rows."""
+        arch = Architecture(widths)
+        _, ds = random_instance(rng, arch, samples=5)
+        post = Posterior(arch, ds, 10.0)
+        empty = np.empty((0, parameter_count(arch)))
+        value, grad = post.value_and_grad(empty)
+        assert value.shape == post.log_likelihood(empty).shape == (0,)
+        assert grad.shape == post.grad(empty).shape == post.grad_log_likelihood(empty).shape == empty.shape
+
     def test_rejects_bad_stack_shape(self, rng, xor_arch):
         _, ds = random_instance(rng, xor_arch)
         post = Posterior(xor_arch, ds, 10.0)
@@ -528,6 +539,70 @@ class TestStackedPosterior:
         thetas = rng.normal(size=(3, theta.size))
         for got, want in zip(sub.value_and_grad(thetas), direct.value_and_grad(thetas)):
             np.testing.assert_array_equal(bits(got), bits(want))
+
+
+WORKSPACE_CASES = [
+    ((2, 2, 1), ActivationKind.SIGMOID),
+    ((6, 2, 2, 3), ActivationKind.SIGMOID),
+    ((3, 4, 1), ActivationKind.TANH),
+    ((3, 4, 3), ActivationKind.TANH),
+    ((3, 4, 1), ActivationKind.RELU),
+    ((3, 4, 3), ActivationKind.RELU),
+]
+
+
+def evaluations(post, theta):
+    """The bits of every evaluation of post at theta, each a fresh result."""
+    value, grad = post.value_and_grad(theta)
+    results = (value, grad, post.grad(theta), post.log_likelihood(theta),
+               post.grad_log_likelihood(theta), post.log_prior(theta))
+    return [bits(r).tobytes() for r in results]
+
+
+class TestWorkspace:
+    """A posterior evaluates in one workspace per stack size, which no call
+    leaks into another: every result equals, bit for bit, that of a freshly
+    built posterior."""
+
+    @pytest.mark.parametrize("widths,hidden", WORKSPACE_CASES)
+    def test_interleaved_stack_sizes(self, rng, widths, hidden):
+        arch = Architecture(widths, hidden_activation=hidden)
+        _, ds = random_instance(rng, arch, samples=15, theta_scale=2.0)
+        post = Posterior(arch, ds, 10.0)
+        n = parameter_count(arch)
+        for m in (4, 1, 2, 1, 4, 2, 4):
+            thetas = rng.normal(0.0, 2.0, size=(m, n))
+            for theta in (thetas, thetas[0]):
+                assert evaluations(post, theta) == evaluations(Posterior(arch, ds, 10.0), theta)
+
+    @pytest.mark.parametrize("widths,hidden", WORKSPACE_CASES)
+    @pytest.mark.parametrize("size", [6, 15])
+    def test_subset_and_parent_alternate(self, rng, widths, hidden, size):
+        """A subset of all rows, reordered, shares its parent's workspaces."""
+        arch = Architecture(widths, hidden_activation=hidden)
+        _, ds = random_instance(rng, arch, samples=15, theta_scale=2.0)
+        rows = rng.permutation(15)[:size]
+        parent = Posterior(arch, ds, 10.0)
+        sub = parent.subset(rows)
+        for m in (2, 2, 1, 4):
+            thetas = rng.normal(0.0, 2.0, size=(m, parameter_count(arch)))
+            for post, data in ((parent, ds), (sub, ds.subset(rows)), (parent, ds)):
+                assert evaluations(post, thetas) == evaluations(Posterior(arch, data, 10.0), thetas)
+
+    @pytest.mark.parametrize("widths,hidden", WORKSPACE_CASES)
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_returned_arrays_outlive_the_next_call(self, rng, widths, hidden, m):
+        arch = Architecture(widths, hidden_activation=hidden)
+        _, ds = random_instance(rng, arch, samples=15, theta_scale=2.0)
+        post = Posterior(arch, ds, 10.0)
+        first, second = rng.normal(0.0, 2.0, size=(2, m, parameter_count(arch)))
+        if m == 1:
+            first, second = first[0], second[0]
+        value, grad = post.value_and_grad(first)
+        kept = [post.grad(first), post.grad_log_likelihood(first), post.log_likelihood(first)]
+        want = [bits(r).tobytes() for r in [value, grad] + kept]
+        evaluations(post, second)
+        assert [bits(r).tobytes() for r in [value, grad] + kept] == want
 
 
 def clamped_instance(rng, classes):

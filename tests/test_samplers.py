@@ -123,7 +123,7 @@ class TestMetropolisHastings:
 
 def leapfrog_from(target, theta, momentum, steps, step_size):
     """leapfrog from theta, with the value and gradient the target gives there."""
-    return leapfrog(target.value_and_grad, theta, *target.value_and_grad(theta), momentum, steps, step_size)
+    return leapfrog(target, theta, *target.value_and_grad(theta), momentum, steps, step_size)
 
 
 def held_row_target(seen):
@@ -226,8 +226,9 @@ class TestHmc:
         assert len(passes) == 1 + steps * iterations
 
     def test_one_value_and_grad_call_per_leapfrog_step(self):
-        """HMC calls only value_and_grad: once at the start and L times per
-        iteration, never log_likelihood or log_prior."""
+        """HMC calls value_and_grad once at the start and once per iteration,
+        at each trajectory's end, and grad at the L - 1 interior positions;
+        never log_likelihood or log_prior."""
         target = standard_normal_target(3)
         calls = Counter()
 
@@ -238,12 +239,12 @@ class TestHmc:
 
             return call
 
-        for name in ("log_likelihood", "log_prior", "value_and_grad"):
+        for name in ("log_likelihood", "log_prior", "grad", "value_and_grad"):
             setattr(target, name, counted(name, getattr(target, name)))
         iterations, steps = 30, 4
         chain = run_alone(hmc_chain, target, np.ones(3), HmcConfig(steps, 0.3), iterations, 1)
         assert chain.divergences == 0
-        assert calls == {"value_and_grad": 1 + steps * iterations}
+        assert calls == {"value_and_grad": 1 + iterations, "grad": (steps - 1) * iterations}
 
     def test_carried_gradient_matches_separate_calls(self, xor_arch):
         """The posterior's one-pass path gives the draws that separate
@@ -321,6 +322,19 @@ class TestSwapPmf:
     def test_no_neighbour_error(self):
         with pytest.raises(ValueError):
             pp_normalizer(0, 0, 0.5)
+
+    def test_partner_draw_matches_generator_choice(self):
+        """A partner drawn from a rung's CDF on one uniform is the partner
+        Generator.choice draws from the pmf, and leaves the RNG where
+        choice leaves it."""
+        rungs, beta = 10, 0.5
+        for i, cdf in enumerate(samplers._swap_cdfs(rungs, beta)):
+            pmf = pp_swap_pmf(i, rungs - 1, beta)
+            by_choice, by_cdf = np.random.default_rng(i), np.random.default_rng(i)
+            want = [int(by_choice.choice(rungs, p=pmf)) for _ in range(2000)]
+            got = [int(cdf.searchsorted(by_cdf.random(), side="right")) for _ in range(2000)]
+            assert got == want
+            assert by_cdf.random() == by_choice.random()
 
 
 def mixture_target():

@@ -16,8 +16,8 @@ def _per_row(func):
 class ToyTarget:
     """Has the attributes the samplers read from ``mlp.Posterior``: ``dim``,
     ``log_likelihood``, ``log_prior`` (0 unless given) and, when a gradient of
-    the log-posterior is given, ``value_and_grad``. Each takes one parameter
-    vector or a stack of them, which it evaluates row by row."""
+    the log-posterior is given, ``grad`` and ``value_and_grad``. Each takes
+    one parameter vector or a stack of them, which it evaluates row by row."""
 
     def __init__(self, log_likelihood, dim, gradient=None, log_prior=lambda th: 0.0):
         self.dim = dim
@@ -25,7 +25,8 @@ class ToyTarget:
         self.log_prior = _per_row(log_prior)
         if gradient is not None:
             value = _per_row(lambda th: log_likelihood(th) + log_prior(th))
-            self.value_and_grad = lambda th: (value(th), _per_row(gradient)(th))
+            grad = self.grad = _per_row(gradient)
+            self.value_and_grad = lambda th: (value(th), grad(th))
 
 
 def run_alone(sampler, target, init, config, iterations, seed):
