@@ -94,16 +94,22 @@ def parameter_count(arch: Architecture) -> int:
     return sum(widths[j] * (widths[j - 1] + 1) for j in range(1, len(widths)))
 
 
-def unpack_parameters(arch: Architecture, theta) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split a flat parameter vector into per-layer (W, b) views."""
+def _as_parameters(arch, theta) -> np.ndarray:
+    """theta as a float (n,) parameter vector or (m, n) stack of them."""
     theta = np.asarray(theta, dtype=float)
     n = parameter_count(arch)
-    if theta.shape != (n,):
+    if theta.ndim not in (1, 2) or theta.shape[-1] != n:
         raise DimensionError(
-            f"parameter vector of length {theta.shape} does not match "
-            f"expected ({n},) for architecture {arch.layer_widths}"
+            f"parameter array of shape {theta.shape} does not match (n,) or "
+            f"(m, n) with n = {n} for architecture {arch.layer_widths}"
         )
-    return _layer_views(arch, theta)
+    return theta
+
+
+def unpack_parameters(arch: Architecture, theta) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Split a flat parameter vector into per-layer (W, b) views; for an
+    (m, n) stack the views carry the leading m axis."""
+    return _layer_views(arch, _as_parameters(arch, theta))
 
 
 def _layer_views(arch, theta):
@@ -171,20 +177,17 @@ def _softmax(x, axis=-1, out=None):
     return ez
 
 
-def _apply_activation(kind: ActivationKind, g, axis=-1, out=None):
-    """Activation of pre-activations g; a softmax normalizes along axis.
-    The result goes to out when given, which may be g itself."""
+def _apply_activation(kind: ActivationKind, g, axis):
+    """Activation of pre-activations g, in place; a softmax normalizes
+    along axis."""
     if kind is ActivationKind.SIGMOID:
-        return _sigmoid(g, out)
+        return _sigmoid(g, g)
     if kind is ActivationKind.SOFTMAX:
-        return _softmax(g, axis, out)
+        return _softmax(g, axis, g)
     if kind is ActivationKind.TANH:
-        return np.tanh(g, out=out)
+        return np.tanh(g, out=g)
     if kind is ActivationKind.RELU:
-        return np.maximum(g, 0.0, out=out)
-    if out is not None:
-        out[...] = g
-        return out
+        return np.maximum(g, 0.0, out=g)
     return g
 
 
@@ -208,26 +211,31 @@ def _layer_kind(arch, j: int) -> ActivationKind:
     return arch.output_activation if j == arch.num_layers - 1 else arch.hidden_activation
 
 
-def _forward_features(arch, layers, XT, buffers=None) -> list[np.ndarray]:
-    """Feature-major forward pass on (k_0, s) inputs XT, for the per-layer
-    (W, b) views of one parameter vector or of a (d, n) stack: (d, k_j,
-    k_{j-1}) weights times (d, k_{j-1}, s) activations, so bias adds,
-    activations and the softmax run along the s points rather than along the
-    1 to 3 units of a layer. Returns the post-activations of every layer, XT
-    first and the (d, k_rho, s) output last.
+def layer_buffers(arch, m: int, s: int) -> list[np.ndarray]:
+    """One (m, k_j, s) buffer per weighted layer j, for m parameter vectors
+    on s points."""
+    return [np.empty((m, k, s)) for k in arch.layer_widths[1:]]
 
-    Each layer's matmul, bias add and activation run in one array. Given
-    buffers, one (c, k_j, s) array per layer with c >= d, layer j of a stack
-    runs in the leading d entries of buffers[j], so repeated calls allocate
-    no array of that size; without, each layer allocates its own. Every
-    vector of a stack gets the BLAS calls of its single-vector pass, so each
-    keeps its bits.
+
+def _forward_features(arch, layers, XT, buffers) -> list[np.ndarray]:
+    """Feature-major forward pass on (k_0, s) inputs XT, for the per-layer
+    (W, b) views of a (d, n) stack of parameter vectors: (d, k_j, k_{j-1})
+    weights times (d, k_{j-1}, s) activations, so bias adds, activations and
+    the softmax run along the s points rather than along the 1 to 3 units of
+    a layer. Returns the post-activations of every layer, XT first and the
+    (d, k_rho, s) output last.
+
+    buffers holds one (c, k_j, s) array per layer with c >= d (layer_buffers
+    builds them). Layer j's matmul, bias add and activation run in the
+    leading d entries of buffers[j], so repeated calls allocate no array of
+    that size. Every vector of a stack gets the BLAS calls of its own pass as
+    the stack of one, so each keeps its bits.
     """
     hs = [XT]
     for j, (W, b) in enumerate(layers):
-        G = np.matmul(W, hs[-1], out=None if buffers is None else buffers[j][: len(W)])
+        G = np.matmul(W, hs[-1], out=buffers[j][: len(W)])
         G += b[..., None]
-        hs.append(_apply_activation(_layer_kind(arch, j), G, axis=-2, out=G))
+        hs.append(_apply_activation(_layer_kind(arch, j), G, axis=-2))
     return hs
 
 
@@ -243,46 +251,26 @@ def _as_batch(arch, x):
 
 
 def forward(arch: Architecture, theta, x) -> np.ndarray:
-    """Network output h_rho for one input vector or a matrix of inputs.
-
-    Returns shape (k_rho,) for a single input and (s, k_rho) for a
-    batch. A sigmoid output is the event probability Pr(y=1|x, theta);
-    a softmax output is a probability vector over the classes.
-    """
+    """Network output h_rho for theta of shape (n,) or an (m, n) stack, at
+    x of shape (k_0,) or (s, k_0): (k_rho,) or (s, k_rho) for one vector,
+    (m, k_rho) or (m, s, k_rho) for a stack, whose row i equals the call on
+    theta[i] bit for bit. A sigmoid output is the event probability
+    Pr(y=1|x, theta); a softmax output is a probability vector over the
+    classes. The pass runs as a stack (_forward_features)."""
+    theta = _as_parameters(arch, theta)
     X, single = _as_batch(arch, x)
-    hs = _forward_features(arch, unpack_parameters(arch, theta), np.ascontiguousarray(X.T))
-    out = hs[-1].T
-    return out[0] if single else out
-
-
-def _as_stack(arch, thetas) -> np.ndarray:
-    """thetas as a float (d, n) stack of parameter vectors."""
-    thetas = np.asarray(thetas, dtype=float)
-    n = parameter_count(arch)
-    if thetas.ndim != 2 or thetas.shape[1] != n:
-        raise DimensionError(
-            f"parameter stack of shape {thetas.shape} does not match "
-            f"expected (d, {n}) for architecture {arch.layer_widths}"
-        )
-    return thetas
-
-
-def forward_stack(arch: Architecture, thetas, X) -> np.ndarray:
-    """Network outputs of d parameter vectors on an (s, k_0) input batch.
-
-    thetas has shape (d, n); the result has shape (d, s, k_rho), row i
-    equal to forward(arch, thetas[i], X) up to rounding. The pass runs
-    feature-major (_forward_features); the result is a transposed view of
-    the (d, k_rho, s) output.
-    """
-    thetas = _as_stack(arch, thetas)
-    X, _ = _as_batch(arch, X)
-    hs = _forward_features(arch, _layer_views(arch, thetas), np.ascontiguousarray(X.T))
-    return np.swapaxes(hs[-1], -1, -2)
+    stack = theta if theta.ndim == 2 else theta[None]
+    buffers = layer_buffers(arch, len(stack), len(X))
+    hs = _forward_features(arch, _layer_views(arch, stack), np.ascontiguousarray(X.T), buffers)
+    out = np.swapaxes(hs[-1], -1, -2)
+    if single:
+        out = out[:, 0]
+    return out if theta.ndim == 2 else out[0]
 
 
 def event_probabilities(arch: Architecture, theta, x) -> np.ndarray:
-    """Per-class event probabilities, shape (s, K).
+    """Per-class event probabilities, shape (s, K), or (m, s, K) for an
+    (m, n) stack of parameter vectors.
 
     Binary models report (1 - h, h), so K = 2 for a single output
     neuron and K = k_rho otherwise.
@@ -290,8 +278,8 @@ def event_probabilities(arch: Architecture, theta, x) -> np.ndarray:
     X, _ = _as_batch(arch, x)
     out = forward(arch, theta, X)
     if arch.is_binary:
-        h = out[:, 0]
-        return np.column_stack([1.0 - h, h])
+        h = out[..., 0]
+        return np.stack([1.0 - h, h], axis=-1)
     return out
 
 
@@ -330,9 +318,9 @@ class _Workspace:
         self.theta = np.empty((m, n))
         self.layers = _layer_views(arch, self.theta)
         self.transposed = [W.swapaxes(-1, -2) for W, _ in self.layers]
-        self.buffers = [np.empty((m, k, s)) for k in arch.layer_widths[1:]]
+        self.buffers = layer_buffers(arch, m, s)
         self.hidden_transposed = [h.swapaxes(-1, -2) for h in self.buffers[:-1]]
-        self.deltas = [np.empty((m, k, s)) for k in arch.layer_widths[1:]]
+        self.deltas = layer_buffers(arch, m, s)
         if arch.is_binary:
             self.p = self.buffers[-1][:, 0]
         else:
@@ -419,12 +407,7 @@ class Posterior:
         (h for a binary model, the true class's p for a multiclass one).
         Returns the workspace and whether theta is a single vector, which
         runs as the stack of one."""
-        theta = np.asarray(theta, dtype=float)
-        if theta.ndim not in (1, 2) or theta.shape[-1] != self.dim:
-            raise DimensionError(
-                f"parameter array of shape {theta.shape} does not match (n,) or "
-                f"(m, n) with n = {self.dim} for architecture {self.arch.layer_widths}"
-            )
+        theta = _as_parameters(self.arch, theta)
         m, s = 1 if theta.ndim == 1 else len(theta), self._XT.shape[1]
         ws = self._workspaces.get((m, s))
         if ws is None:
@@ -451,9 +434,9 @@ class Posterior:
             p += q
         else:
             np.log(p, out=p)
-        # a 1-D sum per chain keeps each chain's bits, which one sum over
-        # the last axis of the stack is not guaranteed to do
-        return np.array([np.add.reduce(row) for row in p])
+        # each row is contiguous, so the sum over the last axis runs numpy's
+        # pairwise sum on each row and keeps the bits of that row's 1-D sum
+        return np.add.reduce(p, axis=-1)
 
     def _backprop(self, ws) -> np.ndarray:
         """Log-likelihood gradient of the pass in ws by feature-major

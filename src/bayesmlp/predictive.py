@@ -2,11 +2,11 @@
 chain tail, plus the prior-predictive baseline and grid evaluation.
 
 The predictive evaluates the tail in chunks of PREDICTIVE_CHUNK draws, each
-chunk one feature-major forward pass of a draw stack (the pass that
-mlp.forward_stack runs), so the work per draw is a slice of a batched matmul
-rather than a Python-level call. A call allocates one (PREDICTIVE_CHUNK, k_j,
-s) buffer per layer and runs every chunk's matmuls, bias adds and
-activations inside them, so no chunk allocates arrays of that size.
+chunk one feature-major forward pass of a draw stack (the pass mlp.forward
+runs on a stack), so the work per draw is a slice of a batched matmul rather
+than a Python-level call. A call takes one (PREDICTIVE_CHUNK, k_j, s) buffer
+per layer from mlp.layer_buffers and runs every chunk's matmuls, bias adds
+and activations inside them, so no chunk allocates arrays of that size.
 """
 
 from __future__ import annotations
@@ -60,11 +60,11 @@ def predictive_distribution(arch: mlp.Architecture, chain_tail, x) -> np.ndarray
     single input and (s, K) for a batch; binary models average h and
     report K = 2 columns (1 - mean h, mean h).
     """
-    tail = mlp._as_stack(arch, _tail_matrix(chain_tail))
+    tail = mlp._as_parameters(arch, _tail_matrix(chain_tail))
     X, single = mlp._as_batch(arch, x)
     XT = np.ascontiguousarray(X.T)
     chunk = min(PREDICTIVE_CHUNK, tail.shape[0])
-    buffers = [np.empty((chunk, k, X.shape[0])) for k in arch.layer_widths[1:]]
+    buffers = mlp.layer_buffers(arch, chunk, X.shape[0])
     total = np.zeros((X.shape[0], arch.output_dim))
     for lo in range(0, tail.shape[0], PREDICTIVE_CHUNK):
         layers = mlp._layer_views(arch, tail[lo : lo + PREDICTIVE_CHUNK])

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import mlp, predictive
+from . import mlp
 from .chainio import Chain
 from .data import LabeledDataset
 
@@ -480,6 +480,8 @@ def sgd_ensemble(
     cross-entropy loss) over shuffled minibatches. Sessions repeat until
     ensemble_size solutions are accepted; aborts past max_sessions.
     """
+    from . import predictive  # loaded here, so that `sample` does not load it
+
     rng = np.random.default_rng(seed)
     likelihood = mlp.Posterior(arch, train, prior_variance)
     n = likelihood.dim

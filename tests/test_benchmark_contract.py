@@ -97,3 +97,12 @@ def test_setup_probe_runs(tmp_path, dataset, widths, sampler):
     result = subprocess.run([sys.executable, str(CHILD_PATH), "setup", str(path)],
                             env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_harness_selftest_passes():
+    """The harness's own checks of its span arithmetic (self time, layer
+    shares, error rate) pass on this Python and numpy."""
+    selftest = TRACER_PATH.with_name("selftest.py")
+    result = subprocess.run([sys.executable, str(selftest)], cwd=selftest.parent,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

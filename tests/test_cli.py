@@ -995,6 +995,16 @@ class TestLazyLoading:
         assert "bayesmlp.predictive" in loaded
         assert "bayesmlp.diagnostics" not in loaded
 
+    def test_sample_loads_no_predictive(self, tmp_path, xor_config):
+        result = run_python(
+            "sample", "--config", xor_config, "--out-dir", tmp_path / "chains",
+            code=MODULES_AFTER_COMMAND,
+        )
+        code, loaded = json.loads(result.stdout.splitlines()[-1])
+        assert code == 0
+        assert "bayesmlp.samplers" in loaded
+        assert [m for m in ("bayesmlp.predictive", "bayesmlp.diagnostics") if m in loaded] == []
+
 
 class TestProcessEntry:
     """``python -m bayesmlp.cli`` freezes the heap after the command

@@ -21,7 +21,6 @@ from bayesmlp.mlp import (
     Posterior,
     _sigmoid,
     _softmax,
-    forward_stack,
     pack_parameters,
     unpack_parameters,
 )
@@ -249,18 +248,37 @@ class TestForward:
         out = forward(arch, theta, np.array([1.0, 0.0]))
         assert np.isfinite(out).all()
 
-    def test_stack_matches_single(self, rng, deep_arch):
-        thetas = rng.normal(size=(4, parameter_count(deep_arch)))
-        X = rng.normal(size=(7, 6))
-        stacked = forward_stack(deep_arch, thetas, X)
-        assert stacked.shape == (4, 7, 3)
-        for theta, out in zip(thetas, stacked):
-            np.testing.assert_allclose(out, forward(deep_arch, theta, X), rtol=1e-12)
+    def test_stack_matches_single(self, rng):
+        """Row i of a stack equals the call on thetas[i] bit for bit, for
+        forward and event_probabilities, on one point, a batch and a stack."""
+        archs = [
+            Architecture((6, 2, 2, 3)),
+            Architecture((2, 2, 1)),
+            Architecture((3, 4, 1), hidden_activation=ActivationKind.TANH),
+            Architecture((3, 4, 3), hidden_activation=ActivationKind.RELU),
+        ]
+        for arch in archs:
+            thetas = 3.0 * rng.normal(size=(4, parameter_count(arch)))
+            X = rng.normal(size=(7, arch.input_dim))
+            k = arch.output_dim
+            for x, shape in ((X[2], (4, k)), (X, (4, 7, k))):
+                stacked = forward(arch, thetas, x)
+                assert stacked.shape == shape
+                for theta, out in zip(thetas, stacked):
+                    assert_same_bits(out, forward(arch, theta, x))
+            assert forward(arch, thetas[0], X[2]).shape == (k,)
+            for x, shape in ((X[2], (4, 1, max(k, 2))), (X, (4, 7, max(k, 2)))):
+                probs = event_probabilities(arch, thetas, x)
+                assert probs.shape == shape
+                for theta, out in zip(thetas, probs):
+                    assert_same_bits(out, event_probabilities(arch, theta, x))
 
     def test_stack_rejects_wrong_shape(self, xor_arch):
-        for thetas in (np.zeros(9), np.zeros((2, 8)), np.zeros((1, 2, 9))):
+        for thetas in (np.zeros(8), np.zeros((2, 8)), np.zeros((1, 2, 9)), np.zeros(())):
             with pytest.raises(DimensionError):
-                forward_stack(xor_arch, thetas, np.zeros((1, 2)))
+                forward(xor_arch, thetas, np.zeros((1, 2)))
+            with pytest.raises(DimensionError):
+                event_probabilities(xor_arch, thetas, np.zeros((1, 2)))
 
     def test_binary_event_probabilities_sum_exactly(self, rng, xor_arch):
         theta = rng.normal(size=9)
@@ -517,6 +535,27 @@ class TestStackedPosterior:
         value, grad = post.value_and_grad(empty)
         assert value.shape == post.log_likelihood(empty).shape == (0,)
         assert grad.shape == post.grad(empty).shape == post.grad_log_likelihood(empty).shape == empty.shape
+
+    def test_axis_sum_keeps_row_sum_bits(self, rng):
+        """The log-likelihood sums its (m, s) terms over the last axis in one
+        call. Each row is contiguous, so numpy runs a row's 1-D pairwise sum
+        on it, past its 8192-element blocks too."""
+        sizes = [1, 7, 8, 9, 127, 128, 129, 500, 596, 8191, 8192, 8193]
+        shapes = [(m, s) for m in (1, 2, 3, 4, 40, 64) for s in sizes]
+        shapes += [(m, s) for m in (1, 3) for s in (16383, 16384, 16385, 100003)]
+        for m, s in shapes:
+            terms = np.log(rng.uniform(size=(m, s))) * rng.uniform(0.5, 2.0, size=(m, 1))
+            want = np.array([np.add.reduce(row) for row in terms])
+            np.testing.assert_array_equal(bits(np.add.reduce(terms, axis=-1)), bits(want))
+
+    @pytest.mark.parametrize("rows", [8191, 8193])
+    def test_long_rows_match_single_calls(self, rng, rows):
+        train, _ = generate_noisy_xor(NoisyXorConfig(train_per_corner=2049, test_per_corner=1, seed=0))
+        post = Posterior(Architecture((2, 2, 1)), train, 10.0).subset(np.arange(rows))
+        thetas = rng.normal(0.0, 3.0, size=(3, 9))
+        ll = post.log_likelihood(thetas)
+        for i, theta in enumerate(thetas):
+            assert bits(ll[i]) == bits(post.log_likelihood(theta))
 
     def test_rejects_bad_stack_shape(self, rng, xor_arch):
         _, ds = random_instance(rng, xor_arch)

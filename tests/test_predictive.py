@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bayesmlp import ActivationKind, Architecture, LabeledDataset, event_probabilities, parameter_count
-from bayesmlp.mlp import DimensionError, forward_stack
+from bayesmlp.mlp import DimensionError, forward
 from bayesmlp.predictive import (
     PREDICTIVE_CHUNK,
     accuracy,
@@ -87,7 +87,7 @@ class TestReusedBuffers:
         X = rng.normal(size=(13, arch.input_dim))
         total = np.zeros((13, arch.output_dim))
         for lo in range(0, draws, PREDICTIVE_CHUNK):
-            total += forward_stack(arch, tail[lo : lo + PREDICTIVE_CHUNK], X).sum(axis=0)
+            total += forward(arch, tail[lo : lo + PREDICTIVE_CHUNK], X).sum(axis=0)
         want = total / draws
         if arch.is_binary:
             want = np.column_stack([1.0 - want[:, 0], want[:, 0]])
