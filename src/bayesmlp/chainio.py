@@ -8,19 +8,17 @@ last, so a chain's files are complete or absent and a sidecar vouches for
 files that are all there. The sidecar records the chain's shape, a CRC-32
 of the CSV bytes (``crc32``) and a CRC-32 of the binary copy
 (``npy_crc32``), a float64 C-order ``.npy`` file of shape
-``(iterations, dim)``. A load with a sidecar reads each file once, block
-by block: it counts the CSV's rows and checks its checksum; when the
-binary copy and its checksum are there, it checks the copy's checksum,
-dtype, order and shape and copies the rows it returns out of the blocks
-that the checksum reads, parsing no text. Without the copy it parses the
-CSV, and once the CSV's checksum has verified the whole file, a load that
-wants only the rows from some start on skips the rows before it unparsed.
+``(iterations, dim)``. ChainRows checks a chain's files against its
+sidecar, reading each block by block, before it serves any row; it then
+serves the rows from some start on in blocks read from the binary copy, on
+each pass, or, without the copy, parses those rows of the CSV once.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import typing
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -196,96 +194,133 @@ def _npy_header(fh) -> tuple[tuple, bool, np.dtype]:
     return _NPY_HEADERS[version](fh)
 
 
-def _binary_rows(path: Path, meta: dict, first: int, metadata_path) -> np.ndarray:
-    """Copy of rows [first:] of a chain's binary copy, after checking its
-    CRC-32, then its dtype, order and shape, against the sidecar. The file
-    is read once, block by block: every block goes into the checksum, and
-    its bytes of the wanted rows are copied out, so only those rows are
-    held in memory."""
+def _binary_offset(path: Path, meta: dict, metadata_path) -> int:
+    """Where the draws start in a chain's binary copy, after checking its
+    CRC-32, then its dtype, order and shape, then its length, against the
+    sidecar; the file is read block by block."""
     shape = (meta.get("iterations"), meta.get("dim"))
     with open(path, "rb") as fh:
         try:
             found, fortran, dtype = _npy_header(fh)
         except ValueError as exc:
             problem, found = exc, None
-        wanted = found == shape and not fortran and dtype == np.float64
-        draws = np.empty((found[0] - first, found[1]) if wanted else (0, 0))
-        out = draws.reshape(-1).view(np.uint8)
-        skip = fh.tell() + first * draws.strides[0]  # where row first starts
+        offset = fh.tell()
         fh.seek(0)
-        crc = pos = 0
+        crc = size = 0
         while block := fh.read(_SCAN_BLOCK):
             crc = zlib.crc32(block, crc)
-            lo, hi = max(skip, pos), min(skip + out.size, pos + len(block))
-            if lo < hi:
-                out[lo - skip : hi - skip] = np.frombuffer(block, np.uint8, hi - lo, lo - pos)
-            pos += len(block)
+            size += len(block)
     if crc != meta[BINARY_CRC_KEY]:
         raise ChainFileError(
             f"{path} does not match the CRC-32 its metadata {metadata_path} records"
         )
     if found is None:
         raise ChainFileError(f"{path} is not a readable .npy file: {problem}")
-    if not wanted:
+    if found != shape or fortran or dtype != np.float64:
         raise ChainFileError(
             f"{path} holds {dtype} {found} in {'Fortran' if fortran else 'C'} order; its metadata "
             f"{metadata_path} records float64 {shape} in C order"
         )
-    if pos < skip + out.size:
+    if size < offset + shape[0] * shape[1] * 8:
         raise ChainFileError(f"{path} is not a readable .npy file: it ends inside its {found} draws")
-    return draws
+    return offset
 
 
-def load_chain(csv_path, metadata_path=None, start: int = 0) -> Chain:
-    """Read rows draws[start:] of a chain (and its metadata sidecar, if
-    given) into a Chain whose first_row is where they start; a negative
-    start counts from the end, as in a slice.
+class ChainRows:
+    """Rows draws[start:] of a saved chain (and its metadata sidecar, if
+    given), checked when opened and then served in blocks of rows, as often
+    as they are iterated; a negative start counts from the end, as in a
+    slice.
 
     With a sidecar, raises ChainFileError unless the CSV has the sidecar's
     ``iterations`` rows of ``dim`` values, e.g. for a truncated CSV, and,
     when the sidecar records a ``crc32``, unless every byte of the CSV
     matches it. When the sidecar also records ``npy_crc32`` and the binary
-    copy is beside the CSV, the rows come from the copy, which must match
-    that checksum and hold float64 draws of shape (iterations, dim) in C
-    order, else ChainFileError. Otherwise the CSV is parsed: only a
+    copy is beside the CSV, the rows are read from the copy on each pass,
+    a block at a time; the copy must match that checksum and hold float64
+    draws of shape (iterations, dim) in C order, else ChainFileError.
+    Otherwise the CSV is parsed here, once, and served as one block: only a
     verified checksum lets the rows before start go unparsed; without one
     the whole CSV is parsed and sliced.
     """
-    meta = {}
-    if metadata_path is not None:
-        meta = json.loads(Path(metadata_path).read_text())
-    if "crc32" in meta:
-        rows, crc = _scan(csv_path)
-        _check_field(rows, meta, "iterations", "rows", csv_path, metadata_path)
-        if crc != meta["crc32"]:
-            raise ChainFileError(
-                f"{csv_path} does not match the CRC-32 its metadata {metadata_path} records"
-            )
-        first = slice(start, None).indices(rows)[0]
-        binary = companion_paths(csv_path)[1]
-        if BINARY_CRC_KEY in meta and binary.is_file():
-            draws = _binary_rows(binary, meta, first, metadata_path)
-        elif first < rows:
-            draws = np.loadtxt(csv_path, delimiter=",", ndmin=2, skiprows=first)
-        else:
-            draws = np.empty((0, meta["dim"]))
-    else:
-        draws = np.loadtxt(csv_path, delimiter=",", ndmin=2)
+
+    def __init__(self, csv_path, metadata_path=None, start: int = 0):
+        meta = {}
         if metadata_path is not None:
-            _check_field(len(draws), meta, "iterations", "rows", csv_path, metadata_path)
-        first = slice(start, None).indices(len(draws))[0]
-        draws = draws[first:]
-    if metadata_path is not None:
-        _check_field(draws.shape[1], meta, "dim", "values per row", csv_path, metadata_path)
-    return Chain(
-        draws,
-        burnin=meta.get("burnin", 0),
-        seed=meta.get("seed", 0),
-        accepted=meta.get("accepted", 0),
-        sampler_tag=meta.get("sampler", "unknown"),
-        runtime_seconds=meta.get("runtime_seconds", 0.0),
-        swap_accepted=meta.get("swap_accepted"),
-        swap_attempts=meta.get("swap_attempts"),
-        divergences=meta.get("divergences", 0),
-        first_row=first,
-    )
+            meta = json.loads(Path(metadata_path).read_text())
+        self.meta = meta
+        self._binary = self._parsed = None
+        if "crc32" in meta:
+            rows, crc = _scan(csv_path)
+            _check_field(rows, meta, "iterations", "rows", csv_path, metadata_path)
+            if crc != meta["crc32"]:
+                raise ChainFileError(
+                    f"{csv_path} does not match the CRC-32 its metadata {metadata_path} records"
+                )
+            first = slice(start, None).indices(rows)[0]
+            binary = companion_paths(csv_path)[1]
+            if BINARY_CRC_KEY in meta and binary.is_file():
+                self._binary = (binary, _binary_offset(binary, meta, metadata_path))
+                self.iterations, self.dim = rows, meta["dim"]
+            elif first < rows:
+                self._parsed = np.loadtxt(csv_path, delimiter=",", ndmin=2, skiprows=first)
+            else:
+                self._parsed = np.empty((0, meta["dim"]))
+        else:
+            draws = np.loadtxt(csv_path, delimiter=",", ndmin=2)
+            if metadata_path is not None:
+                _check_field(len(draws), meta, "iterations", "rows", csv_path, metadata_path)
+            first = slice(start, None).indices(len(draws))[0]
+            self._parsed = draws[first:]
+        if self._parsed is not None:
+            self.iterations, self.dim = first + len(self._parsed), self._parsed.shape[1]
+        if metadata_path is not None:
+            _check_field(self.dim, meta, "dim", "values per row", csv_path, metadata_path)
+        self.first = first
+        self.sampler_tag = meta.get("sampler", "unknown")
+
+    def __len__(self) -> int:
+        return self.iterations - self.first
+
+    def __iter__(self) -> typing.Iterator[np.ndarray]:
+        return self.blocks(max(_SCAN_BLOCK // (8 * max(self.dim, 1)), 1))
+
+    def blocks(self, size: int) -> typing.Iterator[np.ndarray]:
+        """The rows in fresh (size, dim) arrays, the last one shorter or,
+        when there are no rows, empty; a parsed CSV is one block."""
+        if self._parsed is not None:
+            yield self._parsed
+            return
+        path, offset = self._binary
+        with open(path, "rb") as fh:
+            fh.seek(offset + self.first * self.dim * 8)
+            for at in range(self.first, self.iterations, size) or (self.first,):
+                block = np.empty((min(size, self.iterations - at), self.dim))
+                if fh.readinto(block) != block.nbytes:
+                    raise ChainFileError(f"{path} was cut short while it was read")
+                yield block
+
+    def load(self) -> Chain:
+        """The rows as one array in a Chain, with the sidecar's fields."""
+        (draws,) = self.blocks(max(len(self), 1))
+        meta = self.meta
+        return Chain(
+            draws,
+            burnin=meta.get("burnin", 0),
+            seed=meta.get("seed", 0),
+            accepted=meta.get("accepted", 0),
+            sampler_tag=self.sampler_tag,
+            runtime_seconds=meta.get("runtime_seconds", 0.0),
+            swap_accepted=meta.get("swap_accepted"),
+            swap_attempts=meta.get("swap_attempts"),
+            divergences=meta.get("divergences", 0),
+            first_row=self.first,
+        )
+
+
+def load_chain(csv_path, metadata_path=None, start: int = 0) -> Chain:
+    """Rows draws[start:] of a chain (and its metadata sidecar, if given)
+    in a Chain whose first_row is where they start, checked as ChainRows
+    checks them."""
+    return ChainRows(csv_path, metadata_path, start).load()
+

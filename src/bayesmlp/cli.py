@@ -375,14 +375,21 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _load_chains(paths, start: int = 0) -> typing.Iterator[chainio.Chain]:
+def _chain_rows(paths, start: int = 0) -> typing.Iterator[chainio.ChainRows]:
     """Rows draws[start:] of each chain, checked against its sidecar when
-    one sits beside it, loaded one chain at a time as the caller asks."""
+    one sits beside it, opened one chain at a time as the caller asks."""
     from . import chainio
 
     for path in paths:
         meta, _ = chainio.companion_paths(path)
-        yield chainio.load_chain(path, meta if meta.exists() else None, start=start)
+        yield chainio.ChainRows(path, meta if meta.exists() else None, start=start)
+
+
+def _load_chains(paths, start: int = 0) -> typing.Iterator[chainio.Chain]:
+    """The Chain of each chain's rows draws[start:], loaded one chain at a
+    time as the caller asks."""
+    for rows in _chain_rows(paths, start):
+        yield rows.load()
 
 
 def _recorded_burnin(path):
@@ -405,25 +412,26 @@ def cmd_diagnose(args) -> int:
         burnin = max(_recorded_burnin(path) for path in args.chains)
     elif burnin < 0:
         raise ValueError(f"burn-in must be >= 0, got {burnin}")
-    # each chain is reduced to its summary before the next one is loaded
+    # each chain is reduced to its summary, read from its files block by
+    # block, before the next one is opened
     groups: dict[str, list[diagnostics.ChainSummary]] = {}
     empty = False
-    for chain in _load_chains(args.chains, start=burnin):
-        empty = empty or len(chain) == 0
-        summary = diagnostics.summarize_chain(chain.draws, burnin, chain.first_row)
-        groups.setdefault(chain.sampler_tag, []).append(summary)
-        del chain  # so it is freed before the next chain loads
+    for rows in _chain_rows(args.chains, start=burnin):
+        empty = empty or len(rows) == 0
+        summary = diagnostics.summarize_chain(rows, burnin, rows.first)
+        groups.setdefault(rows.sampler_tag, []).append(summary)
+        del rows  # a parsed CSV is freed before the next chain opens
     if empty and args.burnin is not None:
         raise ValueError("burn-in leaves no draws")
-    reports = {}
-    print(f"{'Sampler':<10}{'PSRF':>10}{'ESS':>12}")
-    for tag, group in groups.items():
-        report = diagnostics.report_from_summaries(group)
-        reports[tag] = report
-        print(f"{tag:<10}{report['psrf']:>10.4f}{report['ess_mean']:>12.1f}")
+    # every report is made before the table starts, so a failure prints none of it
+    reports = {tag: diagnostics.report_from_summaries(group) for tag, group in groups.items()}
     out = reports if len(reports) > 1 else next(iter(reports.values()))
+    text = _json_text(out)
+    print(f"{'Sampler':<10}{'PSRF':>10}{'ESS':>12}")
+    for tag, report in reports.items():
+        print(f"{tag:<10}{report['psrf']:>10.4f}{report['ess_mean']:>12.1f}")
     if args.out:
-        Path(args.out).write_text(_json_text(out))
+        Path(args.out).write_text(text)
     return 0
 
 

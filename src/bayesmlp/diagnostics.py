@@ -13,13 +13,18 @@ products, and a small real inverse DFT. The pass buffers hold about
 Every number the PSRF and the report need is per chain or built from
 per-chain summaries, so each chain is reduced on its own to a ChainSummary
 (its shape, mean, MINSE and empirical log-determinant, a few n x n
-matrices) and dropped. diagnostics_report and multivariate_psrf accept any
-iterable of chains and consume it one chain at a time, so they hold one
-chain's draws, read in place with the burn-in a view, and never a stacked
-copy; each chain's MINSE is computed once and serves both the PSRF's
-within-chain covariance and that chain's ESS. A check that fails on the
-way is kept in its summary and raised when the report is assembled, in the
-order of the checks: shape, burn-in, chain count, MINSE, ESS.
+matrices) and dropped. A chain is read as a re-iterable of row blocks, in
+two passes: the first takes the mean and the column ranges, the second
+centres each block and turns it into the stored spectra and, in the same
+pass, the Gram matrix that gives the empirical covariance. The lag scan
+then reads the spectra alone, so a chain read block by block from its
+files is never held: the summary's peak is the two chain-sizes of spectra.
+An array is one block. diagnostics_report and multivariate_psrf accept any
+iterable of chains and consume it one chain at a time, and never make a
+stacked copy; each chain's MINSE is computed once and serves both the
+PSRF's within-chain covariance and that chain's ESS. A check that fails on
+the way is kept in its summary and raised when the report is assembled, in
+the order of the checks: shape, burn-in, chain count, MINSE, ESS.
 """
 
 from __future__ import annotations
@@ -109,11 +114,10 @@ def lag_autocovariance(draws, k: int) -> np.ndarray:
 def empirical_covariance(draws) -> CovarianceEstimate:
     """Sample covariance with divisor v - 1, the draws centred block by
     block rather than in a copy."""
-    draws = _as_draws(draws)
-    v = draws.shape[0]
-    if v < 2:
+    draws = _Draws(_row_blocks(draws))
+    if draws.v < 2:
         raise DegenerateChainError("need at least two draws for a covariance")
-    return CovarianceEstimate(_centered_gram(draws, draws.mean(axis=0)) / (v - 1), "empirical", v)
+    return CovarianceEstimate(draws.centered_gram() / (draws.v - 1), "empirical", draws.v)
 
 
 def _cholesky(matrix) -> np.ndarray | None:
@@ -132,25 +136,84 @@ def _chol_logdet(matrix) -> float | None:
     return 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
-def _centered_chunks(draws, mean):
-    """The draws less their mean, in chunks of whole BLOCK-row blocks, the
-    last zero-padded to a whole block: one chunk at a time, so no centred
-    copy of the chain is made."""
-    v, n = draws.shape
-    step = CHUNK_BLOCKS * BLOCK
-    for start in range(0, v, step):
-        rows = draws[start : start + step]
-        chunk = np.zeros((-(-len(rows) // BLOCK) * BLOCK, n))
-        np.subtract(rows, mean, out=chunk[: len(rows)])
-        yield chunk
+def _row_blocks(draws):
+    """draws as a re-iterable of row blocks: an array, list or tuple is one
+    block, in C order; any other iterable, e.g. a chainio.ChainRows, is
+    taken as blocks."""
+    if isinstance(draws, (np.ndarray, list, tuple)):
+        return (np.ascontiguousarray(_as_draws(draws)),)
+    return draws
 
 
-def _centered_gram(draws, mean) -> np.ndarray:
-    """sum_t (x_t - mean)(x_t - mean)^T, summed chunk by chunk."""
-    gram = np.zeros((draws.shape[1], draws.shape[1]))
-    for chunk in _centered_chunks(draws, mean):
-        gram += chunk.T @ chunk
-    return gram
+def _after(blocks, skip: int):
+    """(length, rows) of each block: its length, and its rows from row skip
+    of all the blocks on."""
+    seen = 0
+    for block in blocks:
+        block = _as_draws(block)
+        yield len(block), block[max(skip - seen, 0) :]
+        seen += len(block)
+
+
+class _Draws:
+    """A chain's draws after its first skip rows, read from a re-iterable of
+    row blocks. The first pass, made here, counts them, finds the columns
+    whose range is zero and sums the rows in order into their mean: the bits
+    of mean(axis=0) for two columns or more, where numpy sums a single
+    column pairwise. Each later pass centres them chunk by chunk.
+    """
+
+    def __init__(self, blocks, skip: int = 0):
+        self._blocks, self._skip = blocks, skip
+        self.rows = self.v = 0  # rows of the blocks, and of them after the skip
+        total, low, high = None, np.inf, -np.inf
+        for length, rows in _after(blocks, skip):
+            self.rows += length
+            self.n = rows.shape[1]
+            if not len(rows):
+                continue
+            self.v += len(rows)
+            # the running sum leads the block, so the rows add on in order
+            total = np.add.reduce(rows if total is None else np.concatenate([total[None], rows]), axis=0)
+            low = np.minimum(low, rows.min(axis=0))
+            high = np.maximum(high, rows.max(axis=0))
+        self.mean = None if total is None else total / self.v
+        # exact: a constant coordinate's computed std need not be 0
+        self.dead = np.flatnonzero(high - low == 0.0)
+        self.gram = None
+
+    def centered_chunks(self) -> typing.Iterator[np.ndarray]:
+        """The draws less their mean, in chunks of CHUNK_BLOCKS whole
+        BLOCK-row blocks, the last zero-padded, each overwritten by the
+        next; a pass that completes keeps sum_t (x_t - mean)(x_t - mean)^T
+        in gram."""
+        step = CHUNK_BLOCKS * BLOCK
+        chunk = np.empty((step, self.n))
+        gram = np.zeros((self.n, self.n))
+        filled = 0
+        for _, rows in _after(self._blocks, self._skip):
+            at = 0
+            while at < len(rows):
+                take = min(step - filled, len(rows) - at)
+                np.subtract(rows[at : at + take], self.mean, out=chunk[filled : filled + take])
+                filled, at = filled + take, at + take
+                if filled == step:
+                    gram += chunk.T @ chunk
+                    yield chunk
+                    filled = 0
+        if filled:
+            last = chunk[: -(-filled // BLOCK) * BLOCK]
+            last[filled:] = 0.0
+            gram += last.T @ last
+            yield last
+        self.gram = gram
+
+    def centered_gram(self) -> np.ndarray:
+        """gram, summed by a pass of its own unless one has been made."""
+        if self.gram is None:
+            for _ in self.centered_chunks():
+                pass
+        return self.gram
 
 
 def _dft_rows() -> np.ndarray:
@@ -166,29 +229,27 @@ def _dft_rows() -> np.ndarray:
     return rows
 
 
-def _block_spectra(draws, mean) -> tuple[list[np.ndarray], np.ndarray]:
-    """Spectra of the centred draws cut into blocks of BLOCK rows, and
-    their Gram matrix, summed in the same pass.
+def _block_spectra(draws: _Draws) -> list[np.ndarray]:
+    """Spectra of the centred draws cut into blocks of BLOCK rows, made in
+    one pass over them, which leaves their Gram matrix in draws.gram.
 
     Each block is transformed once by _dft_rows, a real product that is
     faster here than an FFT of so short a block. Slot f of block a holds
     the two values of its rows [f]. The slots are kept in panels of PANEL,
     (PANEL, blocks, 2, n) arrays that together take two chain-sizes.
     """
-    v, n = draws.shape
-    blocks = -(-v // BLOCK)
+    n = draws.n
+    blocks = -(-draws.v // BLOCK)
     panels = [np.empty((PANEL, blocks, 2, n)) for _ in range(BLOCK // PANEL)]
     dft = _dft_rows().reshape(2 * BLOCK, BLOCK)
-    gram = np.zeros((n, n))
     start = 0
-    for chunk in _centered_chunks(draws, mean):
-        gram += chunk.T @ chunk
+    for chunk in draws.centered_chunks():
         spectrum = np.matmul(dft, chunk.reshape(-1, BLOCK, n)).reshape(-1, BLOCK, 2, n)
         stop = start + len(spectrum)
         for i, panel in enumerate(panels):
             panel[:, start:stop] = spectrum[:, i * PANEL : (i + 1) * PANEL].swapaxes(0, 1)
         start = stop
-    return panels, gram
+    return panels
 
 
 def _lag_sums(spectra, combine) -> typing.Iterator[np.ndarray]:
@@ -248,22 +309,24 @@ def minse(draws) -> CovarianceEstimate:
     first t where C_t loses positive definiteness or its determinant stops
     increasing, returning the previous partial sum. The scan is capped at
     t = v/2 - 1. The lag sums come BLOCK at a time from _lag_sums.
+
+    draws is a v x n array, or the _Draws of summarize_chain, whose Gram
+    matrix the pass that makes the spectra leaves in it.
     """
-    draws = _as_draws(draws)
-    v, n = draws.shape
+    if not isinstance(draws, _Draws):
+        draws = _Draws(_row_blocks(draws))
+    v = draws.v
     if v < 4:
         raise DegenerateChainError(f"need at least 4 draws for MINSE, got {v}")
-    # exact: a constant coordinate's computed std need not be 0
-    dead = np.flatnonzero(np.ptp(draws, axis=0) == 0.0)
-    if dead.size:
+    if draws.dead.size:
         raise DegenerateChainError(
-            f"zero-variance coordinate(s) {dead.tolist()}: MINSE is undefined"
+            f"zero-variance coordinate(s) {draws.dead.tolist()}: MINSE is undefined"
         )
-    spectra, gram = _block_spectra(draws, draws.mean(axis=0))
+    spectra = _block_spectra(draws)
     pair_rows = np.kron(np.eye(BLOCK // 2), [1.0, 1.0])  # R_2t + R_2t+1
     lag_pairs = itertools.chain.from_iterable(_lag_sums(spectra, pair_rows))
 
-    current = -(gram / v)
+    current = -(draws.gram / v)
     prev = None
     prev_logdet = -np.inf
     for t, lag_pair in enumerate(itertools.islice(lag_pairs, v // 2)):
@@ -318,29 +381,30 @@ class ChainSummary:
 def summarize_chain(draws, burnin: int = 0, first_row: int = 0) -> ChainSummary:
     """Summary of the draws after burnin of a chain given from row first_row
     on (0 <= first_row <= burnin), so a caller may leave the burn-in rows
-    unread; other values raise ValueError.
+    unread; other values raise ValueError. draws is a v x n array, or a
+    re-iterable of row blocks (see _row_blocks) read twice and never held.
 
-    The draws' MINSE is computed here, once. A burn-in that leaves no draws
-    gives a summary without statistics, which the report rejects.
+    The draws' MINSE is computed here, once, and the pass that makes its
+    spectra also sums the Gram matrix of the empirical covariance. A
+    burn-in that leaves no draws gives a summary without statistics, which
+    the report rejects.
     """
     if burnin < 0:
         raise ValueError(f"burn-in must be >= 0, got {burnin}")
     if not 0 <= first_row <= burnin:
         raise ValueError(f"first row must lie in [0, burn-in {burnin}], got {first_row}")
-    draws = _as_draws(draws)
-    shape = (first_row + draws.shape[0], draws.shape[1])
+    draws = _Draws(_row_blocks(draws), burnin - first_row)
+    shape = (first_row + draws.rows, draws.n)
     if burnin and burnin >= shape[0]:
         return ChainSummary(shape, 0, None, None, None, None)
-    # a C-ordered float chain is read in place, its burn-in a view
-    draws = np.ascontiguousarray(draws[burnin - first_row :])
-    v, n = draws.shape
+    v, n = draws.v, draws.n
     try:
         estimate, error = minse(draws), None
     except (DegenerateChainError, EstimatorError) as exc:
-        # the traceback's frames would keep the draws alive
+        # the traceback's frames would keep the spectra alive
         estimate, error = None, exc.with_traceback(None)
-    empirical = None if v <= n else tuple(np.linalg.slogdet(empirical_covariance(draws).matrix))
-    return ChainSummary(shape, v, draws.mean(axis=0), estimate, error, empirical)
+    empirical = None if v <= n else tuple(np.linalg.slogdet(draws.centered_gram() / (v - 1)))
+    return ChainSummary(shape, v, draws.mean, estimate, error, empirical)
 
 
 def _psrf(summaries: list[ChainSummary]) -> PsrfResult:

@@ -13,6 +13,7 @@ from damaged_chains import DAMAGE, damage_binary
 from bayesmlp.chainio import (
     BINARY_CRC_KEY,
     ChainFileError,
+    ChainRows,
     chain_metadata,
     companion_paths,
     format_hms,
@@ -213,6 +214,39 @@ class TestBinaryCopy:
         damage_binary(csv_path, how)
         with pytest.raises(ChainFileError, match="c.npy"):
             load_chain(csv_path, meta_path, start=-10)
+
+    @pytest.mark.parametrize("binary", [True, False])
+    @pytest.mark.parametrize("start", [0, 13, -5, 40, 55])
+    def test_rows_served_in_blocks_on_every_pass(self, tmp_path, chain, binary, start):
+        """ChainRows serves rows [start:] in blocks of the asked size, from
+        the copy or as the one block of the parsed CSV, on every pass; with
+        no rows left it serves one empty block."""
+        csv_path, meta_path = tmp_path / "c.csv", tmp_path / "c.json"
+        save_chain(chain, csv_path, meta_path)
+        if not binary:
+            (tmp_path / "c.npy").unlink()
+        rows = ChainRows(csv_path, meta_path, start=start)
+        want = chain.draws[start:]
+        assert (len(rows), rows.first, rows.sampler_tag) == (len(want), len(chain) - len(want), "MH")
+        for size in (1, 6, 100):
+            for _ in range(2):
+                blocks = list(rows.blocks(size))
+                lengths = [len(block) for block in blocks]
+                cuts = [min(size, len(want) - at) for at in range(0, len(want), size)] or [0]
+                assert lengths == (cuts if binary else [len(want)])
+                np.testing.assert_array_equal(np.concatenate(blocks).view(np.uint64), want.view(np.uint64))
+        assert sum(len(block) for block in rows) == len(want)
+
+    def test_copy_cut_after_its_check_rejected(self, tmp_path, chain):
+        """A copy that passed its checks and is cut short before its rows
+        are read is an error, not a short chain."""
+        csv_path, meta_path = tmp_path / "c.csv", tmp_path / "c.json"
+        save_chain(chain, csv_path, meta_path)
+        rows = ChainRows(csv_path, meta_path, start=10)
+        binary = tmp_path / "c.npy"
+        binary.write_bytes(binary.read_bytes()[:-8])
+        with pytest.raises(ChainFileError, match="cut short"):
+            list(rows.blocks(7))
 
     def test_failed_copy_write_leaves_nothing(self, tmp_path, chain, monkeypatch):
         def half_save(fh, draws):

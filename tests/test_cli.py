@@ -308,12 +308,67 @@ class TestStreamedDiagnose:
         peak(paths[:2])  # warm-up: first-call allocations are not the chains'
         assert peak(paths) < peak(paths[:4]) + 5500 * 3 * 8
 
+    def test_peak_is_the_spectra_of_one_chain(self, tmp_path):
+        """diagnose never holds a chain's draws: on 20000 x 29 chains read
+        from their files, its allocation peak stays below 2.3 chain-sizes,
+        the two of MINSE's stored spectra and the scan's buffers."""
+        rng = np.random.default_rng(113)
+        draws = rng.standard_normal((20000, 29))
+        paths = []
+        for i in range(2):
+            path = tmp_path / f"c{i}.csv"
+            save_chain(Chain(draws + i, burnin=0, seed=i, accepted=0, sampler_tag="MH"),
+                       path, path.with_suffix(".json"))
+            paths.append(path)
+        small = self.save_group(tmp_path, rng, "PP", 2, 600, 0)
+        assert run(["diagnose", "--chains", *small]) == 0  # first-call allocations are not the chains'
+        tracemalloc.start()
+        try:
+            assert run(["diagnose", "--chains", *paths]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.3 * draws.nbytes
+
+
+#: SHA-256 of diagnose reports on small noisy-XOR chain sets, by sampler:
+#: (sampler section, chains, iterations, burn-in, digest). Each chain's
+#: 1000 post-burn-in rows of 9 draws span two blocks of its .npy reader
+#: and end inside a MINSE block. Taken while diagnose still loaded each
+#: chain's draws whole.
+DIAGNOSE_PINS = {
+    "MH": ({"kind": "MH", "proposal_variance": 0.05}, 4, 1200, 200,
+           "fd363892fdc8343a419d97910faca3e034ad60aea93585853ee240c0343bac53"),
+    "PP": ({"kind": "PP", "temperatures": [0.5, 1.0], "proposal_variance": 0.05}, 3, 1200, 200,
+           "a8d9b92524fee6ccf84f21eefab0c2819f205acc41043e95d2b8ff786d791c31"),
+    "HMC": ({"kind": "HMC", "leapfrog_steps": 3, "step_size": 0.3}, 3, 1200, 200,
+            "a870066bfc5da6402cc95deeed6cce2eca262262ef52855053dde9eebf5de6e2"),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(DIAGNOSE_PINS))
+def test_diagnose_report_bytes_pinned(tmp_path, xor_config, tag):
+    sampler, chains, iterations, burnin, digest = DIAGNOSE_PINS[tag]
+    doc = {**json.loads(xor_config.read_text()), "sampler": sampler,
+           "num_chains": chains, "iterations": iterations, "burnin": burnin}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "chains"
+    assert run(["sample", "--config", config, "--out-dir", out]) == 0
+    report = tmp_path / "report.json"
+    assert run(["diagnose", "--chains", *sorted(out.glob("chain_*.csv")), "--out", report]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
 
 def fault_draws(kind: str, length: int, seed: int) -> np.ndarray:
-    """Two-parameter draws: a random walk, a constant chain (degenerate) or
-    a chain that jumps once (its first MINSE partial sum is singular)."""
-    if kind == "walk":
-        return np.cumsum(np.random.default_rng(seed).standard_normal((length, 2)), axis=0)
+    """Two-parameter draws: a random walk, a walk whose second coordinate
+    is stuck, a constant chain (degenerate) or a chain that jumps once (its
+    first MINSE partial sum is singular)."""
+    if kind in ("walk", "stuck"):
+        draws = np.cumsum(np.random.default_rng(seed).standard_normal((length, 2)), axis=0)
+        if kind == "stuck":
+            draws[:, 1] = 0.1
+        return draws
     draws = np.full((length, 2), 0.1)
     if kind == "jump":
         draws[length // 2 :] = [1.0, 2.0]
@@ -336,9 +391,12 @@ CRC = "{csv} does not match the CRC-32 its metadata {meta} records"
 
 #: Chains of (kind, sampler tag, length, sidecar burn-in, CSV damaged),
 #: extra diagnose flags, and the exit code, error category and message;
-#: {csv} and {meta} name the damaged chain's files. Each input holds more
+#: {csv} and {meta} name the damaged chain's files. Most inputs hold more
 #: than one fault, and the expected error is the one diagnose reports when
-#: it has every chain in memory before it checks any of them.
+#: it has every chain in memory before it checks any of them. The last
+#: four pin the error of one pathological chain: constant, with one
+#: coordinate stuck, with a single jump, and with no more draws than
+#: dimensions.
 MULTI_FAULT = {
     "jump first, damaged last": (
         [("jump", "MH", 400, 0, 0), ("walk", "MH", 400, 0, 0), ("walk", "MH", 400, 0, 0),
@@ -389,6 +447,20 @@ MULTI_FAULT = {
          ("walk", "MH", 400, 300, 1)], [], (3, "io", CRC)),
     "one chain with a fault": (
         [("jump", "MH", 400, 0, 0)], [], (4, "invalid-input", "PSRF needs at least two chains")),
+    "constant fourth": (
+        [("walk", "MH", 400, 0, 0), ("walk", "MH", 400, 0, 0), ("walk", "MH", 400, 0, 0),
+         ("constant", "MH", 400, 0, 0)], [],
+        (6, "diagnostics", "empirical covariance has nonpositive determinant")),
+    "stuck coordinate last": (
+        [("walk", "MH", 400, 0, 0), ("walk", "MH", 400, 0, 0), ("walk", "MH", 400, 0, 0),
+         ("stuck", "MH", 400, 0, 0)], [],
+        (6, "diagnostics", "zero-variance coordinate(s) [1]: MINSE is undefined")),
+    "jump last": (
+        [("walk", "MH", 400, 0, 0), ("walk", "MH", 400, 0, 0), ("jump", "MH", 400, 0, 0)],
+        [], (6, "diagnostics", FIRST_MINSE)),
+    "no more draws than dimensions": (
+        [("walk", "MH", 3, 0, 0), ("walk", "MH", 3, 0, 0)], ["--burnin", 1],
+        (6, "diagnostics", "need more draws (2) than dimensions (2)")),
 }
 
 
@@ -410,8 +482,9 @@ class TestDiagnoseMultiFault:
             paths.append(path)
         report = tmp_path / "report.json"
         assert run(["diagnose", "--chains", *paths, *flags, "--out", report]) == code
-        err = json.loads(capsys.readouterr().err)
-        assert err == {"error": category, "message": message.format(**names)}
+        captured = capsys.readouterr()
+        assert json.loads(captured.err) == {"error": category, "message": message.format(**names)}
+        assert captured.out == ""  # no table header before the failure
         assert not report.exists()
 
 

@@ -369,6 +369,81 @@ class TestChainsInPlace:
         assert peak < sum(chain.nbytes for chain in chains)
 
 
+class RowBlocks:
+    """Draws served in fresh blocks of size rows on every pass, as a chain's
+    files serve them."""
+
+    def __init__(self, draws, size):
+        self.draws, self.size = draws, size
+
+    def __iter__(self):
+        for at in range(0, len(self.draws), self.size):
+            yield self.draws[at : at + self.size].copy()
+
+
+def same_summary(a, b):
+    """Two ChainSummaries agree bit for bit, their deferred errors included."""
+    assert (a.shape, a.v, a.empirical) == (b.shape, b.v, b.empirical)
+    assert a.mean.tobytes() == b.mean.tobytes()
+    assert (a.estimate is None) == (b.estimate is None)
+    if a.estimate is not None:
+        assert a.estimate.lags == b.estimate.lags
+        assert a.estimate.matrix.tobytes() == b.estimate.matrix.tobytes()
+    assert repr(a.minse_error) == repr(b.minse_error)
+
+
+class TestStreamedSummary:
+    """summarize_chain reads a chain given as blocks of rows twice, holds no
+    more than a block of it, and gives the summary of the chain in memory."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 9, 16, 29, 64])
+    def test_mean_keeps_bits(self, dim):
+        """The running sum over the blocks gives the bits of mean(axis=0),
+        for chain lengths that are no multiple of BLOCK and blocks of any
+        size, a single row included."""
+        rng = np.random.default_rng(dim)
+        for v in (4, 37, 255, 256, 257, 1000, 9000, 20001):
+            draws = rng.standard_normal((v, dim)) * rng.uniform(0.1, 1e3, size=dim) + 5.0
+            expected = draws.mean(axis=0).tobytes()
+            for size in (1, 7, 282, 4096):
+                if v // size > 2000:
+                    continue  # a row at a time is slow and adds nothing past this
+                assert diagnostics._Draws(RowBlocks(draws, size)).mean.tobytes() == expected, (v, size)
+
+    @pytest.mark.parametrize("size", [7, 282, 1000])
+    @pytest.mark.parametrize("burnin,first_row", [(0, 0), (250, 0), (250, 250), (250, 100)])
+    def test_summary_keeps_bits(self, size, burnin, first_row):
+        rng = np.random.default_rng(89)
+        draws = ar1_chain(rng, 0.95, 2300, dim=29) @ rng.normal(size=(29, 29))
+        in_memory = diagnostics.summarize_chain(draws, burnin)
+        same_summary(diagnostics.summarize_chain(RowBlocks(draws[first_row:], size), burnin, first_row), in_memory)
+
+    @pytest.mark.parametrize("kind", ["constant", "stuck", "jump", "no more draws than dims"])
+    def test_degenerate_summary_keeps_bits(self, kind):
+        """Each deferred error and field of a pathological chain stays as
+        it is in memory: the Gram of a chain with a dead coordinate is still
+        summed for its empirical covariance."""
+        rng = np.random.default_rng(91)
+        draws = np.cumsum(rng.standard_normal((700, 3)), axis=0)
+        if kind == "constant":
+            draws[:] = 0.1
+        elif kind == "stuck":
+            draws[:, 1] = 0.1
+        elif kind == "jump":
+            draws[:] = 0.1
+            draws[350:] = [1.0, 2.0, 3.0]
+        else:
+            draws = draws[:3]
+        summary = diagnostics.summarize_chain(RowBlocks(draws, 64))
+        same_summary(summary, diagnostics.summarize_chain(draws))
+        assert (summary.empirical is None) == (kind == "no more draws than dims")
+        assert summary.minse_error is not None
+
+    def test_burnin_past_the_blocks(self):
+        summary = diagnostics.summarize_chain(RowBlocks(np.ones((90, 2)), 32), burnin=100)
+        assert (summary.shape, summary.v, summary.mean) == ((90, 2), 0, None)
+
+
 class TestBlockLagSums:
     def test_matches_lag_autocovariance(self):
         """Every lag sum R_k / v of the block-DFT scan equals the lag-k
@@ -379,7 +454,8 @@ class TestBlockLagSums:
         for v in (block // 2 + 3, block, block + 1, 4 * block, 4 * block + 13):
             for dim in (1, 4):
                 draws = ar1_chain(rng, 0.8, v, dim) @ rng.normal(size=(dim, dim)) + 3.0
-                spectra, gram = diagnostics._block_spectra(draws, draws.mean(axis=0))
+                centred = diagnostics._Draws((draws,))
+                spectra, gram = diagnostics._block_spectra(centred), centred.gram
                 passes = diagnostics._lag_sums(spectra, np.eye(block))
                 sums = np.concatenate([lags.copy() for lags in passes]) / v
                 assert len(sums) == -(-v // block) * block
