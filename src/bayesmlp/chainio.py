@@ -2,13 +2,16 @@
 (17 significant digits, one iteration per row), a JSON metadata sidecar and,
 beside both, an exact binary copy of the draws.
 
-Each file is written to a temporary name in its directory, and the files
-are renamed into place only once all of them are written, the sidecar
-last, so a chain's files are complete or absent and a sidecar vouches for
-files that are all there. The sidecar records the chain's shape, a CRC-32
-of the CSV bytes (``crc32``) and a CRC-32 of the binary copy
-(``npy_crc32``), a float64 C-order ``.npy`` file of shape
-``(iterations, dim)``. ChainRows checks a chain's files against its
+A ChainWriter writes a chain's files while its rows arrive, a block at a
+time, and takes each file's CRC-32 as it writes; ``save_chain`` is one such
+write, with the chain as one block, and ``stream_chains`` gives a sampler
+one writer per chain as its sink. Each file is written to a temporary name
+in its directory, and the files are renamed into place only once all of
+them are written, the sidecar last, so a chain's files are complete or
+absent and a sidecar vouches for files that are all there. The sidecar
+records the chain's shape, a CRC-32 of the CSV bytes (``crc32``) and a
+CRC-32 of the binary copy (``npy_crc32``), a float64 C-order ``.npy`` file
+of shape ``(iterations, dim)``. ChainRows checks a chain's files against its
 sidecar, reading each block by block, before it serves any row; it then
 serves the rows from some start on in blocks read from the binary copy, on
 each pass, or, without the copy, parses those rows of the CSV once.
@@ -107,8 +110,9 @@ def companion_paths(csv_path) -> tuple[Path, Path]:
 
 
 def chain_metadata(chain: Chain, config: dict | None = None) -> dict:
-    if chain.first_row:
-        raise ValueError("a partially loaded chain cannot be saved")
+    """The sidecar fields of a chain, apart from its files' checksums. An
+    HMC chain records its divergences, 0 included; another chain records
+    them only when it has some."""
     meta = {
         "sampler": chain.sampler_tag,
         "seed": chain.seed,
@@ -116,14 +120,14 @@ def chain_metadata(chain: Chain, config: dict | None = None) -> dict:
         "accepted": chain.accepted,
         "runtime_seconds": chain.runtime_seconds,
         "runtime_hms": format_hms(chain.runtime_seconds),
-        "iterations": len(chain),
+        "iterations": chain.iterations,
         "dim": chain.dim,
         "config": config or {},
     }
     if chain.swap_attempts is not None:
         meta["swap_accepted"] = chain.swap_accepted
         meta["swap_attempts"] = chain.swap_attempts
-    if chain.divergences:
+    if chain.divergences or chain.sampler_tag == "HMC":
         meta["divergences"] = chain.divergences
     return meta
 
@@ -138,9 +142,128 @@ def _scan(path) -> tuple[int, int]:
     return rows, crc
 
 
+class _CrcFile:
+    """A file opened for writing, with the running CRC-32 of every byte
+    written to it."""
+
+    def __init__(self, path: Path):
+        self.path, self.crc = path, 0
+        self._fh = open(path, "wb")
+
+    def write(self, data):
+        self.crc = zlib.crc32(data, self.crc)
+        self._fh.write(data)
+
+    def close(self):
+        self._fh.close()
+
+
+class ChainWriter:
+    """One chain's files, written while its rows arrive, a block at a time.
+
+    Each call appends a (k, dim) block of rows to the temporary CSV, in the
+    bytes of ``np.savetxt(fmt="%.17g", delimiter=",")``, formatted a row
+    at a time, and, given a sidecar path, to the temporary binary copy,
+    whose ``np.save`` header it writes before the first row, from
+    ``iterations`` and the block's width. It keeps a running CRC-32 of each
+    file. ``close(chain, config)`` checks that the chain's iterations rows
+    of its width were written, writes the sidecar with the chain's fields
+    and both checksums, and renames the CSV, the binary copy, then the
+    sidecar into place. ``discard()`` deletes what was written and not yet
+    closed; used in a ``with`` statement, the writer discards on any
+    exception. So the files are complete or absent.
+    """
+
+    def __init__(self, csv_path, metadata_path, iterations: int):
+        self._paths = [Path(csv_path)]
+        if metadata_path is not None:
+            self._paths += [companion_paths(csv_path)[1], Path(metadata_path)]
+        self._tmps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in self._paths]
+        self._placed: list[Path] = []
+        self.iterations, self.rows, self.dim = iterations, 0, None
+        self._files: list[_CrcFile] = []
+        try:
+            for tmp in self._tmps[:2]:
+                self._files.append(_CrcFile(tmp))
+        except BaseException:
+            self.discard()
+            raise
+
+    def __enter__(self) -> ChainWriter:
+        return self
+
+    def __exit__(self, kind, value, traceback):
+        if kind is not None:
+            self.discard()
+
+    def __call__(self, block):
+        block = np.ascontiguousarray(block, dtype=np.float64)
+        if self.dim is None:
+            self.dim = block.shape[1]
+            self._fmt = ",".join(["%.17g"] * self.dim) + "\n"
+            if len(self._files) > 1:
+                header = {"descr": np.lib.format.dtype_to_descr(block.dtype), "fortran_order": False,
+                          "shape": (int(self.iterations), int(self.dim))}
+                np.lib.format.write_array_header_1_0(self._files[1], header)
+        if block.shape[1] != self.dim or self.rows + len(block) > self.iterations:
+            raise ValueError(f"a block of {block.shape} does not fit the {self.rows} rows of "
+                             f"{self.dim} values written of a chain of {self.iterations}")
+        csv = self._files[0]
+        for row in block:
+            csv.write((self._fmt % tuple(row.tolist())).encode())
+        if len(self._files) > 1:
+            self._files[1].write(memoryview(block).cast("B"))
+        self.rows += len(block)
+
+    def close(self, chain: Chain, config: dict | None = None):
+        """Write the sidecar of chain and rename every file into place."""
+        if self.rows != self.iterations or (chain.iterations, chain.dim) != (self.iterations, self.dim):
+            raise ValueError(f"{self.rows} rows of {self.dim} values were written of a chain of "
+                             f"{self.iterations}, for a chain of {chain.iterations} x {chain.dim}")
+        meta = chain_metadata(chain, config)
+        for fh in self._files:
+            fh.close()
+        if len(self._files) > 1:
+            meta["crc32"], meta[BINARY_CRC_KEY] = (written.crc for written in self._files)
+            self._tmps[2].write_text(json.dumps(meta, indent=2, allow_nan=False) + "\n")
+        for tmp, path in zip(self._tmps, self._paths):
+            os.replace(tmp, path)
+            self._placed.append(path)
+        self._tmps, self._placed = [], []
+
+    def discard(self):
+        """Delete every file written and not yet closed."""
+        for fh in self._files:
+            fh.close()
+        for path in self._tmps + self._placed:
+            path.unlink(missing_ok=True)
+
+
+def stream_chains(paths, iterations: int, run, config: dict | None = None) -> list[Chain]:
+    """The chains of run(sink), a sampler group of len(paths) chains of
+    iterations rows that hands chain i's blocks of rows to sink[i], each
+    written as it comes into the files of paths[i], a (CSV, sidecar) pair,
+    by a ChainWriter that the chain closes. When a writer cannot open its
+    files, or run or a close raises, no chain that was not closed leaves a
+    file."""
+    writers = []
+    try:
+        for csv_path, meta_path in paths:
+            writers.append(ChainWriter(csv_path, meta_path, iterations))
+        chains = run(sink=writers)
+        for writer, chain in zip(writers, chains, strict=True):
+            writer.close(chain, config)
+    except BaseException:
+        for writer in writers:
+            writer.discard()
+        raise
+    return chains
+
+
 def save_chain(chain: Chain, csv_path, metadata_path=None, config: dict | None = None):
     """Write chain draws as CSV and, optionally, metadata as JSON together
-    with the binary copy of the draws beside the CSV.
+    with the binary copy of the draws beside the CSV: one ChainWriter, given
+    the chain as one block.
 
     Every file is written under a temporary name first and renamed into
     place after all are written, the sidecar last. Any failure, such as
@@ -148,27 +271,11 @@ def save_chain(chain: Chain, csv_path, metadata_path=None, config: dict | None =
     The sidecar's ``crc32`` and ``npy_crc32`` are the checksums of the CSV
     and of the binary copy as written.
     """
-    meta = chain_metadata(chain, config) if metadata_path is not None else None
-    paths = [Path(csv_path)]
-    if meta is not None:
-        paths += [companion_paths(csv_path)[1], Path(metadata_path)]
-    tmps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
-    placed = []
-    try:
-        np.savetxt(tmps[0], chain.draws, fmt="%.17g", delimiter=",")
-        if meta is not None:
-            with open(tmps[1], "wb") as fh:
-                np.save(fh, np.ascontiguousarray(chain.draws))
-            meta["crc32"] = _scan(tmps[0])[1]
-            meta[BINARY_CRC_KEY] = _scan(tmps[1])[1]
-            tmps[2].write_text(json.dumps(meta, indent=2, allow_nan=False) + "\n")
-        for tmp, path in zip(tmps, paths):
-            os.replace(tmp, path)
-            placed.append(path)
-    except BaseException:
-        for path in tmps + placed:
-            path.unlink(missing_ok=True)
-        raise
+    if chain.first_row:
+        raise ValueError("a partially loaded chain cannot be saved")
+    with ChainWriter(csv_path, metadata_path, len(chain)) as writer:
+        writer(chain.draws)
+        writer.close(chain, config)
 
 
 def _check_field(found, meta: dict, key: str, what: str, csv_path, metadata_path):

@@ -336,20 +336,16 @@ def cmd_generate_data(args) -> int:
 def _sample_worker(
     cfg: ExperimentConfig, train: data.LabeledDataset, out_dir: Path, indices: list[int]
 ) -> list[str]:
-    """Sample the chains of the given indices in lockstep and write their files."""
+    """Sample the chains of the given indices in lockstep, each streamed
+    into its files a block of rows at a time."""
     from . import chainio, samplers
 
     seeds = [samplers.derive_chain_seed(cfg.seed, index) for index in indices]
-    chains = samplers.run_posterior_chains(
-        cfg.arch, train, cfg.prior_variance, cfg.sampler_config, cfg.iterations, seeds,
-        burnin=cfg.burnin,
-    )
-    paths = []
-    for index, chain in zip(indices, chains):
-        csv_path, meta_path = _chain_paths(out_dir, index)
-        chainio.save_chain(chain, csv_path, meta_path, config=cfg.to_dict())
-        paths.append(str(csv_path))
-    return paths
+    paths = [_chain_paths(out_dir, index) for index in indices]
+    run = functools.partial(samplers.run_posterior_chains, cfg.arch, train, cfg.prior_variance,
+                            cfg.sampler_config, cfg.iterations, seeds, burnin=cfg.burnin)
+    chainio.stream_chains(paths, cfg.iterations, run, config=cfg.to_dict())
+    return [str(csv_path) for csv_path, _ in paths]
 
 
 def cmd_sample(args) -> int:
@@ -505,40 +501,39 @@ def cmd_grid(args) -> int:
 
 
 def cmd_traces(args) -> int:
-    # each chain is cut to the requested columns before the next one loads
-    columns, burnins, lengths, dims = [], [], [], []
-    for chain in _load_chains(args.chains):
-        wanted = [coord for coord in args.coords if 0 <= coord < chain.dim]
-        columns.append(chain.draws[:, wanted])
-        burnins.append(chain.burnin)
-        lengths.append(len(chain))
-        dims.append(chain.dim)
-        del chain  # so it is freed before the next chain loads
-    burnin = args.burnin if args.burnin is not None else max(burnins)
-    length = min(lengths)
+    # every chain is checked before any draw is read; the requested columns
+    # are then read from all chains together, in row blocks of about 64 KiB
+    # in all, and written as they come, so no chain's draws are held
+    chains = list(_chain_rows(args.chains))
+    burnin = args.burnin if args.burnin is not None else max(rows.meta.get("burnin", 0) for rows in chains)
+    length = min(len(rows) for rows in chains)
     if burnin < 0:
         raise ValueError(f"burn-in must be >= 0, got {burnin}")
     if burnin >= length:
         raise ValueError("burn-in leaves no draws")
-    dim = dims[0]
-    if any(d != dim for d in dims):
+    dim = chains[0].dim
+    if any(rows.dim != dim for rows in chains):
         raise ValueError("all chains must share the same dimension")
     for coord in args.coords:
         if not 0 <= coord < dim:
             raise ValueError(f"coordinate {coord} outside [0, {dim})")
     out_dir = _out_dir(args)
     header = ["iteration", "burnin"] + [
-        f"chain{ci}_coord{coord}" for ci in range(len(columns)) for coord in args.coords
+        f"chain{ci}_coord{coord}" for ci in range(len(chains)) for coord in args.coords
     ]
+    size = max((1 << 16) // (8 * dim * len(chains)), 1)
+    draws = zip(*((row for block in rows.blocks(size) for row in block[:, args.coords].tolist())
+                  for rows in chains))
     path = out_dir / "traces.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for it in range(length):
-            row = [it, int(it < burnin)]
-            for values in columns:
-                row.extend(f"{value:.17g}" for value in values[it].tolist())
-            writer.writerow(row)
+    try:
+        with path.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for it, values in enumerate(draws):
+                writer.writerow([it, int(it < burnin)] + [f"{v:.17g}" for row in values for v in row])
+    except BaseException:
+        path.unlink(missing_ok=True)  # a chain that fails while it is read leaves no traces
+        raise
     print(path)
     return 0
 

@@ -18,6 +18,13 @@ decision, so it draws exactly what it draws when run alone, and each
 records the group's wall time. All acceptance decisions are taken in log
 space. Samplers are seeded and bit-reproducible; a chain never stores a
 state with non-finite log-target.
+
+A sampler records each iteration's states into one block of about
+``BLOCK_BYTES`` and hands each full block, then the last partial one, to a
+sink: one callable per chain, called with each block of that chain's rows
+in turn. Without a sink, the sinks fill the (m, iterations, n) draws the
+returned chains hold; with one, the chains hold no rows (their first_row is
+their length) and only the sink sees the draws.
 """
 
 from __future__ import annotations
@@ -35,6 +42,10 @@ from .data import LabeledDataset
 
 #: HMC energy-error threshold beyond which a trajectory counts as divergent.
 DIVERGENCE_THRESHOLD = 1000.0
+
+#: Bytes of a sampler's block of recorded states: below glibc's 128 KiB mmap
+#: threshold, so the one block a group reuses is ordinary heap memory.
+BLOCK_BYTES = 1 << 16
 
 
 class SamplerStartupError(RuntimeError):
@@ -137,14 +148,55 @@ def _chain_group(init, seeds: Sequence[int], shape: tuple[int, ...]):
     return start, states, seeds, [np.random.default_rng(s) for s in seeds]
 
 
-def _chains(tag: str, start: float, seeds, draws, **counts) -> list[Chain]:
-    """The Chains of a group from its (m, iterations, n) draws: chain i gets
-    draws[i], seeds[i], entry i of each per-chain count (accepted,
-    divergences, swap_accepted, swap_attempts) and the group's wall time."""
+class _Fill:
+    """The default sink of a chain: copies each block of its rows into the
+    next rows of draws."""
+
+    def __init__(self, draws):
+        self.draws, self.at = draws, 0
+
+    def __call__(self, rows):
+        self.draws[self.at : self.at + len(rows)] = rows
+        self.at += len(rows)
+
+
+class _Recorder:
+    """The states of m chains over iterations, recorded into an (m, B, n)
+    block of about BLOCK_BYTES and handed to sink[i], chain i's callable,
+    a block of rows at a time: each full block, then the last partial one.
+    A row block passed to a sink is a view that the next block overwrites.
+    Without a sink, the sinks fill ``draws``, the group's (m, iterations, n)
+    array; with one, ``draws`` is an empty (m, 0, n) array.
+    """
+
+    def __init__(self, sink, m: int, iterations: int, n: int):
+        self.draws = np.empty((m, iterations if sink is None else 0, n))
+        self.sinks = [_Fill(rows) for rows in self.draws] if sink is None else list(sink)
+        if len(self.sinks) != m:
+            raise ValueError(f"need one sink per chain, {m}, got {len(self.sinks)}")
+        self.block = np.empty((m, max(BLOCK_BYTES // max(8 * m * n, 1), 1), n))
+        self.iterations, self.at = iterations, 0
+
+    def __call__(self, states):
+        """Record the (m, n) states of the next iteration."""
+        rows = self.at % self.block.shape[1]
+        self.block[:, rows] = states
+        self.at += 1
+        if rows + 1 == self.block.shape[1] or self.at == self.iterations:
+            for sink, block in zip(self.sinks, self.block[:, : rows + 1]):
+                sink(block)
+
+
+def _chains(tag: str, start: float, seeds, record: _Recorder, **counts) -> list[Chain]:
+    """The Chains of a group from its recorder: chain i gets its draws
+    (none when they went to a sink), seeds[i], entry i of each per-chain
+    count (accepted, divergences, swap_accepted, swap_attempts) and the
+    group's wall time."""
     runtime = time.perf_counter() - start
+    first_row = record.iterations - record.draws.shape[1]
     return [
-        Chain(draws[i], burnin=0, seed=s, sampler_tag=tag, runtime_seconds=runtime,
-              **{name: int(count[i]) for name, count in counts.items()})
+        Chain(record.draws[i], burnin=0, seed=s, sampler_tag=tag, runtime_seconds=runtime,
+              first_row=first_row, **{name: int(count[i]) for name, count in counts.items()})
         for i, s in enumerate(seeds)
     ]
 
@@ -174,15 +226,15 @@ def _metropolis_step(rngs, target, scale: float, t: float, theta, ll, lp) -> np.
     return moved
 
 
-def _population(target, states, rngs, iterations: int, proposal_variance: float, temps=(1.0,), beta=None):
+def _population(target, states, rngs, record: _Recorder, proposal_variance: float, temps=(1.0,), beta=None):
     """The population loop of pp_chain and mh_chain on the (m, rungs, n)
     states, changed in place: rung c of every population takes a
     random-walk Metropolis move on the target temps[c] * ll + lp, then,
     given two rungs or more, each population attempts one swap on its RNG.
 
-    Returns the last rung's (m, iterations, n) draws and the per-chain
-    counts: its accepted moves and, given two rungs or more, the accepted
-    and attempted swaps. A single rung draws nothing for swaps.
+    Records the last rung's states at every iteration and returns the
+    per-chain counts: its accepted moves and, given two rungs or more, the
+    accepted and attempted swaps. A single rung draws nothing for swaps.
     """
     m, rungs = states.shape[:2]
     scale = math.sqrt(proposal_variance)
@@ -193,12 +245,11 @@ def _population(target, states, rngs, iterations: int, proposal_variance: float,
         lps[:, c] = target.log_prior(states[:, c])
         _check_start(temps[c] * lls[:, c] + lps[:, c])
 
-    draws = np.empty((m, iterations, target.dim))
     accepted = np.zeros(m, dtype=int)
     swap_accepted = np.zeros(m, dtype=int)
     cdfs = _swap_cdfs(rungs, beta) if rungs > 1 else None
 
-    for it in range(iterations):
+    for _ in range(record.iterations):
         for c in range(rungs):
             moved = _metropolis_step(rngs, target, scale, temps[c], states[:, c], lls[:, c], lps[:, c])
         accepted += moved  # the moves of the last rung, t_m = 1
@@ -210,24 +261,26 @@ def _population(target, states, rngs, iterations: int, proposal_variance: float,
                 for values in (states, lls, lps):
                     values[p, [i, j]] = values[p, [j, i]]
                 swap_accepted[p] += 1
-        draws[:, it] = states[:, -1]
+        record(states[:, -1])
 
-    swaps = {"swap_accepted": swap_accepted, "swap_attempts": np.full(m, iterations)} if cdfs else {}
-    return draws, {"accepted": accepted, **swaps}
+    swaps = {"swap_accepted": swap_accepted, "swap_attempts": np.full(m, record.iterations)} if cdfs else {}
+    return {"accepted": accepted, **swaps}
 
 
-def mh_chain(target, inits, config: MhConfig, iterations: int, seeds: Sequence[int]) -> list[Chain]:
+def mh_chain(target, inits, config: MhConfig, iterations: int, seeds: Sequence[int], sink=None) -> list[Chain]:
     """Random-walk Metropolis with proposals theta* ~ N(theta, lambda I),
     one chain per row of the (m, n) inits and per seed: the population loop
     with the single rung t = 1, which attempts no swap.
 
-    Records one row per iteration; rejected steps repeat the current
-    state. Raises SamplerStartupError if the log-target is non-finite
-    at an initial state.
+    Records one row per iteration, into the chains or, given one callable
+    per chain as the sink, into the sink; rejected steps repeat the
+    current state. Raises SamplerStartupError if the log-target is
+    non-finite at an initial state.
     """
     start, theta, seeds, rngs = _chain_group(inits, seeds, (target.dim,))
-    draws, counts = _population(target, theta[:, None], rngs, iterations, config.proposal_variance)
-    return _chains("MH", start, seeds, draws, **counts)
+    record = _Recorder(sink, len(seeds), iterations, target.dim)
+    counts = _population(target, theta[:, None], rngs, record, config.proposal_variance)
+    return _chains("MH", start, seeds, record, **counts)
 
 
 def leapfrog(target, theta, value, grad, momentum, steps: int, step_size: float):
@@ -274,9 +327,10 @@ def _squared_norms(r) -> np.ndarray:
     return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
 
 
-def hmc_chain(target, inits, config: HmcConfig, iterations: int, seeds: Sequence[int]) -> list[Chain]:
+def hmc_chain(target, inits, config: HmcConfig, iterations: int, seeds: Sequence[int], sink=None) -> list[Chain]:
     """Hamiltonian Monte Carlo with identity mass matrix, one chain per row
-    of the (m, n) inits and per seed.
+    of the (m, n) inits and per seed, recorded into the chains or, given
+    one callable per chain as the sink, into the sink.
 
     Momentum is refreshed from N(0, I) every iteration; the proposal is
     L leapfrog steps of size eps, accepted with min{1, exp(-dH)}.
@@ -295,11 +349,11 @@ def hmc_chain(target, inits, config: HmcConfig, iterations: int, seeds: Sequence
     _check_start(logp)
     if not np.isfinite(grad).all():
         raise SamplerStartupError("log-target gradient is non-finite at the initial state")
-    draws = np.empty((len(seeds), iterations, target.dim))
+    record = _Recorder(sink, len(seeds), iterations, target.dim)
     accepted = np.zeros(len(seeds), dtype=int)
     divergences = np.zeros(len(seeds), dtype=int)
     r0 = np.empty_like(theta)  # leapfrog leaves its momentum argument as it is
-    for it in range(iterations):
+    for _ in range(iterations):
         for rng, row in zip(rngs, r0):
             rng.standard_normal(out=row)
         prop, r1, prop_logp, prop_grad, ok = leapfrog(
@@ -323,8 +377,8 @@ def hmc_chain(target, inits, config: HmcConfig, iterations: int, seeds: Sequence
         np.copyto(logp, prop_logp, where=moved)
         np.copyto(grad, prop_grad, where=moved[:, None])
         accepted += moved
-        draws[:, it] = theta
-    return _chains("HMC", start, seeds, draws, accepted=accepted, divergences=divergences)
+        record(theta)
+    return _chains("HMC", start, seeds, record, accepted=accepted, divergences=divergences)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +425,7 @@ def _swap_cdfs(rungs: int, beta: float) -> list[np.ndarray]:
     return cdfs
 
 
-def pp_chain(target, inits, config: PpConfig, iterations: int, seeds: Sequence[int]) -> list[Chain]:
+def pp_chain(target, inits, config: PpConfig, iterations: int, seeds: Sequence[int], sink=None) -> list[Chain]:
     """Population sampling from tempered targets t_i * ll + lp, one
     population per seed, its rungs started from a row of the
     (m, rungs, n) inits.
@@ -383,12 +437,15 @@ def pp_chain(target, inits, config: PpConfig, iterations: int, seeds: Sequence[i
     test on the tempered targets. Each population gives its t_m = 1 chain,
     with that rung's accepted moves and the population's swaps; the other
     rungs' draws are not kept. Rung c of every population moves in one
-    batched target call, and each population swaps on its own RNG.
+    batched target call, and each population swaps on its own RNG. The t_m
+    chains' rows go to the chains or, given one callable per chain as the
+    sink, to the sink.
     """
     start, states, seeds, rngs = _chain_group(inits, seeds, (len(config.temperatures), target.dim))
-    draws, counts = _population(target, states, rngs, iterations, config.proposal_variance,
-                                config.temperatures, config.beta)
-    return _chains("PP", start, seeds, draws, **counts)
+    record = _Recorder(sink, len(seeds), iterations, target.dim)
+    counts = _population(target, states, rngs, record, config.proposal_variance,
+                         config.temperatures, config.beta)
+    return _chains("PP", start, seeds, record, **counts)
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +471,7 @@ def run_posterior_chains(
     seeds: Sequence[int],
     burnin: int = 0,
     init: np.ndarray | None = None,
+    sink=None,
 ) -> list[Chain]:
     """Sample the MLP parameter posterior with MH, HMC or PP, one chain per
     seed, all in lockstep through one batched ``mlp.Posterior``.
@@ -421,7 +479,9 @@ def run_posterior_chains(
     Chain i is the chain its seed gives alone. Its initial state defaults
     to a draw from the prior N(0, sigma2 I) on an RNG of its own seed; for
     PP every chain of its population gets its own prior draw. The burn-in
-    count is recorded on the returned chains.
+    count is recorded on the returned chains. Given a sink, one callable
+    per seed, chain i's rows go block by block to sink[i] and the returned
+    chains hold none of them.
     """
     post = mlp.Posterior(arch, data, sigma2)
     pp = isinstance(sampler_config, PpConfig)
@@ -432,11 +492,11 @@ def run_posterior_chains(
     else:
         inits = np.broadcast_to(np.asarray(init, dtype=float), (len(seeds), per_chain, post.dim))
     if pp:
-        chains = pp_chain(post, inits, sampler_config, iterations, seeds)
+        chains = pp_chain(post, inits, sampler_config, iterations, seeds, sink)
     elif isinstance(sampler_config, MhConfig):
-        chains = mh_chain(post, inits[:, 0], sampler_config, iterations, seeds)
+        chains = mh_chain(post, inits[:, 0], sampler_config, iterations, seeds, sink)
     elif isinstance(sampler_config, HmcConfig):
-        chains = hmc_chain(post, inits[:, 0], sampler_config, iterations, seeds)
+        chains = hmc_chain(post, inits[:, 0], sampler_config, iterations, seeds, sink)
     else:
         raise TypeError(f"unknown sampler config {type(sampler_config).__name__}")
     for chain in chains:

@@ -1,6 +1,9 @@
+import functools
 import hashlib
+import io
 import json
 import os
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -9,20 +12,33 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from damaged_chains import DAMAGE, damage_binary
+from toy_targets import ToyTarget
 
+from bayesmlp import chainio
 from bayesmlp.chainio import (
     BINARY_CRC_KEY,
     ChainFileError,
     ChainRows,
+    ChainWriter,
     chain_metadata,
     companion_paths,
     format_hms,
     load_chain,
     save_chain,
+    stream_chains,
 )
 from bayesmlp.data import NoisyXorConfig, generate_noisy_xor, load_vendored
 from bayesmlp.mlp import Architecture
-from bayesmlp.samplers import Chain, HmcConfig, MhConfig, PpConfig, run_posterior_chain
+from bayesmlp.samplers import (
+    BLOCK_BYTES,
+    Chain,
+    HmcConfig,
+    MhConfig,
+    PpConfig,
+    mh_chain,
+    run_posterior_chain,
+    run_posterior_chains,
+)
 
 
 @pytest.fixture
@@ -146,6 +162,20 @@ class TestPartialLoad:
         assert sorted(os.listdir(tmp_path)) == ["c.csv", "c.json", "c.npy"]
 
 
+def half_write_of(prefix):
+    """A _CrcFile.write that, on the file whose name starts with prefix,
+    writes half of the bytes it is given and then fails, as on a full disk."""
+    real_write = chainio._CrcFile.write
+
+    def write(self, data):
+        if self.path.name.startswith(prefix):
+            real_write(self, bytes(data)[: len(data) // 2])
+            raise OSError("disk full")
+        real_write(self, data)
+
+    return write
+
+
 class TestCompleteOrAbsent:
     def test_truncated_csv_rejected(self, tmp_path, chain):
         csv_path, meta_path = tmp_path / "c.csv", tmp_path / "c.json"
@@ -162,12 +192,7 @@ class TestCompleteOrAbsent:
         assert sorted(os.listdir(tmp_path)) == ["c.csv", "c.json", "c.npy"]
 
     def test_failed_write_leaves_nothing(self, tmp_path, chain, monkeypatch):
-        def half_write(path, draws, **kwargs):
-            with open(path, "w") as fh:
-                fh.write("0.5,0.")
-            raise OSError("disk full")
-
-        monkeypatch.setattr(np, "savetxt", half_write)
+        monkeypatch.setattr(chainio._CrcFile, "write", half_write_of(".c.csv."))
         with pytest.raises(OSError):
             save_chain(chain, tmp_path / "c.csv", tmp_path / "c.json")
         assert os.listdir(tmp_path) == []
@@ -249,11 +274,7 @@ class TestBinaryCopy:
             list(rows.blocks(7))
 
     def test_failed_copy_write_leaves_nothing(self, tmp_path, chain, monkeypatch):
-        def half_save(fh, draws):
-            fh.write(b"\x93NUMPY")
-            raise OSError("disk full")
-
-        monkeypatch.setattr(np, "save", half_save)
+        monkeypatch.setattr(chainio._CrcFile, "write", half_write_of(".c.npy."))
         with pytest.raises(OSError):
             save_chain(chain, tmp_path / "c.csv", tmp_path / "c.json")
         assert os.listdir(tmp_path) == []
@@ -275,6 +296,110 @@ class TestBinaryCopy:
             save_chain(chain, tmp_path / "c.csv", tmp_path / "c.json")
         assert renamed == ["c.csv", "c.npy"]
         assert os.listdir(tmp_path) == []
+
+
+class TestChainWriter:
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    def test_streamed_bytes_equal_savetxt_and_save(self, tmp_path, rng, dim, block):
+        """Blocks of 1 and 7 rows, and one block longer than the chain, give
+        the bytes of np.savetxt and np.save of the whole chain, and the
+        sidecar records the CRC-32 of those bytes."""
+        draws = rng.standard_normal((40, dim)) * 10.0 ** rng.integers(-300, 300, (40, dim))
+        draws[0, 0], draws[1, 0] = -0.0, 5e-324
+        csv_path, meta_path = tmp_path / "c.csv", tmp_path / "c.json"
+        with ChainWriter(csv_path, meta_path, len(draws)) as writer:
+            for at in range(0, len(draws), block):
+                writer(draws[at : at + block])
+            writer.close(Chain(draws, burnin=0, seed=0, accepted=0, sampler_tag="MH"))
+        np.savetxt(tmp_path / "ref.csv", draws, fmt="%.17g", delimiter=",")
+        binary = io.BytesIO()
+        np.save(binary, draws)
+        assert csv_path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert (tmp_path / "c.npy").read_bytes() == binary.getvalue()
+        meta = json.loads(meta_path.read_text())
+        assert meta["crc32"] == zlib.crc32(csv_path.read_bytes())
+        assert meta[BINARY_CRC_KEY] == zlib.crc32(binary.getvalue())
+
+    @pytest.mark.parametrize("rows,dim", [(39, 3), (41, 3), (40, 2)])
+    def test_rows_that_do_not_fit_the_chain_leave_nothing(self, tmp_path, chain, rows, dim):
+        """Too few rows, too many, or rows of another width than the chain's
+        are refused, and no file is left."""
+        with pytest.raises(ValueError):
+            with ChainWriter(tmp_path / "c.csv", tmp_path / "c.json", 40) as writer:
+                writer(np.zeros((rows, dim)))
+                writer.close(chain)
+        assert os.listdir(tmp_path) == []
+
+    def test_group_that_fails_after_a_block_leaves_nothing(self, tmp_path):
+        """Two chains stream into their files; the target raises once a first
+        block of each has been written, and neither chain leaves a file,
+        temporary or not."""
+        written = []  # one row per chain and iteration; a block is 2048 iterations
+
+        def log_likelihood(theta):
+            if len(written) > 2 * (BLOCK_BYTES // (8 * 2 * 2) + 5):
+                assert sorted(p.name.split(".")[1:3] for p in tmp_path.iterdir()) == [
+                    ["c0", "csv"], ["c0", "npy"], ["c1", "csv"], ["c1", "npy"]]
+                assert all(p.stat().st_size > 0 for p in tmp_path.iterdir())
+                raise RuntimeError("target failed")
+            written.append(theta)
+            return -0.5 * float(theta @ theta)
+
+        target = ToyTarget(log_likelihood, 2)
+        paths = [(tmp_path / f"c{i}.csv", tmp_path / f"c{i}.json") for i in range(2)]
+        run = functools.partial(mh_chain, target, np.zeros((2, 2)), MhConfig(0.5), 10000, [1, 2])
+        with pytest.raises(RuntimeError, match="target failed"):
+            stream_chains(paths, 10000, run)
+        assert os.listdir(tmp_path) == []
+
+    def test_group_whose_files_cannot_open_leaves_nothing(self, tmp_path):
+        """The second chain's directory is missing: the first chain's
+        temporary files, already open, are deleted too, and nothing runs."""
+        paths = [(tmp_path / "c0.csv", tmp_path / "c0.json"),
+                 (tmp_path / "missing" / "c1.csv", tmp_path / "missing" / "c1.json")]
+        with pytest.raises(FileNotFoundError):
+            stream_chains(paths, 10, lambda sink: pytest.fail("the group ran"))
+        assert os.listdir(tmp_path) == []
+
+    def test_streamed_group_writes_the_chains_in_memory(self, tmp_path):
+        """sample's write path: each chain streamed into its files has the
+        bytes and the sidecar that save_chain gives the same chain held in
+        memory, apart from the wall time."""
+        train, _ = generate_noisy_xor(NoisyXorConfig(train_per_corner=5, test_per_corner=1, seed=0))
+        args = (Architecture((2, 2, 1)), train, 10.0, HmcConfig(3, 0.05), 700, [1, 2])
+        paths = [(tmp_path / f"s{i}.csv", tmp_path / f"s{i}.json") for i in range(2)]
+        streamed = stream_chains(paths, 700, functools.partial(run_posterior_chains, *args, burnin=50),
+                                 config={"k": 1})
+        assert all(len(chain) == 0 and chain.iterations == 700 for chain in streamed)
+        for i, chain in enumerate(run_posterior_chains(*args, burnin=50)):
+            save_chain(chain, tmp_path / f"k{i}.csv", tmp_path / f"k{i}.json", config={"k": 1})
+            for suffix in (".csv", ".npy"):
+                assert (tmp_path / f"s{i}{suffix}").read_bytes() == (tmp_path / f"k{i}{suffix}").read_bytes()
+            metas = [json.loads((tmp_path / f"{kind}{i}.json").read_text()) for kind in "sk"]
+            for meta in metas:
+                del meta["runtime_seconds"], meta["runtime_hms"]
+            assert metas[0] == metas[1]
+
+    def test_file_sink_peak_flat_in_chain_length(self, tmp_path):
+        """With the files as its sink, a sampling run holds one block of
+        draws: its allocation peak at 20000 iterations is within a block
+        of that at 2000 (holding the draws would add 1.3 MB)."""
+        train, _ = generate_noisy_xor(NoisyXorConfig(train_per_corner=5, test_per_corner=1, seed=0))
+
+        def peak(iterations):
+            paths = [(tmp_path / f"c{iterations}.csv", tmp_path / f"c{iterations}.json")]
+            run = functools.partial(run_posterior_chains, Architecture((2, 2, 1)), train, 10.0,
+                                    MhConfig(1e-4), iterations, [3])
+            tracemalloc.start()
+            try:
+                stream_chains(paths, iterations, run)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(300)  # warm-up: first-call allocations are not the chain's
+        assert abs(peak(20000) - peak(2000)) < BLOCK_BYTES
 
 
 class TestHms:

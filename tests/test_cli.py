@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from damaged_chains import DAMAGE, damage_binary
 
-from bayesmlp import cli
+from bayesmlp import chainio, cli
 from bayesmlp.chainio import load_chain, save_chain
 from bayesmlp.diagnostics import diagnostics_report
 from bayesmlp.samplers import Chain
@@ -154,6 +154,19 @@ class TestSample:
         ]) == 0
         rows = (out / "chain_00.csv").read_text().strip().splitlines()
         assert len(rows[0].split(",")) == 29
+
+    @pytest.mark.parametrize("sampler", ["MH", "HMC", "PP"])
+    def test_sidecar_counts_divergences_of_hmc_only(self, tmp_path, xor_config, sampler):
+        """Every HMC chain's sidecar counts its divergences, 0 included, so it
+        is told apart from an MH or PP chain, whose sidecar has no such key."""
+        out = tmp_path / "o"
+        assert run(["sample", "--config", xor_config, "--out-dir", out, "--sampler", sampler,
+                    "--iterations", 60, "--burnin", 10, "--tail", 10]) == 0
+        metas = [json.loads((out / f"chain_{i:02d}.json").read_text()) for i in range(2)]
+        if sampler == "HMC":
+            assert [meta["divergences"] for meta in metas] == [0, 0]
+        else:
+            assert not any("divergences" in meta for meta in metas)
 
     def test_flag_overrides_config(self, tmp_path, xor_config):
         out = tmp_path / "o"
@@ -756,6 +769,55 @@ class TestTracesAndBoxplot:
 
         peak(paths[:2])  # warm-up: first-call allocations are not the chains'
         assert peak(paths) < peak(paths[:4]) + length * dim * 8
+
+    def test_traces_peak_flat_in_chain_length(self, tmp_path):
+        """traces reads a chain block by block and writes the requested
+        columns as it reads them: on a 20000 x 29 chain its allocation peak
+        exceeds that on a 300-row chain by less than two blocks of rows,
+        which is less than the two columns it writes (320 kB) and far less
+        than the chain (4.6 MB). The 300-row run has the costs that do not
+        grow with the chain, such as the output file's buffer."""
+        rng = np.random.default_rng(131)
+        draws = rng.standard_normal((20000, 29))
+        paths = []
+        for i, length in enumerate([300, len(draws)]):
+            paths.append(tmp_path / f"c{i}.csv")
+            chain = Chain(draws[:length], burnin=100, seed=i, accepted=0, sampler_tag="MH")
+            save_chain(chain, paths[-1], paths[-1].with_suffix(".json"))
+        args = ["traces", "--coords", 3, 17, "--out-dir", tmp_path / "t", "--chains"]
+
+        def peak(chain):
+            tracemalloc.start()
+            try:
+                assert run(args + [chain]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(paths[0])  # warm-up: first-call allocations are not the chain's
+        assert peak(paths[1]) < peak(paths[0]) + 2 * (1 << 16)
+
+    def test_traces_chain_failing_while_read_leaves_no_output(self, tmp_path, monkeypatch):
+        """traces writes rows as it reads them; a chain whose file fails
+        after its first block (e.g. cut short after its check) exits 3 and
+        leaves no traces.csv."""
+        rng = np.random.default_rng(137)
+        paths = []
+        for i in range(2):
+            paths.append(tmp_path / f"c{i}.csv")
+            chain = Chain(rng.standard_normal((3000, 9)), burnin=0, seed=i, accepted=0, sampler_tag="MH")
+            save_chain(chain, paths[-1], paths[-1].with_suffix(".json"))
+        real_blocks = chainio.ChainRows.blocks
+
+        def cut_after_one_block(self, size):
+            blocks = real_blocks(self, size)
+            yield next(blocks)
+            raise chainio.ChainFileError("cut short while it was read")
+
+        monkeypatch.setattr(chainio.ChainRows, "blocks", cut_after_one_block)
+        out = tmp_path / "t"
+        assert run(["traces", "--chains", *paths, "--coords", 2, "--out-dir", out]) == 3
+        assert os.listdir(out) == []
 
     def test_boxplot_accuracy_list(self, tmp_path, xor_config):
         out = tmp_path / "chains"

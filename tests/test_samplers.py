@@ -523,6 +523,32 @@ class TestLockstep:
                 mh_chain(target, inits, MhConfig(0.5), 5, [1])
 
 
+class TestSink:
+    """A sampler hands each chain's rows to its sink in blocks of about
+    BLOCK_BYTES; without a sink, the chains hold the same rows."""
+
+    @pytest.mark.parametrize("config", [
+        MhConfig(0.05), PpConfig((0.5, 1.0), proposal_variance=0.05), HmcConfig(3, 0.05),
+    ])
+    def test_sink_sees_the_chains_in_blocks(self, xor_arch, config):
+        train, _ = generate_noisy_xor(NoisyXorConfig(train_per_corner=5, test_per_corner=1, seed=0))
+        blocks = [[], []]
+        sinks = [lambda rows, seen=seen: seen.append(rows.copy()) for seen in blocks]
+        args = (xor_arch, train, 10.0, config, 1000, [1, 2])
+        streamed = run_posterior_chains(*args, burnin=5, sink=sinks)
+        kept = run_posterior_chains(*args, burnin=5)
+        rows = samplers.BLOCK_BYTES // (8 * 2 * 9)  # 455 rows of 2 chains of 9 values
+        for chain, whole, seen in zip(streamed, kept, blocks):
+            assert [len(block) for block in seen] == [rows, rows, 1000 - 2 * rows]
+            assert np.concatenate(seen).view(np.uint64).tobytes() == whole.draws.view(np.uint64).tobytes()
+            assert chain.draws.shape == (0, 9) and chain.first_row == chain.iterations == 1000
+            assert chain_bits(chain)[1:] == chain_bits(whole)[1:]
+
+    def test_one_sink_per_chain(self):
+        with pytest.raises(ValueError, match="one sink per chain"):
+            mh_chain(standard_normal_target(2), np.zeros((2, 2)), MhConfig(0.5), 5, [1, 2], sink=[print])
+
+
 class TestChainContainer:
     def test_burnin_and_tail_views(self, rng):
         chain = Chain(rng.normal(size=(100, 3)), burnin=20, seed=0, accepted=50, sampler_tag="MH")
