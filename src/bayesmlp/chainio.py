@@ -158,6 +158,11 @@ class _CrcFile:
         self._fh.close()
 
 
+def _temporary(path: Path, pid: int) -> Path:
+    """The name under which the ChainWriter of process pid writes path."""
+    return path.with_name(f".{path.name}.{pid}.tmp")
+
+
 class ChainWriter:
     """One chain's files, written while its rows arrive, a block at a time.
 
@@ -178,7 +183,7 @@ class ChainWriter:
         self._paths = [Path(csv_path)]
         if metadata_path is not None:
             self._paths += [companion_paths(csv_path)[1], Path(metadata_path)]
-        self._tmps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in self._paths]
+        self._tmps = [_temporary(path, os.getpid()) for path in self._paths]
         self._placed: list[Path] = []
         self.iterations, self.rows, self.dim = iterations, 0, None
         self._files: list[_CrcFile] = []
@@ -236,6 +241,19 @@ class ChainWriter:
         for fh in self._files:
             fh.close()
         for path in self._tmps + self._placed:
+            path.unlink(missing_ok=True)
+
+
+def discard_dead_writer(csv_path, metadata_path, pid: int):
+    """Delete what the ChainWriter of a chain left when its process pid
+    ended without placing the chain: the temporary files and, if it ended
+    renaming them into place (the sidecar, renamed last, is still
+    temporary), the placed ones."""
+    paths = [Path(csv_path), companion_paths(csv_path)[1], Path(metadata_path)]
+    placing = _temporary(paths[-1], pid).exists()
+    for path in paths:
+        _temporary(path, pid).unlink(missing_ok=True)
+        if placing:
             path.unlink(missing_ok=True)
 
 

@@ -12,6 +12,10 @@ Every command is deterministic given (config, seed): chain i draws its
 private RNG stream from seed XOR i, so rerunning a config reproduces all
 chain files byte for byte.
 
+``sample --jobs N`` forks one worker per contiguous group of chains
+(POSIX ``fork`` only); the parent samples no chain, waits on the workers
+and fails as ``--jobs 1`` would; a worker that dies leaves no partial chain.
+
 Each command imports the bayesmlp modules it runs when it runs, so
 ``diagnose`` never loads the model, the samplers or the predictive. The
 process entry (``entry``) freezes the heap once the command returns, so
@@ -335,7 +339,7 @@ def cmd_generate_data(args) -> int:
 
 def _sample_worker(
     cfg: ExperimentConfig, train: data.LabeledDataset, out_dir: Path, indices: list[int]
-) -> list[str]:
+):
     """Sample the chains of the given indices in lockstep, each streamed
     into its files a block of rows at a time."""
     from . import chainio, samplers
@@ -345,29 +349,86 @@ def _sample_worker(
     run = functools.partial(samplers.run_posterior_chains, cfg.arch, train, cfg.prior_variance,
                             cfg.sampler_config, cfg.iterations, seeds, burnin=cfg.burnin)
     chainio.stream_chains(paths, cfg.iterations, run, config=cfg.to_dict())
-    return [str(csv_path) for csv_path, _ in paths]
+
+
+def _fork_workers(
+    cfg: ExperimentConfig, train: data.LabeledDataset, out_dir: Path, groups: list[list[int]]
+):
+    """Sample each group of chains in a child forked from this process,
+    which samples none itself, and wait on the children in group order.
+
+    A child inherits cfg and train, calls _sample_worker through this
+    module's global and leaves through os._exit: 0, or 1 once it has
+    pickled its exception (without its traceback) into a pipe. The first
+    failing group's exception is raised here once every child has exited.
+    A child that dies without one, such as by a signal, fails as a
+    RuntimeError. What a failed child left of its chains is deleted.
+    """
+    import pickle
+
+    from . import chainio
+
+    gc.freeze()  # the children's collections then leave the inherited heap's pages shared
+    children, failures = [], []
+    try:
+        for group in groups:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    _sample_worker(cfg, train, out_dir, group)
+                    code = 0
+                except BaseException as exc:
+                    try:
+                        report = pickle.dumps(exc)
+                    except Exception:  # such as an argument that cannot be pickled
+                        report = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+                    with open(write, "wb") as pipe:
+                        pipe.write(report)
+                finally:
+                    os._exit(code)
+            os.close(write)
+            children.append((group, pid, read))
+    finally:
+        for group, pid, read in children:
+            with open(read, "rb") as pipe:
+                report = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if status:
+                for index in group:
+                    chainio.discard_dead_writer(*_chain_paths(out_dir, index), pid)
+                failures.append((group, status, report))
+        gc.unfreeze()
+    if failures:
+        group, status, report = failures[0]
+        if report:
+            raise pickle.loads(report)
+        import signal
+
+        how = (f"was killed by signal {-status} ({signal.strsignal(-status)})" if status < 0
+               else f"exited with {status}")
+        raise RuntimeError(f"the worker of chains {group} {how}")
 
 
 def cmd_sample(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.jobs > 1 and not hasattr(os, "fork"):
+        raise ConfigError("--jobs above 1 needs os.fork, which this platform lacks")
     cfg = _load_config(args)
     train, _ = resolve_dataset(cfg.dataset)
     out_dir = _out_dir(args)
-    work = functools.partial(_sample_worker, cfg, train, out_dir)
     # contiguous groups of chain indices, one per worker
     groups = np.array_split(np.arange(cfg.num_chains), min(args.jobs, cfg.num_chains))
     groups = [group.tolist() for group in groups]
     if len(groups) > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=len(groups)) as pool:
-            paths = [path for group in pool.map(work, groups) for path in group]
+        _fork_workers(cfg, train, out_dir, groups)
     else:
-        paths = work(groups[0])
+        _sample_worker(cfg, train, out_dir, groups[0])
     (out_dir / "experiment.json").write_text(_json_text(cfg.to_dict()))
-    for path in paths:
-        print(path)
+    for index in range(cfg.num_chains):
+        print(_chain_paths(out_dir, index)[0])
     return 0
 
 

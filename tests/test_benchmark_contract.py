@@ -106,3 +106,37 @@ def test_harness_selftest_passes():
     result = subprocess.run([sys.executable, str(selftest)], cwd=selftest.parent,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_forked_workers_flush_their_spans(tmp_path, monkeypatch):
+    """``sample --jobs 2`` under the tracer's wrappers, installed in this
+    process: each forked worker flushes its cli._sample_worker span to a
+    file of its own pid before it exits, parented to the command's
+    cli.main span, and the parent samples no group."""
+    tracer_module = load_tracer()
+    for module_name, functions in tracer_module.TRACED.items():
+        module = importlib.import_module(module_name)
+        for attr in functions:  # so that monkeypatch puts the originals back
+            monkeypatch.setattr(module, attr, getattr(module, attr))
+    trace_dir = tmp_path / "trace"
+    trace_dir.mkdir()
+    tracer_module.Tracer(trace_dir).install()
+    from bayesmlp import cli
+
+    doc = {
+        "dataset": {"name": "noisy-xor", "seed": 0, "train_per_corner": 5, "test_per_corner": 1},
+        "sampler": {"kind": "HMC", "leapfrog_steps": 3, "step_size": 0.05},
+        "num_chains": 2, "iterations": 30, "burnin": 5, "tail": 5, "seed": 1,
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert cli.main(["sample", "--config", str(config), "--out-dir", str(tmp_path / "out"), "--jobs", "2"]) == 0
+    spans = tracer_module.read_spans(trace_dir)
+    [main] = [span for span in spans if span["name"] == "cli.main"]
+    workers = [span for span in spans if span["name"] == "cli._sample_worker"]
+    pids = {span["id"].split("-")[0] for span in workers}
+    assert len(workers) == 2 and len(pids) == 2 and str(os.getpid()) not in pids
+    assert [span["parent"] for span in workers] == [main["id"]] * 2
+    assert {path.name for path in trace_dir.iterdir()} == {f"spans-{pid}.jsonl" for pid in pids | {str(os.getpid())}}
+    leapfrogs = [span for span in spans if span["name"] == "samplers.leapfrog"]
+    assert len(leapfrogs) == 2 * 30 and {span["id"].split("-")[0] for span in leapfrogs} == pids

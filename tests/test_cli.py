@@ -1,7 +1,7 @@
-import concurrent.futures
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 from damaged_chains import DAMAGE, damage_binary
 
-from bayesmlp import chainio, cli
+from bayesmlp import chainio, cli, samplers
 from bayesmlp.chainio import load_chain, save_chain
 from bayesmlp.diagnostics import diagnostics_report
-from bayesmlp.samplers import Chain
+from bayesmlp.samplers import Chain, SamplerStartupError
 
 
 def run(args):
@@ -116,33 +116,34 @@ class TestSample:
         (2, 5, [[0, 1, 2], [3, 4]]),
     ])
     def test_pool_sized_to_chain_groups(self, tmp_path, xor_config, monkeypatch, jobs, chains, groups):
-        """--jobs N starts min(N, num_chains) workers, each given a contiguous
-        group of chain indices. The pool is replaced by one that records
-        what it was asked for and runs the groups in this process."""
-        requested = []
+        """--jobs N forks min(N, num_chains) workers, each given a contiguous
+        group of chain indices. Each worker logs its pid and group from the
+        _sample_worker it calls through the module global; the parent's
+        forks are counted, and it runs no group itself."""
+        forked, log = [], tmp_path / "workers.log"
+        real_fork, real_worker = os.fork, cli._sample_worker
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
+        def counted_fork():
+            pid = real_fork()
+            if pid:
+                forked.append(pid)
+            return pid
 
-            def __enter__(self):
-                return self
+        def logged_worker(cfg, train, out_dir, indices):
+            with log.open("a") as fh:
+                fh.write(json.dumps([os.getpid(), indices]) + "\n")
+            real_worker(cfg, train, out_dir, indices)
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                items = list(items)
-                requested.append(items)
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(cli, "_sample_worker", logged_worker)
         out = tmp_path / "o"
         assert run([
             "sample", "--config", xor_config, "--out-dir", out, "--jobs", jobs,
             "--num-chains", chains, "--iterations", 20, "--burnin", 5, "--tail", 5,
         ]) == 0
-        assert requested == [len(groups), groups]
+        workers = dict(json.loads(line) for line in log.read_text().splitlines())
+        assert len(forked) == len(groups) and os.getpid() not in workers
+        assert [workers[pid] for pid in forked] == groups
         assert sorted(p.name for p in out.glob("chain_*.csv")) == [f"chain_{i:02d}.csv" for i in range(chains)]
 
     def test_hawks_chain_width(self, tmp_path):
@@ -1047,6 +1048,109 @@ class TestErrors:
         assert (env_dir / "noisy_xor_train.csv").exists()
 
 
+class TestForkedWorkers:
+    """A failing or killed --jobs worker: the command fails as --jobs 1
+    would, and each chain's files are complete or absent."""
+
+    @pytest.mark.parametrize("dies", ["writing", "placing"])
+    def test_killed_worker_leaves_no_partial_chain(self, tmp_path, xor_config, monkeypatch, capsys, dies):
+        """Over the chains of an earlier run at another seed, the worker of
+        chain 1 is killed once its first block is in its temporary files,
+        or once its CSV is renamed into place. The parent deletes what is
+        left of chain 1's new files: its earlier files stay whole, or, once
+        the CSV was replaced, none is left. Chain 0's worker still places
+        its chain."""
+        out = tmp_path / "out"
+        assert run(["sample", "--config", xor_config, "--out-dir", out, "--seed", 4]) == 0
+        capsys.readouterr()
+        earlier = {name: (out / name).read_bytes() for name in os.listdir(out) if name.startswith("chain_01")}
+        parent = os.getpid()
+
+        def die_in_worker_of(name):
+            if os.getpid() != parent and name == "chain_01.csv":
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        if dies == "writing":
+            real_call = chainio.ChainWriter.__call__
+
+            def call_then_die(writer, block):
+                real_call(writer, block)
+                die_in_worker_of(writer._paths[0].name)
+
+            monkeypatch.setattr(chainio.ChainWriter, "__call__", call_then_die)
+        else:
+            real_replace = os.replace
+
+            def replace_then_die(source, target):
+                real_replace(source, target)
+                die_in_worker_of(os.path.basename(target))
+
+            monkeypatch.setattr(os, "replace", replace_then_die)
+        assert run(["sample", "--config", xor_config, "--out-dir", out, "--jobs", 2]) == 1
+        err = json.loads(capsys.readouterr().err)
+        message = f"the worker of chains [1] was killed by signal 9 ({signal.strsignal(signal.SIGKILL)})"
+        assert err == {"error": "internal", "message": message}
+        left = {name: (out / name).read_bytes() for name in os.listdir(out) if name.startswith("chain_01")}
+        assert left == (earlier if dies == "writing" else {})
+        assert sorted(name for name in os.listdir(out) if not name.startswith("chain_01")) == [
+            "chain_00.csv", "chain_00.json", "chain_00.npy", "experiment.json"]
+        assert load_chain(out / "chain_00.csv", out / "chain_00.json").seed == samplers.derive_chain_seed(3, 0)
+        if dies == "writing":
+            assert load_chain(out / "chain_01.csv", out / "chain_01.json").seed == samplers.derive_chain_seed(4, 1)
+
+    @pytest.mark.parametrize("error,code,category", [
+        (SamplerStartupError("log-target is nan at an initial state"), 5, "sampler"),
+        (OSError(28, "No space left on device"), 3, "io"),
+    ])
+    def test_worker_error_exits_as_in_one_process(self, tmp_path, xor_config, monkeypatch, capsys,
+                                                  error, code, category):
+        """The group of chain 1 writes a block, then raises: at --jobs 2 the
+        command exits with the code and error line of --jobs 1, and only the
+        other group's chain is left."""
+        real_run, failing_seed = samplers.run_posterior_chains, samplers.derive_chain_seed(3, 1)
+
+        def fail_after_first_block(*args, sink, **kwargs):
+            if failing_seed not in args[5]:
+                return real_run(*args, sink=sink, **kwargs)
+            for write in sink:
+                write(np.zeros((3, 9)))
+            raise error
+
+        monkeypatch.setattr(samplers, "run_posterior_chains", fail_after_first_block)
+        errors = {}
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            assert run(["sample", "--config", xor_config, "--out-dir", out, "--jobs", jobs]) == code
+            errors[jobs] = json.loads(capsys.readouterr().err)
+            assert all(not name.startswith(".") and not name.startswith("chain_01") for name in os.listdir(out))
+        assert errors[1] == errors[2] == {"error": category, "message": str(error)}
+        assert os.listdir(tmp_path / "jobs1") == []
+        assert sorted(os.listdir(tmp_path / "jobs2")) == ["chain_00.csv", "chain_00.json", "chain_00.npy"]
+
+    def test_unpicklable_worker_error_is_reported_by_name(self, tmp_path, xor_config, monkeypatch, capsys):
+        """A worker whose exception cannot be pickled, here one of a local
+        class, reports it as a RuntimeError that names it."""
+        class LocalError(Exception):
+            pass
+
+        def fail(*args, sink, **kwargs):
+            raise LocalError("no state")
+
+        monkeypatch.setattr(samplers, "run_posterior_chains", fail)
+        out = tmp_path / "out"
+        assert run(["sample", "--config", xor_config, "--out-dir", out, "--jobs", 2]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "internal", "message": "LocalError: no state"}
+        assert os.listdir(out) == []
+
+    def test_jobs_need_fork(self, tmp_path, xor_config, monkeypatch, capsys):
+        monkeypatch.delattr(os, "fork")
+        out = tmp_path / "out"
+        assert run(["sample", "--config", xor_config, "--out-dir", out, "--jobs", 2]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+        assert not out.exists()
+        assert run(["sample", "--config", xor_config, "--out-dir", out, "--jobs", 1]) == 0
+
+
 def test_cli_import_leaves_scipy_unloaded():
     """Neither scipy nor OpenSSL's _hashlib (each a few MB of resident
     memory in every command) is loaded by the CLI, nor numpy.fft where
@@ -1119,6 +1223,18 @@ class TestLazyLoading:
         unwanted = ["bayesmlp.mlp", "bayesmlp.samplers", "bayesmlp.predictive", "bayesmlp.data",
                     "concurrent.futures"]
         assert [m for m in unwanted if m in loaded] == []
+
+    def test_sample_jobs_loads_no_pool(self, tmp_path, xor_config):
+        """sample --jobs forks its workers itself: its parent loads no
+        process pool."""
+        result = run_python(
+            "sample", "--config", xor_config, "--out-dir", tmp_path / "chains", "--jobs", 2,
+            code=MODULES_AFTER_COMMAND,
+        )
+        code, loaded = json.loads(result.stdout.splitlines()[-1])
+        assert code == 0
+        assert "bayesmlp.samplers" in loaded
+        assert [m for m in loaded if m.split(".")[0] in ("concurrent", "multiprocessing")] == []
 
     def test_predict_loads_no_diagnostics(self, tmp_path, xor_config, chains):
         result = run_python(
