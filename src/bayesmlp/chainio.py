@@ -1,20 +1,22 @@
-"""Chain persistence: the ``Chain`` container, one headerless CSV per chain
-(17 significant digits, one iteration per row), a JSON metadata sidecar and,
-beside both, an exact binary copy of the draws.
+"""Chain persistence, the one module that reads and writes chain files: the
+``Chain`` container, one headerless CSV per chain (17 significant digits,
+one iteration per row), a JSON metadata sidecar and, beside both, an exact
+binary copy of the draws.
 
-A ChainWriter writes a chain's files while its rows arrive, a block at a
-time, and takes each file's CRC-32 as it writes; ``save_chain`` is one such
-write, with the chain as one block, and ``stream_chains`` gives a sampler
-one writer per chain as its sink. Each file is written to a temporary name
-in its directory, and the files are renamed into place only once all of
-them are written, the sidecar last, so a chain's files are complete or
-absent and a sidecar vouches for files that are all there. The sidecar
-records the chain's shape, a CRC-32 of the CSV bytes (``crc32``) and a
-CRC-32 of the binary copy (``npy_crc32``), a float64 C-order ``.npy`` file
-of shape ``(iterations, dim)``. ChainRows checks a chain's files against its
-sidecar, reading each block by block, before it serves any row; it then
-serves the rows from some start on in blocks read from the binary copy, on
-each pass, or, without the copy, parses those rows of the CSV once.
+A ChainWriter writes the three files of a chain while its rows arrive, a
+block at a time, and takes the CSV's and the copy's CRC-32 as it writes;
+``save_chain`` is one such write, with the chain as one block, and
+``stream_chains`` gives a sampler one writer per chain as its sink. Each
+file is written to a temporary name in its directory, and the files are
+renamed into place only once all of them are written, the sidecar last, so
+a chain's files are complete or absent and a sidecar vouches for files that
+are all there. The sidecar records the chain's shape, a CRC-32 of the CSV
+bytes (``crc32``) and a CRC-32 of the binary copy (``npy_crc32``), a
+float64 C-order ``.npy`` file of shape ``(iterations, dim)``. ChainRows
+checks a chain's files against its sidecar, which ``read_metadata`` reads,
+block by block before it serves any row; it then serves the rows from some
+start on in blocks read from the binary copy, on each pass. Only without a
+sidecar, the copy or its checksum does it parse those rows of the CSV once.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ BINARY_CRC_KEY = "npy_crc32"
 
 class ChainFileError(ValueError):
     """A chain CSV or its binary copy does not match the shape or checksum
-    its metadata sidecar records."""
+    its metadata sidecar records, or the sidecar is not a JSON object."""
 
 
 @dataclass
@@ -168,10 +170,9 @@ class ChainWriter:
 
     Each call appends a (k, dim) block of rows to the temporary CSV, in the
     bytes of ``np.savetxt(fmt="%.17g", delimiter=",")``, formatted a row
-    at a time, and, given a sidecar path, to the temporary binary copy,
-    whose ``np.save`` header it writes before the first row, from
-    ``iterations`` and the block's width. It keeps a running CRC-32 of each
-    file. ``close(chain, config)`` checks that the chain's iterations rows
+    at a time, and to the temporary binary copy, whose ``np.save`` header
+    (version 1.0) it writes before the first row, from ``iterations`` and
+    the block's width. It keeps a running CRC-32 of each file. ``close(chain, config)`` checks that the chain's iterations rows
     of its width were written, writes the sidecar with the chain's fields
     and both checksums, and renames the CSV, the binary copy, then the
     sidecar into place. ``discard()`` deletes what was written and not yet
@@ -180,9 +181,7 @@ class ChainWriter:
     """
 
     def __init__(self, csv_path, metadata_path, iterations: int):
-        self._paths = [Path(csv_path)]
-        if metadata_path is not None:
-            self._paths += [companion_paths(csv_path)[1], Path(metadata_path)]
+        self._paths = [Path(csv_path), companion_paths(csv_path)[1], Path(metadata_path)]
         self._tmps = [_temporary(path, os.getpid()) for path in self._paths]
         self._placed: list[Path] = []
         self.iterations, self.rows, self.dim = iterations, 0, None
@@ -206,18 +205,16 @@ class ChainWriter:
         if self.dim is None:
             self.dim = block.shape[1]
             self._fmt = ",".join(["%.17g"] * self.dim) + "\n"
-            if len(self._files) > 1:
-                header = {"descr": np.lib.format.dtype_to_descr(block.dtype), "fortran_order": False,
-                          "shape": (int(self.iterations), int(self.dim))}
-                np.lib.format.write_array_header_1_0(self._files[1], header)
+            header = {"descr": np.lib.format.dtype_to_descr(block.dtype), "fortran_order": False,
+                      "shape": (int(self.iterations), int(self.dim))}
+            np.lib.format.write_array_header_1_0(self._files[1], header)
         if block.shape[1] != self.dim or self.rows + len(block) > self.iterations:
             raise ValueError(f"a block of {block.shape} does not fit the {self.rows} rows of "
                              f"{self.dim} values written of a chain of {self.iterations}")
-        csv = self._files[0]
+        csv, binary = self._files
         for row in block:
             csv.write((self._fmt % tuple(row.tolist())).encode())
-        if len(self._files) > 1:
-            self._files[1].write(memoryview(block).cast("B"))
+        binary.write(memoryview(block).cast("B"))
         self.rows += len(block)
 
     def close(self, chain: Chain, config: dict | None = None):
@@ -228,9 +225,8 @@ class ChainWriter:
         meta = chain_metadata(chain, config)
         for fh in self._files:
             fh.close()
-        if len(self._files) > 1:
-            meta["crc32"], meta[BINARY_CRC_KEY] = (written.crc for written in self._files)
-            self._tmps[2].write_text(json.dumps(meta, indent=2, allow_nan=False) + "\n")
+        meta["crc32"], meta[BINARY_CRC_KEY] = (written.crc for written in self._files)
+        self._tmps[2].write_text(json.dumps(meta, indent=2, allow_nan=False) + "\n")
         for tmp, path in zip(self._tmps, self._paths):
             os.replace(tmp, path)
             self._placed.append(path)
@@ -278,10 +274,10 @@ def stream_chains(paths, iterations: int, run, config: dict | None = None) -> li
     return chains
 
 
-def save_chain(chain: Chain, csv_path, metadata_path=None, config: dict | None = None):
-    """Write chain draws as CSV and, optionally, metadata as JSON together
-    with the binary copy of the draws beside the CSV: one ChainWriter, given
-    the chain as one block.
+def save_chain(chain: Chain, csv_path, metadata_path, config: dict | None = None):
+    """Write chain draws as CSV, its metadata as JSON and the binary copy
+    of the draws beside the CSV: one ChainWriter, given the chain as one
+    block.
 
     Every file is written under a temporary name first and renamed into
     place after all are written, the sidecar last. Any failure, such as
@@ -296,6 +292,18 @@ def save_chain(chain: Chain, csv_path, metadata_path=None, config: dict | None =
         writer.close(chain, config)
 
 
+def read_metadata(path) -> dict:
+    """The JSON object in the chain metadata sidecar at path; ChainFileError
+    if the file is not valid JSON or its document is not an object."""
+    try:
+        meta = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ChainFileError(f"metadata {path} is not valid JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ChainFileError(f"metadata {path} is not a JSON object")
+    return meta
+
+
 def _check_field(found, meta: dict, key: str, what: str, csv_path, metadata_path):
     if found != meta.get(key):
         raise ChainFileError(
@@ -303,20 +311,14 @@ def _check_field(found, meta: dict, key: str, what: str, csv_path, metadata_path
         )
 
 
-#: Header readers of the .npy format versions that np.save writes.
-_NPY_HEADERS = {
-    (1, 0): np.lib.format.read_array_header_1_0,
-    (2, 0): np.lib.format.read_array_header_2_0,
-}
-
-
 def _npy_header(fh) -> tuple[tuple, bool, np.dtype]:
     """Shape, Fortran-order flag and dtype in the header of the .npy file
-    that fh is at the start of; leaves fh at the first byte of the data."""
+    that fh is at the start of; leaves fh at the first byte of the data.
+    The header must be of version 1.0, the one a ChainWriter writes."""
     version = np.lib.format.read_magic(fh)
-    if version not in _NPY_HEADERS:
+    if version != (1, 0):
         raise ValueError(f"unsupported .npy format version {version}")
-    return _NPY_HEADERS[version](fh)
+    return np.lib.format.read_array_header_1_0(fh)
 
 
 def _binary_offset(path: Path, meta: dict, metadata_path) -> int:
@@ -357,23 +359,21 @@ class ChainRows:
     as they are iterated; a negative start counts from the end, as in a
     slice.
 
-    With a sidecar, raises ChainFileError unless the CSV has the sidecar's
-    ``iterations`` rows of ``dim`` values, e.g. for a truncated CSV, and,
-    when the sidecar records a ``crc32``, unless every byte of the CSV
-    matches it. When the sidecar also records ``npy_crc32`` and the binary
-    copy is beside the CSV, the rows are read from the copy on each pass,
-    a block at a time; the copy must match that checksum and hold float64
-    draws of shape (iterations, dim) in C order, else ChainFileError.
+    With a sidecar, read by read_metadata, raises ChainFileError unless the
+    CSV has the sidecar's ``iterations`` rows of ``dim`` values, e.g. for a
+    truncated CSV, and, when the sidecar records a ``crc32``, unless every
+    byte of the CSV matches it. When the sidecar also records ``npy_crc32``
+    and the binary copy is beside the CSV, the rows are read from the copy
+    on each pass, a block at a time; the copy must match that checksum and
+    hold float64 draws of shape (iterations, dim) in C order, else
+    ChainFileError.
     Otherwise the CSV is parsed here, once, and served as one block: only a
     verified checksum lets the rows before start go unparsed; without one
     the whole CSV is parsed and sliced.
     """
 
     def __init__(self, csv_path, metadata_path=None, start: int = 0):
-        meta = {}
-        if metadata_path is not None:
-            meta = json.loads(Path(metadata_path).read_text())
-        self.meta = meta
+        self.meta = meta = {} if metadata_path is None else read_metadata(metadata_path)
         self._binary = self._parsed = None
         if "crc32" in meta:
             rows, crc = _scan(csv_path)

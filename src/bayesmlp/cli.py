@@ -12,6 +12,10 @@ Every command is deterministic given (config, seed): chain i draws its
 private RNG stream from seed XOR i, so rerunning a config reproduces all
 chain files byte for byte.
 
+Chain files, sidecars included, are read and written through ``chainio``
+alone. A config file or dataset manifest that is not a JSON object is a
+config error.
+
 ``sample --jobs N`` forks one worker per contiguous group of chains
 (POSIX ``fork`` only); the parent samples no chain, waits on the workers
 and fails as ``--jobs 1`` would; a worker that dies leaves no partial chain.
@@ -115,6 +119,15 @@ def _from_section(cls, name: str, doc, keys=None, hint_names=None):
         return cls(**values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: {exc}") from None
+
+
+def _json_file(name: str, path) -> dict:
+    """The JSON object in the file at path, named name in errors."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:  # not JSON, or not text
+        raise ConfigError(f"{name} file {path} is not valid JSON: {exc}") from None
+    return _json_value(name, doc, dict)
 
 
 def _without(doc: dict, key: str) -> dict:
@@ -237,7 +250,7 @@ def resolve_dataset(doc: dict) -> tuple[data.LabeledDataset, data.LabeledDataset
         return data.generate_noisy_xor(source)
     if isinstance(source, str):
         return data.load_vendored(source)
-    manifest = json.loads(Path(source.manifest).read_text()) if source.manifest is not None else {}
+    manifest = {} if source.manifest is None else _json_file("manifest", source.manifest)
     columns = manifest.get("feature_columns", source.feature_columns)
     if columns is None:
         raise ConfigError("a train/test dataset needs feature_columns, in its section or its manifest")
@@ -262,13 +275,7 @@ def _given(args, *names) -> dict:
 
 def _load_config(args) -> ExperimentConfig:
     """The config file's document with the flags merged in, validated once."""
-    doc = {}
-    if args.config:
-        try:
-            doc = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from None
-    doc = _json_value("config", doc, dict)
+    doc = _json_file("config", args.config) if args.config else {}
     doc.update(_given(args, "num_chains", "iterations", "burnin", "tail", "seed", "prior_variance"))
     if args.arch:
         try:
@@ -442,21 +449,14 @@ def _chain_rows(paths, start: int = 0) -> typing.Iterator[chainio.ChainRows]:
         yield chainio.ChainRows(path, meta if meta.exists() else None, start=start)
 
 
-def _load_chains(paths, start: int = 0) -> typing.Iterator[chainio.Chain]:
-    """The Chain of each chain's rows draws[start:], loaded one chain at a
-    time as the caller asks."""
-    for rows in _chain_rows(paths, start):
-        yield rows.load()
-
-
 def _recorded_burnin(path):
     """The burn-in the sidecar beside a chain records: 0 without one, and
     for one that cannot be read, which the chain's load then rejects."""
     from . import chainio
 
     try:
-        return json.loads(chainio.companion_paths(path)[0].read_text()).get("burnin", 0)
-    except (OSError, ValueError, AttributeError):
+        return chainio.read_metadata(chainio.companion_paths(path)[0]).get("burnin", 0)
+    except (OSError, chainio.ChainFileError):
         return 0
 
 
@@ -505,9 +505,9 @@ def _tail_reports(paths, tail: int, arch, test) -> list[predictive.PredictionRep
     from . import predictive
 
     reports = []
-    for chain in _load_chains(paths, start=-tail):
-        reports.append(predictive.accuracy(arch, chain.draws, test)[1])
-        del chain  # so it is freed before the next chain loads
+    for rows in _chain_rows(paths, start=-tail):
+        reports.append(predictive.accuracy(arch, rows.load().draws, test)[1])
+        del rows  # a parsed CSV is freed before the next chain opens
     return reports
 
 
@@ -550,7 +550,7 @@ def cmd_grid(args) -> int:
 
     cfg, arch, _ = _predictive_setup(args)
     out_dir = _out_dir(args)
-    chain = next(_load_chains([args.chain], start=-cfg.tail))
+    chain = next(_chain_rows([args.chain], start=-cfg.tail)).load()
     bounds = predictive.DEFAULT_GRID_BOUNDS if args.bounds is None else tuple(args.bounds)
     resolution = predictive.DEFAULT_GRID_RESOLUTION if args.resolution is None else args.resolution
     grid = predictive.grid_predictive(arch, chain.draws, bounds, resolution)

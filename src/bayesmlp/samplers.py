@@ -470,27 +470,23 @@ def run_posterior_chains(
     iterations: int,
     seeds: Sequence[int],
     burnin: int = 0,
-    init: np.ndarray | None = None,
     sink=None,
 ) -> list[Chain]:
     """Sample the MLP parameter posterior with MH, HMC or PP, one chain per
     seed, all in lockstep through one batched ``mlp.Posterior``.
 
-    Chain i is the chain its seed gives alone. Its initial state defaults
-    to a draw from the prior N(0, sigma2 I) on an RNG of its own seed; for
-    PP every chain of its population gets its own prior draw. The burn-in
-    count is recorded on the returned chains. Given a sink, one callable
-    per seed, chain i's rows go block by block to sink[i] and the returned
-    chains hold none of them.
+    Chain i is the chain its seed gives alone. Its initial state is a draw
+    from the prior N(0, sigma2 I) on an RNG of its own seed; for PP every
+    chain of its population gets its own prior draw. The burn-in count is
+    recorded on the returned chains. Given a sink, one callable per seed,
+    chain i's rows go block by block to sink[i] and the returned chains
+    hold none of them.
     """
     post = mlp.Posterior(arch, data, sigma2)
     pp = isinstance(sampler_config, PpConfig)
     per_chain = len(sampler_config.temperatures) if pp else 1
-    if init is None:
-        rngs = [np.random.default_rng(s) for s in seeds]
-        inits = np.array([[prior_draw(rng, post.dim, sigma2) for _ in range(per_chain)] for rng in rngs])
-    else:
-        inits = np.broadcast_to(np.asarray(init, dtype=float), (len(seeds), per_chain, post.dim))
+    rngs = [np.random.default_rng(s) for s in seeds]
+    inits = np.array([[prior_draw(rng, post.dim, sigma2) for _ in range(per_chain)] for rng in rngs])
     if pp:
         chains = pp_chain(post, inits, sampler_config, iterations, seeds, sink)
     elif isinstance(sampler_config, MhConfig):
@@ -512,12 +508,9 @@ def run_posterior_chain(
     iterations: int,
     seed: int,
     burnin: int = 0,
-    init: np.ndarray | None = None,
 ) -> Chain:
     """The one chain of run_posterior_chains on seed."""
-    return run_posterior_chains(
-        arch, data, sigma2, sampler_config, iterations, [seed], burnin=burnin, init=init
-    )[0]
+    return run_posterior_chains(arch, data, sigma2, sampler_config, iterations, [seed], burnin=burnin)[0]
 
 
 # ---------------------------------------------------------------------------

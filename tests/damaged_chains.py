@@ -19,6 +19,7 @@ DAMAGE = (
     "other shape",
     "other dtype",
     "Fortran order",
+    "version 2.0",
 )
 
 
@@ -41,6 +42,9 @@ def damage_binary(csv_path, how: str) -> None:
         binary.write_bytes(data[:-8])
     elif how == "not npy":
         binary.write_bytes(b"not an npy file\n")
+    elif how == "version 2.0":
+        with open(binary, "wb") as fh:
+            np.lib.format.write_array(fh, draws, version=(2, 0))
     else:
         with open(binary, "wb") as fh:
             np.save(fh, stand_ins[how])

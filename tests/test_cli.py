@@ -715,7 +715,7 @@ class TestTracesAndBoxplot:
         out = tmp_path / "chains"
         run(["sample", "--config", xor_config, "--out-dir", out])
         narrow = tmp_path / "narrow.csv"
-        save_chain(Chain(np.zeros((400, 2)), burnin=100, seed=0, accepted=0, sampler_tag="MH"), narrow)
+        np.savetxt(narrow, np.zeros((400, 2)), fmt="%.17g", delimiter=",")
         trace_dir = tmp_path / "traces"
         assert run([
             "traces", "--chains", out / "chain_00.csv", narrow, "--coords", coord,
@@ -1046,6 +1046,54 @@ class TestErrors:
         monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(env_dir))
         assert run(["generate-data", "--train-per-corner", 2, "--test-per-corner", 1]) == 0
         assert (env_dir / "noisy_xor_train.csv").exists()
+
+
+#: Files that do not hold a JSON object.
+NOT_AN_OBJECT = {"array": b"[1, 2]", "string": b'"x"', "null": b"null", "not JSON": b"{bad",
+                 "not UTF-8": b"\xff{}"}
+
+
+class TestMalformedJson:
+    """A chain sidecar or a dataset manifest that is not a JSON object exits
+    with its documented code, prints no table and writes no output."""
+
+    @pytest.mark.parametrize("text", NOT_AN_OBJECT.values(), ids=NOT_AN_OBJECT.keys())
+    @pytest.mark.parametrize("command", ["diagnose", "predict", "traces"])
+    def test_malformed_sidecar_is_io_error(self, tmp_path, xor_config, capsys, command, text):
+        chains = tmp_path / "chains"
+        assert run(["sample", "--config", xor_config, "--out-dir", chains]) == 0
+        paths = [chains / "chain_00.csv", chains / "chain_01.csv"]
+        paths[1].with_suffix(".json").write_bytes(text)
+        out = tmp_path / "out"
+        argv = {
+            "diagnose": ["diagnose", "--chains", *paths, "--out", out / "report.json"],
+            "predict": ["predict", "--config", xor_config, "--chains", *paths, "--out-dir", out],
+            "traces": ["traces", "--chains", *paths, "--coords", 0, "--out-dir", out],
+        }[command]
+        capsys.readouterr()
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"] == "io" and "chain_01.json" in err["message"]
+        assert captured.out == ""
+        assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("text", NOT_AN_OBJECT.values(), ids=NOT_AN_OBJECT.keys())
+    def test_malformed_manifest_is_config_error(self, tmp_path, capsys, text):
+        data_dir = tmp_path / "data"
+        assert run(["generate-data", "--out-dir", data_dir, "--train-per-corner", 2, "--test-per-corner", 1]) == 0
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(text)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run([
+            "sample", "--train", data_dir / "noisy_xor_train.csv", "--test", data_dir / "noisy_xor_test.csv",
+            "--manifest", manifest, "--num-chains", 1, "--iterations", 10, "--burnin", 0, "--tail", 5,
+            "--out-dir", out,
+        ]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "manifest" in err["message"]
+        assert not out.exists()
 
 
 class TestForkedWorkers:

@@ -440,9 +440,7 @@ class TestPosteriorRunner:
     def test_explicit_init_used(self, xor_arch):
         train, _ = generate_noisy_xor(NoisyXorConfig(train_per_corner=5, test_per_corner=1, seed=0))
         init = np.full(9, 0.25)
-        chain = run_posterior_chain(
-            xor_arch, train, 10.0, MhConfig(1e-20), 5, seed=3, init=init
-        )
+        (chain,) = mh_chain(Posterior(xor_arch, train, 10.0), init[None], MhConfig(1e-20), 5, [3])
         np.testing.assert_allclose(chain.draws[0], init, atol=1e-8)
 
     def test_only_populations_record_swaps(self, tmp_path, xor_arch):
