@@ -12,11 +12,13 @@ renamed into place only once all of them are written, the sidecar last, so
 a chain's files are complete or absent and a sidecar vouches for files that
 are all there. The sidecar records the chain's shape, a CRC-32 of the CSV
 bytes (``crc32``) and a CRC-32 of the binary copy (``npy_crc32``), a
-float64 C-order ``.npy`` file of shape ``(iterations, dim)``. ChainRows
-checks a chain's files against its sidecar, which ``read_metadata`` reads,
-block by block before it serves any row; it then serves the rows from some
-start on in blocks read from the binary copy, on each pass. Only without a
-sidecar, the copy or its checksum does it parse those rows of the CSV once.
+float64 C-order ``.npy`` file of shape ``(iterations, dim)``.
+``read_metadata`` is the one reader of a sidecar. ChainRows checks a
+chain's files against its sidecar, block by block, before it serves any
+row; it then serves the rows from some start on in blocks read from the
+binary copy, on each pass. A chain whose files an earlier version wrote,
+without a sidecar, a copy or the copy's checksum, has its CSV parsed
+instead, once.
 """
 
 from __future__ import annotations
@@ -172,8 +174,9 @@ class ChainWriter:
     bytes of ``np.savetxt(fmt="%.17g", delimiter=",")``, formatted a row
     at a time, and to the temporary binary copy, whose ``np.save`` header
     (version 1.0) it writes before the first row, from ``iterations`` and
-    the block's width. It keeps a running CRC-32 of each file. ``close(chain, config)`` checks that the chain's iterations rows
-    of its width were written, writes the sidecar with the chain's fields
+    the block's width. It keeps a running CRC-32 of each file.
+    ``close(chain, config)`` checks that the chain's iterations rows of its
+    width were written, writes the sidecar with the chain's fields
     and both checksums, and renames the CSV, the binary copy, then the
     sidecar into place. ``discard()`` deletes what was written and not yet
     closed; used in a ``with`` statement, the writer discards on any
