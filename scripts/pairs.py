@@ -1,23 +1,24 @@
 #!/usr/bin/env python3
 """Alternating pairs of benchmark runs from two source trees, and their verdicts.
 
-    python3 scripts/pairs.py --parent ../parent --change . --pairs 10 --seconds 40 --seed 1
-    python3 scripts/pairs.py --parent ../parent --change . --workload ar1-post --pairs 4
+    python3 scripts/pairs.py --parent ../parent --change . --seed 1
+    python3 scripts/pairs.py --parent ../parent --change . --workload ar1-post --pairs 10
 
 Runs ``perfbench/run.py --trace 0`` of the parent tree and of the change
-tree, each from its own directory, in pairs. Which side runs first
-alternates from pair to pair, so a drift of the host weighs on both sides
-alike. The benchmark runs under ``python3 -B``, so nothing is written under
-``perfbench/``; the script itself writes nothing but its report.
+tree, each from its own directory, in pairs, for the run length that
+``BENCHMARK.json`` declares. Which side runs first alternates from pair to
+pair, so a drift of the host weighs on both sides alike. The benchmark runs
+under ``python3 -B``, so nothing is written under ``perfbench/``; the script
+itself writes nothing but its report.
 
 For each workload and each end-to-end metric of ``BENCHMARK.json`` (read
 from the tree this script is in) it prints each side's median and
 quartiles, the pairs the change won (ties count for neither side), and two
 verdicts:
 
-- claim: ``met`` when the change won at least 9 pairs in 10 and its median
-  is better than the parent's by more than the distance between the
-  parent's quartiles; else ``not-met``;
+- claim: ``met`` when at least 10 pairs ran, the change won at least 9
+  pairs in 10 and its median is better than the parent's by more than the
+  distance between the parent's quartiles; else ``not-met``;
 - bound: ``regressed`` when the change's median is worse than the parent's
   by more than the metric's bound, a fraction of the parent's median;
   ``unresolved`` when it is not, but either side's spread (quartile
@@ -26,13 +27,15 @@ verdicts:
 
 Each side's failed and attempted operations are printed too. A run that
 exits non-zero, or runs no clean pipeline, stops the script with exit
-status 1.
+status 1. SIGTERM ends the script with status 143 after ending the
+benchmark run in flight, which then takes down its own commands.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import signal
 import statistics
 import subprocess
 import sys
@@ -40,7 +43,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: The share of pairs the change must win for a claimed gain.
+#: The fewest pairs on which a gain can be claimed, and the share of
+#: pairs the change must win for it.
+CLAIM_PAIRS = 10
 CLAIM_WINS = 0.9
 
 
@@ -69,8 +74,10 @@ def wins(parent: list[float], change: list[float], better: str) -> int:
 
 
 def claim_met(parent: list[float], change: list[float], better: str) -> bool:
-    """At least 9 wins in 10, and a median gain wider than the parent's
-    quartile distance."""
+    """At least 10 pairs, at least 9 wins in 10, and a median gain wider
+    than the parent's quartile distance."""
+    if len(parent) < CLAIM_PAIRS:
+        return False
     p1, p_median, p3 = quartiles(parent)
     gain = _gain(p_median, quartiles(change)[1], better)
     return wins(parent, change, better) >= CLAIM_WINS * len(parent) and gain > p3 - p1
@@ -112,16 +119,27 @@ def run_benchmark(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """The JSON result of one untraced benchmark run of tree."""
     argv = [sys.executable, "-B", str(tree / "perfbench" / "run.py"), "--workload", workload,
             "--seconds", str(seconds), "--trace", "0", "--seed", str(seed)]
-    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=False)
+    with subprocess.Popen(argv, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        try:
+            stdout, stderr = proc.communicate()
+        except BaseException:  # interrupted: run.py's own SIGTERM handler ends its commands
+            proc.terminate()
+            proc.wait()
+            raise
     if proc.returncode != 0:
-        raise SystemExit(f"pairs: {' '.join(argv)} exited with {proc.returncode}:\n{proc.stderr}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+        raise SystemExit(f"pairs: {' '.join(argv)} exited with {proc.returncode}:\n{stderr}")
+    result = json.loads(stdout.strip().splitlines()[-1])
     if not result["metrics"]:
-        raise SystemExit(f"pairs: {' '.join(argv)} ran no clean pipeline:\n{proc.stdout}")
+        raise SystemExit(f"pairs: {' '.join(argv)} ran no clean pipeline:\n{stdout}")
     return result
 
 
+def _terminate(signum, frame):
+    raise SystemExit(128 + signum)  # unwinds through run_benchmark, which ends the run in flight
+
+
 def main(argv=None) -> int:
+    signal.signal(signal.SIGTERM, _terminate)
     benchmark = read_benchmark()
     metrics, names = benchmark["end_to_end"], [w["name"] for w in benchmark["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -129,7 +147,6 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="source tree of the change")
     parser.add_argument("--workload", nargs="+", choices=names, default=names)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -141,11 +158,11 @@ def main(argv=None) -> int:
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
-                result = run_benchmark(trees[side], workload, args.seed, args.seconds)
+                result = run_benchmark(trees[side], workload, args.seed, benchmark["run_seconds"])
                 sides[side].append(result)
                 values = " ".join(f"{m['name']} {result['metrics'][m['name']]['value']:.4f}" for m in metrics)
                 print(f"pair {pair} {side:<6} {workload} {values} failed {result['failed']}", flush=True)
-    print(f"seed {args.seed}  pairs {args.pairs}  seconds {args.seconds}")
+    print(f"seed {args.seed}  pairs {args.pairs}  seconds {benchmark['run_seconds']}")
     print("\n".join(report(runs, metrics)))
     return 0
 

@@ -2,6 +2,12 @@
 source trees, on fixed numbers; no benchmark runs."""
 
 import importlib.util
+import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -37,6 +43,13 @@ def test_claim_needs_nine_wins_in_ten_and_a_gap_past_the_parents_quartiles(pairs
     assert pairs.wins(PARENT, narrow, "lower") == 10 and not pairs.claim_met(PARENT, narrow, "lower")
 
 
+def test_claim_needs_ten_pairs(pairs):
+    faster = [p - 0.10 for p in PARENT]
+    for n in (1, 4, 9):  # every pair won, by far, but too few pairs ran
+        assert pairs.wins(PARENT[:n], faster[:n], "lower") == n
+        assert not pairs.claim_met(PARENT[:n], faster[:n], "lower")
+
+
 def test_bound_verdicts(pairs):
     bound = 0.25
     assert pairs.bound_verdict(PARENT, [1.3 * p for p in PARENT], "lower", bound) == "regressed"
@@ -66,3 +79,40 @@ def test_report_rows_read_the_declared_metrics(pairs):
     assert rows[0].split()[:7] == ["ar1-post", "pipeline_s", "1.000", "[0.980,", "1.020]", "s", "1.300"]
     assert rows[0].split()[-4:] == ["0/10", "not-met", "regressed", "(0.25)"]
     assert rows[3:] == ["ar1-post   parent failed 0 of 120 operations", "ar1-post   change failed 0 of 120 operations"]
+
+
+# Stands in for perfbench/run.py: records its argv and pid, then waits to be ended.
+STAND_IN = """
+import json, os, signal, sys, time
+def _terminate(signum, frame):
+    open("terminated", "w").close()
+    raise SystemExit(128 + signum)
+signal.signal(signal.SIGTERM, _terminate)
+open("started.tmp", "w").write(json.dumps({"pid": os.getpid(), "argv": sys.argv[1:]}))
+os.replace("started.tmp", "started")
+time.sleep(30)
+"""
+
+
+def test_sigterm_ends_the_run_in_flight(pairs, tmp_path):
+    tree = tmp_path / "tree"
+    (tree / "perfbench").mkdir(parents=True)
+    (tree / "perfbench" / "run.py").write_text(STAND_IN)
+    argv = [sys.executable, str(SCRIPT), "--parent", str(tree), "--change", str(tree),
+            "--workload", "ar1-post", "--pairs", "1"]
+    with subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL) as proc:
+        try:
+            deadline = time.monotonic() + 30
+            while not (tree / "started").exists():
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            started = json.loads((tree / "started").read_text())
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 128 + signal.SIGTERM
+        finally:
+            proc.kill()
+    assert (tree / "terminated").exists()  # ended through its own SIGTERM handler
+    with pytest.raises(ProcessLookupError):
+        os.kill(started["pid"], 0)
+    seconds = started["argv"][started["argv"].index("--seconds") + 1]
+    assert float(seconds) == pairs.read_benchmark()["run_seconds"]
