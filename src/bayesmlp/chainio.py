@@ -1,24 +1,18 @@
 """Chain persistence, the one module that reads and writes chain files: the
-``Chain`` container, one headerless CSV per chain (17 significant digits,
-one iteration per row), a JSON metadata sidecar and, beside both, an exact
-binary copy of the draws.
+``Chain`` container and, per chain, a headerless CSV (17 significant
+digits, one iteration per row), an exact float64 C-order ``.npy`` copy of
+the draws and a JSON metadata sidecar, which ``Sidecar`` describes and
+``read_metadata`` reads under ``schema``'s JSON type rule.
 
-A ChainWriter writes the three files of a chain while its rows arrive, a
-block at a time, and takes the CSV's and the copy's CRC-32 as it writes;
-``save_chain`` is one such write, with the chain as one block, and
-``stream_chains`` gives a sampler one writer per chain as its sink. Each
-file is written to a temporary name in its directory, and the files are
-renamed into place only once all of them are written, the sidecar last, so
-a chain's files are complete or absent and a sidecar vouches for files that
-are all there. The sidecar records the chain's shape, a CRC-32 of the CSV
-bytes (``crc32``) and a CRC-32 of the binary copy (``npy_crc32``), a
-float64 C-order ``.npy`` file of shape ``(iterations, dim)``.
-``read_metadata`` is the one reader of a sidecar. ChainRows checks a
-chain's files against its sidecar, block by block, before it serves any
-row; it then serves the rows from some start on in blocks read from the
-binary copy, on each pass. A chain whose files an earlier version wrote,
-without a sidecar, a copy or the copy's checksum, has its CSV parsed
-instead, once.
+A ChainWriter writes a chain's three files while its rows arrive, a block
+at a time, taking the CSV's and the copy's CRC-32 as it writes
+(``save_chain`` is one such write; ``stream_chains`` gives a sampler one
+writer per chain as its sink), and renames them into place once all are
+written, the sidecar last, so they are complete or absent. ChainRows reads
+a chain in one of two ways: with a sidecar, which must be current, it
+checks the CSV and the copy against it before it serves rows from the
+copy, block by block; without one, as for a chain another tool wrote, it
+parses the whole CSV.
 """
 
 from __future__ import annotations
@@ -27,24 +21,22 @@ import json
 import os
 import typing
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .schema import ConfigError, from_section, json_file
 
 #: Bytes read at a time while checksumming a chain file, so a file is never
 #: held in memory whole. Blocks of 1 MiB, which hold a whole 350 kB hawks
 #: chain, raised the peak RSS of `sample` by 0.2 MB and scanned no faster.
 _SCAN_BLOCK = 1 << 16
 
-#: Sidecar key of the binary copy's CRC-32; sidecars written before the
-#: binary copy existed lack it, and their chains load from the CSV.
-BINARY_CRC_KEY = "npy_crc32"
-
 
 class ChainFileError(ValueError):
     """A chain CSV or its binary copy does not match the shape or checksum
-    its metadata sidecar records, or the sidecar is not a JSON object."""
+    its metadata sidecar records, or the sidecar is not a current one."""
 
 
 @dataclass
@@ -113,27 +105,55 @@ def companion_paths(csv_path) -> tuple[Path, Path]:
     return csv_path.with_suffix(".json"), csv_path.with_suffix(".npy")
 
 
-def chain_metadata(chain: Chain, config: dict | None = None) -> dict:
-    """The sidecar fields of a chain, apart from its files' checksums. An
-    HMC chain records its divergences, 0 included; another chain records
-    them only when it has some."""
-    meta = {
-        "sampler": chain.sampler_tag,
-        "seed": chain.seed,
-        "burnin": chain.burnin,
-        "accepted": chain.accepted,
-        "runtime_seconds": chain.runtime_seconds,
-        "runtime_hms": format_hms(chain.runtime_seconds),
-        "iterations": chain.iterations,
-        "dim": chain.dim,
-        "config": config or {},
-    }
-    if chain.swap_attempts is not None:
-        meta["swap_accepted"] = chain.swap_accepted
-        meta["swap_attempts"] = chain.swap_attempts
-    if chain.divergences or chain.sampler_tag == "HMC":
-        meta["divergences"] = chain.divergences
-    return meta
+@dataclass(frozen=True, kw_only=True)
+class Sidecar:
+    """The metadata sidecar of a chain, its fields in the order of the
+    file's keys. ``text()`` writes ``swap_accepted`` and ``swap_attempts``
+    only when the chain has them (PP), and ``divergences`` for an HMC
+    chain, 0 included, and for another chain only when it has some."""
+
+    sampler: str
+    seed: int
+    burnin: int
+    accepted: int
+    runtime_seconds: float
+    runtime_hms: str
+    iterations: int
+    dim: int
+    config: dict
+    swap_accepted: int | None = None
+    swap_attempts: int | None = None
+    divergences: int = 0
+    crc32: int
+    npy_crc32: int
+
+    def __post_init__(self):
+        if self.iterations < 1 or self.dim < 1:
+            raise ValueError(f"iterations ({self.iterations}) and dim ({self.dim}) must be >= 1")
+        if not 0 <= self.burnin < self.iterations:
+            raise ValueError(f"burnin ({self.burnin}) must satisfy 0 <= burnin < iterations")
+        if not 0 <= self.accepted <= self.iterations:
+            raise ValueError(f"accepted ({self.accepted}) must satisfy 0 <= accepted <= iterations")
+
+    @classmethod
+    def of(cls, chain: Chain, config: dict | None, crc32: int, npy_crc32: int) -> Sidecar:
+        """The sidecar of chain, sampled under config, with its files' CRC-32s."""
+        return cls(
+            sampler=chain.sampler_tag, seed=chain.seed, burnin=chain.burnin, accepted=chain.accepted,
+            runtime_seconds=chain.runtime_seconds, runtime_hms=format_hms(chain.runtime_seconds),
+            iterations=chain.iterations, dim=chain.dim, config=config or {},
+            swap_accepted=chain.swap_accepted, swap_attempts=chain.swap_attempts,
+            divergences=chain.divergences, crc32=crc32, npy_crc32=npy_crc32,
+        )
+
+    def text(self) -> str:
+        """The sidecar file's text."""
+        doc = asdict(self)
+        if self.swap_attempts is None:
+            del doc["swap_accepted"], doc["swap_attempts"]
+        if not self.divergences and self.sampler != "HMC":
+            del doc["divergences"]
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _scan(path) -> tuple[int, int]:
@@ -171,16 +191,12 @@ class ChainWriter:
     """One chain's files, written while its rows arrive, a block at a time.
 
     Each call appends a (k, dim) block of rows to the temporary CSV, in the
-    bytes of ``np.savetxt(fmt="%.17g", delimiter=",")``, formatted a row
-    at a time, and to the temporary binary copy, whose ``np.save`` header
-    (version 1.0) it writes before the first row, from ``iterations`` and
-    the block's width. It keeps a running CRC-32 of each file.
-    ``close(chain, config)`` checks that the chain's iterations rows of its
-    width were written, writes the sidecar with the chain's fields
-    and both checksums, and renames the CSV, the binary copy, then the
-    sidecar into place. ``discard()`` deletes what was written and not yet
-    closed; used in a ``with`` statement, the writer discards on any
-    exception. So the files are complete or absent.
+    bytes of ``np.savetxt(fmt="%.17g", delimiter=",")``, and to the
+    temporary binary copy, after its ``np.save`` header of version 1.0,
+    keeping a running CRC-32 of each. ``close(chain, config)`` checks that
+    all of the chain's rows were written, writes its Sidecar and renames the
+    CSV, the copy, then the sidecar into place. ``discard()`` deletes what
+    was not yet placed, as a ``with`` block does on any exception.
     """
 
     def __init__(self, csv_path, metadata_path, iterations: int):
@@ -225,11 +241,9 @@ class ChainWriter:
         if self.rows != self.iterations or (chain.iterations, chain.dim) != (self.iterations, self.dim):
             raise ValueError(f"{self.rows} rows of {self.dim} values were written of a chain of "
                              f"{self.iterations}, for a chain of {chain.iterations} x {chain.dim}")
-        meta = chain_metadata(chain, config)
         for fh in self._files:
             fh.close()
-        meta["crc32"], meta[BINARY_CRC_KEY] = (written.crc for written in self._files)
-        self._tmps[2].write_text(json.dumps(meta, indent=2, allow_nan=False) + "\n")
+        self._tmps[2].write_text(Sidecar.of(chain, config, *(written.crc for written in self._files)).text())
         for tmp, path in zip(self._tmps, self._paths):
             os.replace(tmp, path)
             self._placed.append(path)
@@ -278,16 +292,9 @@ def stream_chains(paths, iterations: int, run, config: dict | None = None) -> li
 
 
 def save_chain(chain: Chain, csv_path, metadata_path, config: dict | None = None):
-    """Write chain draws as CSV, its metadata as JSON and the binary copy
-    of the draws beside the CSV: one ChainWriter, given the chain as one
-    block.
-
-    Every file is written under a temporary name first and renamed into
-    place after all are written, the sidecar last. Any failure, such as
-    metadata that cannot be written as JSON, leaves none of them behind.
-    The sidecar's ``crc32`` and ``npy_crc32`` are the checksums of the CSV
-    and of the binary copy as written.
-    """
+    """Write chain's CSV, binary copy and sidecar through one ChainWriter,
+    given the chain as one block; any failure, such as metadata that cannot
+    be written as JSON, leaves none of them behind."""
     if chain.first_row:
         raise ValueError("a partially loaded chain cannot be saved")
     with ChainWriter(csv_path, metadata_path, len(chain)) as writer:
@@ -295,43 +302,33 @@ def save_chain(chain: Chain, csv_path, metadata_path, config: dict | None = None
         writer.close(chain, config)
 
 
-def read_metadata(path) -> dict:
-    """The JSON object in the chain metadata sidecar at path; ChainFileError
-    if the file is not valid JSON or its document is not an object."""
+def read_metadata(path) -> Sidecar:
+    """The chain metadata sidecar at path, built under the JSON type rule;
+    ChainFileError if the file is not valid JSON or not an object, lacks a
+    key or has an unknown one, or holds a value of the wrong type or out of
+    range."""
     try:
-        meta = json.loads(Path(path).read_text())
-    except ValueError as exc:
-        raise ChainFileError(f"metadata {path} is not valid JSON: {exc}") from None
-    if not isinstance(meta, dict):
-        raise ChainFileError(f"metadata {path} is not a JSON object")
-    return meta
+        doc = json_file("metadata", path)
+    except ConfigError as exc:
+        raise ChainFileError(str(exc)) from None
+    try:
+        return from_section(Sidecar, "metadata", doc)
+    except ConfigError as exc:
+        raise ChainFileError(f"{path}: {exc}") from None
 
 
-def _check_field(found, meta: dict, key: str, what: str, csv_path, metadata_path):
-    if found != meta.get(key):
-        raise ChainFileError(
-            f"{csv_path} holds {found} {what}; its metadata {metadata_path} records {meta.get(key)}"
-        )
-
-
-def _npy_header(fh) -> tuple[tuple, bool, np.dtype]:
-    """Shape, Fortran-order flag and dtype in the header of the .npy file
-    that fh is at the start of; leaves fh at the first byte of the data.
-    The header must be of version 1.0, the one a ChainWriter writes."""
-    version = np.lib.format.read_magic(fh)
-    if version != (1, 0):
-        raise ValueError(f"unsupported .npy format version {version}")
-    return np.lib.format.read_array_header_1_0(fh)
-
-
-def _binary_offset(path: Path, meta: dict, metadata_path) -> int:
-    """Where the draws start in a chain's binary copy, after checking its
-    CRC-32, then its dtype, order and shape, then its length, against the
-    sidecar; the file is read block by block."""
-    shape = (meta.get("iterations"), meta.get("dim"))
+def _binary_offset(path: Path, meta: Sidecar, metadata_path) -> int:
+    """Where the draws start in a chain's binary copy, after checking that
+    it is there, then its CRC-32, then its dtype, order and shape, then its
+    length, against the sidecar; the file is read block by block."""
+    if not path.is_file():
+        raise ChainFileError(f"{path}, the binary copy its metadata {metadata_path} records, is missing")
+    shape = (meta.iterations, meta.dim)
     with open(path, "rb") as fh:
-        try:
-            found, fortran, dtype = _npy_header(fh)
+        try:  # a ChainWriter writes header version 1.0 alone
+            if (version := np.lib.format.read_magic(fh)) != (1, 0):
+                raise ValueError(f"unsupported .npy format version {version}")
+            found, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
         except ValueError as exc:
             problem, found = exc, None
         offset = fh.tell()
@@ -340,10 +337,8 @@ def _binary_offset(path: Path, meta: dict, metadata_path) -> int:
         while block := fh.read(_SCAN_BLOCK):
             crc = zlib.crc32(block, crc)
             size += len(block)
-    if crc != meta[BINARY_CRC_KEY]:
-        raise ChainFileError(
-            f"{path} does not match the CRC-32 its metadata {metadata_path} records"
-        )
+    if crc != meta.npy_crc32:
+        raise ChainFileError(f"{path} does not match the CRC-32 its metadata {metadata_path} records")
     if found is None:
         raise ChainFileError(f"{path} is not a readable .npy file: {problem}")
     if found != shape or fortran or dtype != np.float64:
@@ -357,55 +352,41 @@ def _binary_offset(path: Path, meta: dict, metadata_path) -> int:
 
 
 class ChainRows:
-    """Rows draws[start:] of a saved chain (and its metadata sidecar, if
-    given), checked when opened and then served in blocks of rows, as often
-    as they are iterated; a negative start counts from the end, as in a
-    slice.
+    """Rows draws[start:] of a saved chain, checked when opened and then
+    served in blocks of rows, as often as they are iterated; a negative
+    start counts from the end, as in a slice.
 
-    With a sidecar, read by read_metadata, raises ChainFileError unless the
-    CSV has the sidecar's ``iterations`` rows of ``dim`` values, e.g. for a
-    truncated CSV, and, when the sidecar records a ``crc32``, unless every
-    byte of the CSV matches it. When the sidecar also records ``npy_crc32``
-    and the binary copy is beside the CSV, the rows are read from the copy
-    on each pass, a block at a time; the copy must match that checksum and
-    hold float64 draws of shape (iterations, dim) in C order, else
-    ChainFileError.
-    Otherwise the CSV is parsed here, once, and served as one block: only a
-    verified checksum lets the rows before start go unparsed; without one
-    the whole CSV is parsed and sliced.
+    With a metadata sidecar, read by read_metadata, raises ChainFileError
+    unless the CSV has the sidecar's ``iterations`` rows and every byte of
+    it matches ``crc32``, and unless the binary copy beside it matches
+    ``npy_crc32`` and holds float64 draws of shape (iterations, dim) in C
+    order; the rows are then read from the copy on each pass, a block at a
+    time. Without a sidecar, as for a chain another tool wrote, the whole
+    CSV is parsed here, once, sliced and served as one block.
     """
 
     def __init__(self, csv_path, metadata_path=None, start: int = 0):
-        self.meta = meta = {} if metadata_path is None else read_metadata(metadata_path)
+        self.meta = meta = None if metadata_path is None else read_metadata(metadata_path)
         self._binary = self._parsed = None
-        if "crc32" in meta:
-            rows, crc = _scan(csv_path)
-            _check_field(rows, meta, "iterations", "rows", csv_path, metadata_path)
-            if crc != meta["crc32"]:
-                raise ChainFileError(
-                    f"{csv_path} does not match the CRC-32 its metadata {metadata_path} records"
-                )
-            first = slice(start, None).indices(rows)[0]
-            binary = companion_paths(csv_path)[1]
-            if BINARY_CRC_KEY in meta and binary.is_file():
-                self._binary = (binary, _binary_offset(binary, meta, metadata_path))
-                self.iterations, self.dim = rows, meta["dim"]
-            elif first < rows:
-                self._parsed = np.loadtxt(csv_path, delimiter=",", ndmin=2, skiprows=first)
-            else:
-                self._parsed = np.empty((0, meta["dim"]))
-        else:
+        if meta is None:
             draws = np.loadtxt(csv_path, delimiter=",", ndmin=2)
-            if metadata_path is not None:
-                _check_field(len(draws), meta, "iterations", "rows", csv_path, metadata_path)
-            first = slice(start, None).indices(len(draws))[0]
-            self._parsed = draws[first:]
-        if self._parsed is not None:
-            self.iterations, self.dim = first + len(self._parsed), self._parsed.shape[1]
-        if metadata_path is not None:
-            _check_field(self.dim, meta, "dim", "values per row", csv_path, metadata_path)
-        self.first = first
-        self.sampler_tag = meta.get("sampler", "unknown")
+            self.iterations, self.dim = draws.shape
+            self.first = slice(start, None).indices(len(draws))[0]
+            self._parsed = draws[self.first :]
+        else:
+            rows, crc = _scan(csv_path)
+            if rows != meta.iterations:
+                raise ChainFileError(f"{csv_path} holds {rows} rows; its metadata {metadata_path} "
+                                     f"records {meta.iterations}")
+            if crc != meta.crc32:
+                raise ChainFileError(f"{csv_path} does not match the CRC-32 its metadata "
+                                     f"{metadata_path} records")
+            binary = companion_paths(csv_path)[1]
+            self._binary = (binary, _binary_offset(binary, meta, metadata_path))
+            self.iterations, self.dim = rows, meta.dim
+            self.first = slice(start, None).indices(rows)[0]
+        self.sampler_tag = "unknown" if meta is None else meta.sampler
+        self.burnin = 0 if meta is None else meta.burnin
 
     def __len__(self) -> int:
         return self.iterations - self.first
@@ -429,21 +410,16 @@ class ChainRows:
                 yield block
 
     def load(self) -> Chain:
-        """The rows as one array in a Chain, with the sidecar's fields."""
+        """The rows as one array in a Chain, with the sidecar's fields; a
+        chain without one records burn-in, seed and accepts of 0."""
         (draws,) = self.blocks(max(len(self), 1))
         meta = self.meta
-        return Chain(
-            draws,
-            burnin=meta.get("burnin", 0),
-            seed=meta.get("seed", 0),
-            accepted=meta.get("accepted", 0),
-            sampler_tag=self.sampler_tag,
-            runtime_seconds=meta.get("runtime_seconds", 0.0),
-            swap_accepted=meta.get("swap_accepted"),
-            swap_attempts=meta.get("swap_attempts"),
-            divergences=meta.get("divergences", 0),
-            first_row=self.first,
-        )
+        if meta is None:
+            return Chain(draws, burnin=0, seed=0, accepted=0, sampler_tag="unknown", first_row=self.first)
+        return Chain(draws, burnin=meta.burnin, seed=meta.seed, accepted=meta.accepted,
+                     sampler_tag=meta.sampler, runtime_seconds=meta.runtime_seconds,
+                     swap_accepted=meta.swap_accepted, swap_attempts=meta.swap_attempts,
+                     divergences=meta.divergences, first_row=self.first)
 
 
 def load_chain(csv_path, metadata_path=None, start: int = 0) -> Chain:

@@ -6,15 +6,13 @@ config fields (flags > config file > built-in defaults). Each section is
 built from the dataclass it configures, whose field defaults are the
 section's defaults. Defaults mirror the reference protocol: 10 chains,
 110,000 iterations, 10,000 burn-in, 10,000-draw predictive tail, prior
-variance 10.
+variance 10. Every command is deterministic given (config, seed): chain i
+draws its private RNG stream from seed XOR i.
 
-Every command is deterministic given (config, seed): chain i draws its
-private RNG stream from seed XOR i, so rerunning a config reproduces all
-chain files byte for byte.
-
-Chain files, sidecars included, are read and written through ``chainio``
-alone. A config file or dataset manifest that is not a JSON object is a
-config error.
+Every JSON file a command reads is built under ``schema``'s one type rule:
+a config file or ``--manifest`` that breaks it is a config error (exit 2);
+a chain sidecar that breaks it, or is not current, an I/O error (exit 3).
+Chain files are read and written through ``chainio`` alone.
 
 ``sample --jobs N`` forks one worker per contiguous group of chains
 (POSIX ``fork`` only); the parent samples no chain, waits on the workers
@@ -37,18 +35,15 @@ import json
 import os
 import sys
 import typing
-from dataclasses import asdict, dataclass, field, fields
-from enum import Enum
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
+from .schema import ConfigError, from_section, json_file, json_value
+
 #: Environment variable naming the default output directory.
 OUTPUT_DIR_ENV = "BAYESMLP_OUTPUT_DIR"
-
-
-class ConfigError(ValueError):
-    """Invalid or inconsistent experiment configuration."""
 
 
 def _error_categories() -> tuple:
@@ -65,69 +60,6 @@ def _error_categories() -> tuple:
         ((diagnostics.DegenerateChainError, diagnostics.EstimatorError), "diagnostics", 6),
         (ValueError, "invalid-input", 4),
     )
-
-
-_JSON_TYPES = {int: "an integer", float: "a finite number", str: "a string", dict: "a JSON object"}
-
-
-def _json_value(where: str, value, hint):
-    """value, checked against the type hint of the field it sets.
-
-    An int is a JSON integer (not a bool, not a float); a float is a finite
-    integer or float; a tuple is a JSON list of its element type; an Enum
-    is given by its value; ``X | None`` also takes null.
-    """
-    args = typing.get_args(hint)
-    if type(None) in args:
-        if value is None:
-            return None
-        hint, args = args[0], typing.get_args(args[0])
-    if typing.get_origin(hint) is tuple:
-        if not isinstance(value, list):
-            raise ConfigError(f"{where} must be a JSON list, got {value!r}")
-        return tuple(_json_value(f"{where}[{i}]", v, args[0]) for i, v in enumerate(value))
-    if isinstance(hint, type) and issubclass(hint, Enum):
-        try:
-            return hint(value)
-        except ValueError:
-            raise ConfigError(f"{where} must be one of {[m.value for m in hint]}, got {value!r}") from None
-    if hint is float:
-        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    else:
-        ok = isinstance(value, hint)
-    if not ok or isinstance(value, bool):
-        raise ConfigError(f"{where} must be {_JSON_TYPES[hint]}, got {value!r}")
-    return value
-
-
-def _from_section(cls, name: str, doc, keys=None, hint_names=None):
-    """An instance of the dataclass cls built from the config section doc.
-
-    The section takes the init fields of cls (or those named in keys); a
-    key it leaves out takes its field's default, and every value must have
-    the JSON type of its field's annotation. hint_names binds the names
-    that cls's annotations use beyond its module's globals.
-    """
-    doc = _json_value(name, doc, dict)
-    hints = typing.get_type_hints(cls, localns=hint_names)
-    keys = keys or [f.name for f in fields(cls) if f.init]
-    unknown = set(doc) - set(keys)
-    if unknown:
-        raise ConfigError(f"unknown {name} fields: {sorted(unknown)}; expected {sorted(keys)}")
-    values = {key: _json_value(f"{name}.{key}", value, hints[key]) for key, value in doc.items()}
-    try:
-        return cls(**values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: {exc}") from None
-
-
-def _json_file(name: str, path) -> dict:
-    """The JSON object in the file at path, named name in errors."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except ValueError as exc:  # not JSON, or not text
-        raise ConfigError(f"{name} file {path} is not valid JSON: {exc}") from None
-    return _json_value(name, doc, dict)
 
 
 def _without(doc: dict, key: str) -> dict:
@@ -165,9 +97,9 @@ def _dataset_source(doc: dict):
     vendored dataset, or CsvFiles."""
     from . import data
 
-    name = _json_value("dataset", doc, dict).get("name")
+    name = json_value("dataset", doc, dict).get("name")
     if name == "noisy-xor":
-        return _from_section(data.NoisyXorConfig, "dataset", _without(doc, "name"))
+        return from_section(data.NoisyXorConfig, "dataset", _without(doc, "name"))
     if name in data.VENDORED_DATASETS:
         if set(doc) != {"name"}:
             raise ConfigError(f"dataset {name} takes no fields besides name, got {sorted(doc)}")
@@ -177,7 +109,7 @@ def _dataset_source(doc: dict):
             "dataset config needs a known name (noisy-xor, penguins, hawks) "
             "or explicit train/test file paths"
         )
-    return _from_section(CsvFiles, "dataset", doc)
+    return from_section(CsvFiles, "dataset", doc)
 
 
 @dataclass
@@ -222,7 +154,7 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         from . import mlp  # the arch hint; validation builds the architecture anyway
 
-        return _from_section(cls, "config", doc, hint_names={"mlp": mlp})
+        return from_section(cls, "config", doc, hint_names={"mlp": mlp})
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
@@ -231,14 +163,14 @@ class ExperimentConfig:
 def build_architecture(doc: dict) -> mlp.Architecture:
     from . import mlp
 
-    return _from_section(mlp.Architecture, "architecture", doc, keys=("layer_widths", "hidden_activation"))
+    return from_section(mlp.Architecture, "architecture", doc, keys=("layer_widths", "hidden_activation"))
 
 
 def build_sampler_config(doc: dict):
     from . import samplers
 
     config_class = getattr(samplers, _SAMPLER_KINDS[_sampler_kind(doc)])
-    return _from_section(config_class, "sampler", _without(doc, "kind"))
+    return from_section(config_class, "sampler", _without(doc, "kind"))
 
 
 def resolve_dataset(doc: dict) -> tuple[data.LabeledDataset, data.LabeledDataset]:
@@ -250,22 +182,13 @@ def resolve_dataset(doc: dict) -> tuple[data.LabeledDataset, data.LabeledDataset
         return data.generate_noisy_xor(source)
     if isinstance(source, str):
         return data.load_vendored(source)
-    manifest = {} if source.manifest is None else _json_file("manifest", source.manifest)
-    columns = manifest.get("feature_columns", source.feature_columns)
-    if columns is None:
+    manifest = data.Manifest() if source.manifest is None else data.read_manifest(source.manifest)
+    # a field the manifest leaves out is the section's
+    manifest = replace(manifest, **{key: getattr(source, key) for key in ("feature_columns", "label_column",
+                                    "label_mapping") if getattr(manifest, key) is None})
+    if manifest.feature_columns is None:
         raise ConfigError("a train/test dataset needs feature_columns, in its section or its manifest")
-    train, test = (
-        data.load_csv_dataset(
-            getattr(source, role),
-            columns,
-            manifest.get("label_column", source.label_column),
-            manifest.get("label_mapping", source.label_mapping),
-            role=role,
-            encodings=manifest.get("encodings"),
-        )
-        for role in ("train", "test")
-    )
-    return train, test
+    return data.load_pair(source.train, source.test, manifest)
 
 
 def _given(args, *names) -> dict:
@@ -275,16 +198,16 @@ def _given(args, *names) -> dict:
 
 def _load_config(args) -> ExperimentConfig:
     """The config file's document with the flags merged in, validated once."""
-    doc = _json_file("config", args.config) if args.config else {}
+    doc = json_file("config", args.config) if args.config else {}
     doc.update(_given(args, "num_chains", "iterations", "burnin", "tail", "seed", "prior_variance"))
     if args.arch:
         try:
             widths = [int(w) for w in args.arch.split(",")]
         except ValueError:
             raise ConfigError(f"--arch takes comma-separated layer widths, got {args.arch!r}") from None
-        architecture = _json_value("architecture", doc.get("architecture", {}), dict)
+        architecture = json_value("architecture", doc.get("architecture", {}), dict)
         doc["architecture"] = {**architecture, "layer_widths": widths}
-    sampler = _json_value("sampler", doc.get("sampler", {}), dict)
+    sampler = json_value("sampler", doc.get("sampler", {}), dict)
     if getattr(args, "sampler", None) and args.sampler != _sampler_kind(sampler):
         sampler = {"kind": args.sampler}  # another kind starts from its own defaults
     doc["sampler"] = {**sampler, **_given(args, "proposal_variance", "leapfrog_steps", "step_size")}
@@ -292,7 +215,7 @@ def _load_config(args) -> ExperimentConfig:
         doc["dataset"] = {"name": args.dataset}
     files = _given(args, "train", "test", "manifest")
     if files:
-        dataset = _json_value("dataset", doc.get("dataset", {}), dict)
+        dataset = json_value("dataset", doc.get("dataset", {}), dict)
         # file flags replace a named dataset and its settings
         doc["dataset"] = {**({} if "name" in dataset else dataset), **files}
     return ExperimentConfig.from_dict(doc)
@@ -326,7 +249,7 @@ def cmd_generate_data(args) -> int:
     from . import data
 
     flags = _given(args, *(f.name for f in fields(data.NoisyXorConfig)))
-    cfg = _from_section(data.NoisyXorConfig, "generate-data", flags)
+    cfg = from_section(data.NoisyXorConfig, "generate-data", flags)
     out_dir = _out_dir(args)
     train, test = data.generate_noisy_xor(cfg)
     names = ("x1", "x2")
@@ -455,7 +378,7 @@ def _recorded_burnin(path):
     from . import chainio
 
     try:
-        return chainio.read_metadata(chainio.companion_paths(path)[0]).get("burnin", 0)
+        return chainio.read_metadata(chainio.companion_paths(path)[0]).burnin
     except (OSError, chainio.ChainFileError):
         return 0
 
@@ -566,7 +489,7 @@ def cmd_traces(args) -> int:
     # are then read from all chains together, in row blocks of about 64 KiB
     # in all, and written as they come, so no chain's draws are held
     chains = list(_chain_rows(args.chains))
-    burnin = args.burnin if args.burnin is not None else max(rows.meta.get("burnin", 0) for rows in chains)
+    burnin = args.burnin if args.burnin is not None else max(rows.burnin for rows in chains)
     length = min(len(rows) for rows in chains)
     if burnin < 0:
         raise ValueError(f"burn-in must be >= 0, got {burnin}")
@@ -618,7 +541,7 @@ def cmd_sgd_ensemble(args) -> int:
 
     cfg = _load_config(args)
     flags = _given(args, *(f.name for f in fields(samplers.SgdConfig)))
-    sgd_cfg = _from_section(samplers.SgdConfig, "sgd-ensemble", flags)
+    sgd_cfg = from_section(samplers.SgdConfig, "sgd-ensemble", flags)
     train, test = resolve_dataset(cfg.dataset)
     out_dir = _out_dir(args)
     solutions, accuracies = samplers.sgd_ensemble(

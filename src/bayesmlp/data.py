@@ -9,12 +9,13 @@ Label conventions used throughout the package:
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
+
+from .schema import from_section, json_file
 
 #: Corner traversal order of the exact XOR truth table.
 XOR_CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -155,28 +156,18 @@ def _encode_cell(value: str, encoding: dict, column: str, line: int) -> float:
         try:
             return float(value)
         except ValueError:
-            raise ValueError(
-                f"line {line}: cannot parse {value!r} in column {column!r} as a number"
-            ) from None
+            raise ValueError(f"line {line}: cannot parse {value!r} in column {column!r} as a number") from None
     if kind == "categorical":
         levels = encoding["levels"]
         if value not in levels:
-            raise ValueError(
-                f"line {line}: unknown level {value!r} for column {column!r}; "
-                f"expected one of {levels}"
-            )
+            raise ValueError(f"line {line}: unknown level {value!r} for column {column!r}; "
+                             f"expected one of {levels}")
         return float(levels.index(value))
     raise ValueError(f"unknown encoding kind {kind!r} for column {column!r}")
 
 
-def load_csv_dataset(
-    path,
-    feature_columns,
-    label_column: str,
-    label_mapping: dict,
-    role: str = "train",
-    encodings: dict | None = None,
-) -> LabeledDataset:
+def load_csv_dataset(path, feature_columns, label_column: str, label_mapping: dict, role: str = "train",
+                     encodings: dict | None = None) -> LabeledDataset:
     """Load a headered CSV file into a LabeledDataset.
 
     Rows with a missing value (empty cell or "NA") in any used column are
@@ -200,16 +191,9 @@ def load_csv_dataset(
                 continue
             label_raw = row[label_column].strip()
             if label_raw not in label_mapping:
-                raise ValueError(
-                    f"line {line}: unknown label value {label_raw!r}; "
-                    f"expected one of {sorted(label_mapping)}"
-                )
-            rows.append(
-                [
-                    _encode_cell(row[c].strip(), encodings.get(c, {}), c, line)
-                    for c in feature_columns
-                ]
-            )
+                raise ValueError(f"line {line}: unknown label value {label_raw!r}; "
+                                 f"expected one of {sorted(label_mapping)}")
+            rows.append([_encode_cell(row[c].strip(), encodings.get(c, {}), c, line) for c in feature_columns])
             labels.append(label_mapping[label_raw])
     if not rows:
         raise ValueError(f"{path}: no usable rows")
@@ -235,29 +219,49 @@ def write_dataset_csv(dataset: LabeledDataset, path, feature_names, label_name="
 VENDORED_DATASETS = ("penguins", "hawks")
 
 
-def vendored_manifest(name: str) -> dict:
-    """Read the encoding manifest of a vendored dataset."""
+@dataclass(frozen=True)
+class Manifest:
+    """A dataset's encoding manifest. A field it leaves out is None, and a
+    dataset section's value stands in for it; ``dataset``, ``standardized``,
+    ``generator`` and ``provenance`` are its audit trail."""
+
+    feature_columns: tuple[str, ...] | None = None
+    label_column: str | None = None
+    label_mapping: dict | None = None
+    encodings: dict | None = None
+    dataset: str | None = None
+    standardized: bool = False
+    generator: dict | None = None
+    provenance: dict | None = None
+
+
+def read_manifest(path) -> Manifest:
+    """The manifest in the file at path, built under the JSON type rule."""
+    return from_section(Manifest, "manifest", json_file("manifest", path))
+
+
+def vendored_manifest(name: str) -> Manifest:
+    """The encoding manifest of a vendored dataset."""
     if name not in VENDORED_DATASETS:
         raise ValueError(f"unknown vendored dataset {name!r}; have {VENDORED_DATASETS}")
-    pkg = resources.files("bayesmlp.datasets")
-    return json.loads(pkg.joinpath(f"{name}_manifest.json").read_text())
+    with resources.as_file(resources.files("bayesmlp.datasets") / f"{name}_manifest.json") as path:
+        return read_manifest(path)
+
+
+def load_pair(train, test, manifest: Manifest) -> tuple[LabeledDataset, LabeledDataset]:
+    """The (train, test) datasets in the CSV files train and test, read as manifest says."""
+    train, test = (
+        load_csv_dataset(path, manifest.feature_columns, manifest.label_column, manifest.label_mapping,
+                         role=role, encodings=manifest.encodings)
+        for path, role in ((train, "train"), (test, "test"))
+    )
+    return train, test
 
 
 def load_vendored(name: str) -> tuple[LabeledDataset, LabeledDataset]:
     """Load a vendored (train, test) dataset pair by name."""
     manifest = vendored_manifest(name)
     pkg = resources.files("bayesmlp.datasets")
-    out = []
-    for role in ("train", "test"):
-        with resources.as_file(pkg.joinpath(f"{name}_{role}.csv")) as path:
-            out.append(
-                load_csv_dataset(
-                    path,
-                    manifest["feature_columns"],
-                    manifest["label_column"],
-                    manifest["label_mapping"],
-                    role=role,
-                    encodings=manifest.get("encodings"),
-                )
-            )
-    return out[0], out[1]
+    with (resources.as_file(pkg / f"{name}_train.csv") as train,
+          resources.as_file(pkg / f"{name}_test.csv") as test):
+        return load_pair(train, test, manifest)

@@ -6,7 +6,7 @@ import zlib
 
 import numpy as np
 
-from bayesmlp.chainio import BINARY_CRC_KEY, companion_paths
+from bayesmlp.chainio import companion_paths
 
 #: The first two leave the sidecar's checksum stale. The others replace the
 #: copy and make the sidecar record the new file's checksum, so only the
@@ -49,5 +49,5 @@ def damage_binary(csv_path, how: str) -> None:
         with open(binary, "wb") as fh:
             np.save(fh, stand_ins[how])
     meta = json.loads(meta_path.read_text())
-    meta[BINARY_CRC_KEY] = zlib.crc32(binary.read_bytes())
+    meta["npy_crc32"] = zlib.crc32(binary.read_bytes())
     meta_path.write_text(json.dumps(meta))

@@ -16,14 +16,14 @@ from toy_targets import ToyTarget
 
 from bayesmlp import chainio
 from bayesmlp.chainio import (
-    BINARY_CRC_KEY,
     ChainFileError,
     ChainRows,
     ChainWriter,
-    chain_metadata,
+    Sidecar,
     companion_paths,
     format_hms,
     load_chain,
+    read_metadata,
     save_chain,
     stream_chains,
 )
@@ -75,19 +75,18 @@ class TestPersistence:
         assert "e" in lines[0] or "." in lines[0]
 
     def test_metadata_fields(self, chain):
-        meta = chain_metadata(chain, config={"kind": "MH"})
-        assert meta["sampler"] == "MH"
-        assert meta["runtime_hms"] == "0:02:34"
-        assert meta["config"] == {"kind": "MH"}
-        assert meta["iterations"] == 40
-        assert meta["dim"] == 3
+        meta = Sidecar.of(chain, {"kind": "MH"}, 1, 2)
+        assert meta.sampler == "MH"
+        assert meta.runtime_hms == "0:02:34"
+        assert meta.config == {"kind": "MH"}
+        assert (meta.iterations, meta.dim, meta.crc32, meta.npy_crc32) == (40, 3, 1, 2)
 
     def test_pp_metadata_includes_swaps(self, rng):
         chain = Chain(
             rng.normal(size=(10, 2)), burnin=0, seed=0, accepted=5,
             sampler_tag="PP", swap_accepted=4, swap_attempts=10,
         )
-        meta = chain_metadata(chain)
+        meta = json.loads(Sidecar.of(chain, None, 0, 0).text())
         assert meta["swap_accepted"] == 4
         assert meta["swap_attempts"] == 10
 
@@ -113,8 +112,9 @@ class TestPartialLoad:
     @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(chains_and_starts(), st.sampled_from(["no sidecar", "binary", "binary deleted", "no binary key"]))
     def test_round_trip_from_any_start(self, tmp_path, case, layout):
-        """Rows from the binary copy, or parsed from the CSV when the copy
-        is gone or the sidecar predates it, are the saved draws bit for bit."""
+        """Rows from the binary copy, or parsed from a CSV without a sidecar,
+        are the saved draws bit for bit; a sidecar whose copy is gone, or
+        that lacks the copy's checksum, rejects the chain."""
         chain, start = case
         sidecar = layout != "no sidecar"
         csv_path = tmp_path / "c.csv"
@@ -127,8 +127,12 @@ class TestPartialLoad:
             (tmp_path / "c.npy").unlink()
         elif layout == "no binary key":
             meta = json.loads(meta_path.read_text())
-            del meta[BINARY_CRC_KEY]
+            del meta["npy_crc32"]
             meta_path.write_text(json.dumps(meta))
+        if layout in ("binary deleted", "no binary key"):
+            with pytest.raises(ChainFileError, match="c.npy|npy_crc32"):
+                load_chain(csv_path, meta_path, start=start)
+            return
         back = load_chain(csv_path, meta_path, start=start)
         want = chain.draws[start:]
         assert back.draws.shape == want.shape
@@ -147,15 +151,16 @@ class TestPartialLoad:
         with pytest.raises(ChainFileError, match="CRC-32"):
             load_chain(csv_path, meta_path, start=-10)
 
-    def test_sidecar_without_checksum_loads(self, tmp_path, chain):
+    def test_sidecar_without_checksum_rejected(self, tmp_path, chain):
+        """A sidecar without the CSV's checksum is not current: the chain is
+        rejected, not parsed from its CSV."""
         csv_path, meta_path = tmp_path / "c.csv", tmp_path / "c.json"
         save_chain(chain, csv_path, meta_path)
         meta = json.loads(meta_path.read_text())
         del meta["crc32"]
         meta_path.write_text(json.dumps(meta))
-        back = load_chain(csv_path, meta_path, start=-10)
-        np.testing.assert_array_equal(back.draws, chain.draws[-10:])
-        assert (back.first_row, back.burnin, back.accepted) == (30, 10, 25)
+        with pytest.raises(ChainFileError, match=r"missing metadata fields: \['crc32'\]"):
+            load_chain(csv_path, meta_path, start=-10)
 
     def test_partial_chain_cannot_be_saved(self, tmp_path, chain):
         save_chain(chain, tmp_path / "c.csv", tmp_path / "c.json")
@@ -212,7 +217,7 @@ class TestBinaryCopy:
         save_chain(chain, csv_path, meta_path)
         assert companion_paths(csv_path) == (meta_path, tmp_path / "c.npy")
         binary = tmp_path / "c.npy"
-        assert json.loads(meta_path.read_text())[BINARY_CRC_KEY] == zlib.crc32(binary.read_bytes())
+        assert json.loads(meta_path.read_text())["npy_crc32"] == zlib.crc32(binary.read_bytes())
         stored = np.load(binary)
         assert stored.dtype == np.float64 and stored.flags.c_contiguous
         np.testing.assert_array_equal(stored.view(np.uint64), chain.draws.view(np.uint64))
@@ -243,15 +248,18 @@ class TestBinaryCopy:
     @pytest.mark.parametrize("start", [0, 13, -5, 40, 55])
     def test_rows_served_in_blocks_on_every_pass(self, tmp_path, chain, binary, start):
         """ChainRows serves rows [start:] in blocks of the asked size, from
-        the copy or as the one block of the parsed CSV, on every pass; with
-        no rows left it serves one empty block."""
+        the copy or, for a CSV without a sidecar, as the one block of the
+        parsed CSV, on every pass; with no rows left it serves one empty
+        block."""
         csv_path, meta_path = tmp_path / "c.csv", tmp_path / "c.json"
-        save_chain(chain, csv_path, meta_path)
-        if not binary:
-            (tmp_path / "c.npy").unlink()
-        rows = ChainRows(csv_path, meta_path, start=start)
+        if binary:
+            save_chain(chain, csv_path, meta_path)
+        else:
+            np.savetxt(csv_path, chain.draws, fmt="%.17g", delimiter=",")
+        rows = ChainRows(csv_path, meta_path if binary else None, start=start)
         want = chain.draws[start:]
-        assert (len(rows), rows.first, rows.sampler_tag) == (len(want), len(chain) - len(want), "MH")
+        tag = "MH" if binary else "unknown"
+        assert (len(rows), rows.first, rows.sampler_tag) == (len(want), len(chain) - len(want), tag)
         for size in (1, 6, 100):
             for _ in range(2):
                 blocks = list(rows.blocks(size))
@@ -318,7 +326,7 @@ class TestChainWriter:
         assert (tmp_path / "c.npy").read_bytes() == binary.getvalue()
         meta = json.loads(meta_path.read_text())
         assert meta["crc32"] == zlib.crc32(csv_path.read_bytes())
-        assert meta[BINARY_CRC_KEY] == zlib.crc32(binary.getvalue())
+        assert meta["npy_crc32"] == zlib.crc32(binary.getvalue())
 
     @pytest.mark.parametrize("rows,dim", [(39, 3), (41, 3), (40, 2)])
     def test_rows_that_do_not_fit_the_chain_leave_nothing(self, tmp_path, chain, rows, dim):

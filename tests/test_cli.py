@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from damaged_chains import DAMAGE, damage_binary
 
-from bayesmlp import chainio, cli, samplers
+from bayesmlp import chainio, cli, data, samplers
 from bayesmlp.chainio import load_chain, save_chain
 from bayesmlp.diagnostics import diagnostics_report
 from bayesmlp.samplers import Chain, SamplerStartupError
@@ -594,7 +594,7 @@ class TestBinaryCopy:
     def test_outputs_identical_without_copies(self, tmp_path, xor_config, monkeypatch, run_kind):
         """diagnose and predict write the same bytes whether they read the
         binary copies, parsing no text, or parse the CSVs once the copies
-        are deleted."""
+        and the sidecars are deleted, as for chains another tool wrote."""
         config = xor_config
         if run_kind == "HMC-hawks":
             config = tmp_path / "hawks.json"
@@ -615,6 +615,7 @@ class TestBinaryCopy:
         assert len(from_copies) == 4
         for path in paths:
             path.with_suffix(".npy").unlink()
+            path.with_suffix(".json").unlink()
         assert outputs("csv") == from_copies
 
     @pytest.mark.parametrize("how", DAMAGE)
@@ -1094,6 +1095,133 @@ class TestMalformedJson:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config" and "manifest" in err["message"]
         assert not out.exists()
+
+
+def rejects_chain(tmp_path, xor_config, capsys, command, edit, *pieces):
+    """Sample two chains, apply edit to the second one's files and check
+    that command exits 3 with category io and a message holding pieces,
+    printing nothing on stdout and writing no output file."""
+    chains = tmp_path / "chains"
+    assert run(["sample", "--config", xor_config, "--out-dir", chains]) == 0
+    paths = [chains / "chain_00.csv", chains / "chain_01.csv"]
+    edit(paths[1])
+    out = tmp_path / "out"
+    argv = {
+        "diagnose": ["diagnose", "--chains", *paths, "--out", out / "report.json"],
+        "predict": ["predict", "--config", xor_config, "--chains", *paths, "--out-dir", out],
+    }[command]
+    capsys.readouterr()
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert err["error"] == "io" and captured.out == ""
+    assert all(piece in err["message"] for piece in pieces), err["message"]
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def edit_sidecar(update):
+    """An edit of a chain's files that applies update to its sidecar's
+    JSON object."""
+
+    def edit(csv_path):
+        meta_path = csv_path.with_suffix(".json")
+        meta = json.loads(meta_path.read_text())
+        update(meta)
+        meta_path.write_text(json.dumps(meta))
+
+    return edit
+
+
+#: Sidecar fields set to a value of another JSON type.
+WRONG_TYPES = {"burnin": "x", "seed": "s", "accepted": 1.5, "iterations": 400.0, "dim": "9",
+               "crc32": True, "npy_crc32": None}
+
+#: Sidecar fields set out of range, for chains of 400 rows.
+OUT_OF_RANGE = {"burnin -3": ("burnin", -3), "burnin 400": ("burnin", 400), "accepted -1": ("accepted", -1),
+                "accepted 1000000": ("accepted", 1000000), "iterations 0": ("iterations", 0),
+                "dim 0": ("dim", 0)}
+
+
+@pytest.mark.parametrize("command", ["diagnose", "predict"])
+class TestSidecarRule:
+    """A sidecar is current or its chain is rejected: a value of the wrong
+    type or out of range, a missing or unknown key, and a missing .npy each
+    exit 3 and name the sidecar or the file it misses."""
+
+    @pytest.mark.parametrize("field,value", WRONG_TYPES.items(), ids=WRONG_TYPES.keys())
+    def test_wrong_type(self, tmp_path, xor_config, capsys, command, field, value):
+        edit = edit_sidecar(lambda meta: meta.update({field: value}))
+        rejects_chain(tmp_path, xor_config, capsys, command, edit, "chain_01.json", f"metadata.{field} must be")
+
+    @pytest.mark.parametrize("field,value", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+    def test_out_of_range(self, tmp_path, xor_config, capsys, command, field, value):
+        edit = edit_sidecar(lambda meta: meta.update({field: value}))
+        rejects_chain(tmp_path, xor_config, capsys, command, edit, "chain_01.json", f"{field} ({value})")
+
+    @pytest.mark.parametrize("field", ["seed", "burnin", "config", "crc32", "npy_crc32"])
+    def test_missing_key(self, tmp_path, xor_config, capsys, command, field):
+        edit = edit_sidecar(lambda meta: meta.pop(field))
+        rejects_chain(tmp_path, xor_config, capsys, command, edit, "chain_01.json",
+                      f"missing metadata fields: ['{field}']")
+
+    def test_unknown_key(self, tmp_path, xor_config, capsys, command):
+        edit = edit_sidecar(lambda meta: meta.update(version=2))
+        rejects_chain(tmp_path, xor_config, capsys, command, edit, "chain_01.json",
+                      "unknown metadata fields: ['version']")
+
+    def test_missing_copy(self, tmp_path, xor_config, capsys, command):
+        def edit(csv_path):
+            csv_path.with_suffix(".npy").unlink()
+
+        rejects_chain(tmp_path, xor_config, capsys, command, edit, "chain_01.npy", "is missing")
+
+
+#: Manifest fields set to a value of another JSON type, and an unknown key.
+BAD_MANIFESTS = {"feature_columns 3": {"feature_columns": 3}, "feature_columns [1, 2]": {"feature_columns": [1, 2]},
+                 "label_column 5": {"label_column": 5}, "label_mapping list": {"label_mapping": [0, 1]},
+                 "unknown key": {"labels": "label"}}
+
+
+@pytest.mark.parametrize("patch", BAD_MANIFESTS.values(), ids=BAD_MANIFESTS.keys())
+def test_bad_manifest_field_is_config_error(tmp_path, capsys, patch):
+    data_dir = tmp_path / "data"
+    assert run(["generate-data", "--out-dir", data_dir, "--train-per-corner", 2, "--test-per-corner", 1]) == 0
+    manifest = data_dir / "noisy_xor_manifest.json"
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), **patch}))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([
+        "sample", "--train", data_dir / "noisy_xor_train.csv", "--test", data_dir / "noisy_xor_test.csv",
+        "--manifest", manifest, "--num-chains", 1, "--iterations", 10, "--burnin", 0, "--tail", 5,
+        "--out-dir", out,
+    ]) == 2
+    err = json.loads(capsys.readouterr().err)
+    (key,) = patch
+    assert err["error"] == "config" and "manifest" in err["message"] and key in err["message"]
+    assert not out.exists()
+
+
+class TestJsonRoundTrip:
+    """Every JSON file the toolkit ships or writes loads through its typed
+    reader, and a sidecar written back from its dataclass is the file."""
+
+    @pytest.mark.parametrize("name", data.VENDORED_DATASETS)
+    def test_vendored_manifest(self, name):
+        manifest = data.vendored_manifest(name)
+        assert (manifest.dataset, manifest.standardized, len(manifest.feature_columns)) == (name, True, 6)
+
+    def test_generated_manifest(self, tmp_path):
+        assert run(["generate-data", "--out-dir", tmp_path, "--train-per-corner", 2, "--test-per-corner", 1]) == 0
+        manifest = data.read_manifest(tmp_path / "noisy_xor_manifest.json")
+        assert manifest.feature_columns == ("x1", "x2") and manifest.generator["train_per_corner"] == 2
+
+    @pytest.mark.parametrize("sampler", ["MH", "HMC", "PP"])
+    def test_written_sidecar(self, tmp_path, xor_config, sampler):
+        assert run(["sample", "--config", xor_config, "--out-dir", tmp_path, "--sampler", sampler,
+                    "--iterations", 60, "--burnin", 10, "--tail", 10]) == 0
+        for path in sorted(tmp_path.glob("chain_*.json")):
+            meta = chainio.read_metadata(path)
+            assert meta.sampler == sampler and meta.text() == path.read_text()
 
 
 class TestForkedWorkers:

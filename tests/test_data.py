@@ -147,8 +147,9 @@ class TestVendored:
 
     def test_manifest_is_auditable(self):
         manifest = data.vendored_manifest("penguins")
-        assert len(manifest["feature_columns"]) == 6
-        assert sorted(manifest["label_mapping"].values()) == [1, 2, 3]
+        assert len(manifest.feature_columns) == 6
+        assert sorted(manifest.label_mapping.values()) == [1, 2, 3]
+        assert manifest.standardized and manifest.provenance["seed"] == 20250810
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
