@@ -28,10 +28,15 @@ import numpy as np
 
 from .schema import ConfigError, from_section, json_file
 
-#: Bytes read at a time while checksumming a chain file, so a file is never
-#: held in memory whole. Blocks of 1 MiB, which hold a whole 350 kB hawks
-#: chain, raised the peak RSS of `sample` by 0.2 MB and scanned no faster.
-_SCAN_BLOCK = 1 << 16
+#: Bytes of every block of a chain read or written: below glibc's 128 KiB mmap
+#: threshold, so a block is heap memory. Blocks of 1 MiB, which hold a whole
+#: 350 kB hawks chain, raised `sample`'s peak RSS by 0.2 MB and ran no faster.
+BLOCK_BYTES = 1 << 16
+
+
+def block_rows(width: int) -> int:
+    """Rows of width float64 values in a block of about BLOCK_BYTES, at least one."""
+    return max(BLOCK_BYTES // max(8 * width, 1), 1)
 
 
 class ChainFileError(ValueError):
@@ -160,7 +165,7 @@ def _scan(path) -> tuple[int, int]:
     """Newline count and CRC-32 of a file, read block by block."""
     rows = crc = 0
     with open(path, "rb") as fh:
-        while block := fh.read(_SCAN_BLOCK):
+        while block := fh.read(BLOCK_BYTES):
             rows += int(np.count_nonzero(np.frombuffer(block, np.uint8) == 10))
             crc = zlib.crc32(block, crc)
     return rows, crc
@@ -334,7 +339,7 @@ def _binary_offset(path: Path, meta: Sidecar, metadata_path) -> int:
         offset = fh.tell()
         fh.seek(0)
         crc = size = 0
-        while block := fh.read(_SCAN_BLOCK):
+        while block := fh.read(BLOCK_BYTES):
             crc = zlib.crc32(block, crc)
             size += len(block)
     if crc != meta.npy_crc32:
@@ -392,7 +397,7 @@ class ChainRows:
         return self.iterations - self.first
 
     def __iter__(self) -> typing.Iterator[np.ndarray]:
-        return self.blocks(max(_SCAN_BLOCK // (8 * max(self.dim, 1)), 1))
+        return self.blocks(block_rows(self.dim))
 
     def blocks(self, size: int) -> typing.Iterator[np.ndarray]:
         """The rows in fresh (size, dim) arrays, the last one shorter or,

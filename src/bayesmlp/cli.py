@@ -77,7 +77,7 @@ class CsvFiles:
     manifest: str | None = None
     feature_columns: tuple[str, ...] | None = None
     label_column: str = "label"
-    label_mapping: dict = field(default_factory=lambda: {"0": 0, "1": 1})
+    label_mapping: dict[str, int] = field(default_factory=lambda: {"0": 0, "1": 1})
     name: str | None = None
 
 
@@ -117,8 +117,8 @@ class ExperimentConfig:
     """One sampling experiment: dataset, model, sampler and run protocol.
 
     The sections stay the documents the config gave, so a run records its
-    config as written; validation builds ``arch`` and ``sampler_config``
-    from them.
+    config as written; validation builds from them ``arch`` and
+    ``sampler_config``, attributes that no config key sets.
     """
 
     dataset: dict = field(default_factory=dict)
@@ -130,8 +130,6 @@ class ExperimentConfig:
     burnin: int = 10000
     tail: int = 10000
     seed: int = 0
-    arch: mlp.Architecture = field(init=False, repr=False, compare=False)
-    sampler_config: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.num_chains < 1:
@@ -152,18 +150,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        from . import mlp  # the arch hint; validation builds the architecture anyway
-
-        return from_section(cls, "config", doc, hint_names={"mlp": mlp})
+        return from_section(cls, "config", doc)
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def build_architecture(doc: dict) -> mlp.Architecture:
     from . import mlp
 
-    return from_section(mlp.Architecture, "architecture", doc, keys=("layer_widths", "hidden_activation"))
+    return from_section(mlp.Architecture, "architecture", doc)
 
 
 def build_sampler_config(doc: dict):
@@ -437,8 +433,8 @@ def _tail_reports(paths, tail: int, arch, test) -> list[predictive.PredictionRep
 def cmd_predict(args) -> int:
     from . import predictive
 
-    if not args.prior_baseline and not args.chains:
-        raise ConfigError("predict needs --chains, or --prior-baseline")
+    if args.prior_baseline == bool(args.chains):
+        raise ConfigError("predict needs --chains or --prior-baseline, not both")
     cfg, arch, test = _predictive_setup(args)
     out_dir = _out_dir(args)
     if args.prior_baseline:
@@ -485,9 +481,11 @@ def cmd_grid(args) -> int:
 
 
 def cmd_traces(args) -> int:
-    # every chain is checked before any draw is read; the requested columns
-    # are then read from all chains together, in row blocks of about 64 KiB
-    # in all, and written as they come, so no chain's draws are held
+    from . import chainio
+
+    # every chain is checked, and one without a sidecar parsed whole, before
+    # any draw is read; the requested columns are then read from all chains
+    # together, in blocks of chainio.block_rows, and written as they come
     chains = list(_chain_rows(args.chains))
     burnin = args.burnin if args.burnin is not None else max(rows.burnin for rows in chains)
     length = min(len(rows) for rows in chains)
@@ -505,7 +503,7 @@ def cmd_traces(args) -> int:
     header = ["iteration", "burnin"] + [
         f"chain{ci}_coord{coord}" for ci in range(len(chains)) for coord in args.coords
     ]
-    size = max((1 << 16) // (8 * dim * len(chains)), 1)
+    size = chainio.block_rows(dim * len(chains))
     draws = zip(*((row for block in rows.blocks(size) for row in block[:, args.coords].tolist())
                   for rows in chains))
     path = out_dir / "traces.csv"

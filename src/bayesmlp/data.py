@@ -23,11 +23,10 @@ XOR_CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 @dataclass
 class LabeledDataset:
-    """Feature matrix with integer labels and a train/test role."""
+    """Feature matrix with integer labels."""
 
     features: np.ndarray
     labels: np.ndarray
-    role: str = "train"
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
@@ -41,8 +40,6 @@ class LabeledDataset:
                 f"{self.features.shape[0]} feature rows but "
                 f"{self.labels.shape[0]} labels"
             )
-        if self.role not in ("train", "test"):
-            raise ValueError(f"role must be 'train' or 'test', got {self.role!r}")
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -52,7 +49,7 @@ class LabeledDataset:
         return self.features.shape[1]
 
     def subset(self, indices) -> "LabeledDataset":
-        return LabeledDataset(self.features[indices], self.labels[indices], self.role)
+        return LabeledDataset(self.features[indices], self.labels[indices])
 
 
 @dataclass(frozen=True)
@@ -89,7 +86,7 @@ class StandardizationStats:
         std = np.asarray(self.std)
         if dataset.num_features != mean.shape[0]:
             raise ValueError("standardization stats do not match feature count")
-        return LabeledDataset((dataset.features - mean) / std, dataset.labels, dataset.role)
+        return LabeledDataset((dataset.features - mean) / std, dataset.labels)
 
 
 def exact_xor(a: int, b: int) -> int:
@@ -115,16 +112,16 @@ def generate_noisy_xor(config: NoisyXorConfig) -> tuple[LabeledDataset, LabeledD
     """
     rng = np.random.default_rng(config.seed)
 
-    def draw(count: int, role: str) -> LabeledDataset:
+    def draw(count: int) -> LabeledDataset:
         xs, ys = [], []
         for corner in XOR_CORNERS:
             label = exact_xor(*corner)
             for _ in range(count):
                 xs.append(_noisy_corner_point(rng, corner, config.c))
                 ys.append(label)
-        return LabeledDataset(np.array(xs), np.array(ys), role)
+        return LabeledDataset(np.array(xs), np.array(ys))
 
-    return draw(config.train_per_corner, "train"), draw(config.test_per_corner, "test")
+    return draw(config.train_per_corner), draw(config.test_per_corner)
 
 
 def standardize(dataset: LabeledDataset) -> tuple[LabeledDataset, StandardizationStats]:
@@ -150,33 +147,44 @@ def standardize(dataset: LabeledDataset) -> tuple[LabeledDataset, Standardizatio
 MISSING_VALUES = ("", "NA")
 
 
-def _encode_cell(value: str, encoding: dict, column: str, line: int) -> float:
-    kind = encoding.get("kind", "numeric")
-    if kind == "numeric":
+@dataclass(frozen=True)
+class Encoding:
+    """How a feature column's cells become numbers: a "numeric" cell is
+    parsed as a float, a "categorical" one is coded as the index of its
+    value in ``levels``, which only a categorical encoding takes."""
+
+    kind: str = "numeric"
+    levels: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        if (self.kind, self.levels is None) not in (("numeric", True), ("categorical", False)):
+            raise ValueError(f"an encoding is 'numeric' without levels or 'categorical' with them, "
+                             f"got kind {self.kind!r} and levels {self.levels}")
+
+
+def _encode_cell(value: str, encoding: Encoding, column: str, line: int) -> float:
+    if encoding.kind == "numeric":
         try:
             return float(value)
         except ValueError:
             raise ValueError(f"line {line}: cannot parse {value!r} in column {column!r} as a number") from None
-    if kind == "categorical":
-        levels = encoding["levels"]
-        if value not in levels:
-            raise ValueError(f"line {line}: unknown level {value!r} for column {column!r}; "
-                             f"expected one of {levels}")
-        return float(levels.index(value))
-    raise ValueError(f"unknown encoding kind {kind!r} for column {column!r}")
+    if value not in encoding.levels:
+        raise ValueError(f"line {line}: unknown level {value!r} for column {column!r}; "
+                         f"expected one of {list(encoding.levels)}")
+    return float(encoding.levels.index(value))
 
 
-def load_csv_dataset(path, feature_columns, label_column: str, label_mapping: dict, role: str = "train",
-                     encodings: dict | None = None) -> LabeledDataset:
+def load_csv_dataset(path, feature_columns, label_column: str, label_mapping: dict[str, int],
+                     encodings: dict[str, Encoding] | None = None) -> LabeledDataset:
     """Load a headered CSV file into a LabeledDataset.
 
     Rows with a missing value (empty cell or "NA") in any used column are
-    dropped. Categorical features are integer-coded according to
-    ``encodings`` (a column -> {"kind": "categorical", "levels": [...]}
-    mapping, "numeric" by default). Label values are translated through
+    dropped. Each feature column is read by its Encoding in ``encodings``,
+    numeric when it has none. Label values are translated through
     ``label_mapping``.
     """
     encodings = encodings or {}
+    numeric = Encoding()
     path = Path(path)
     rows, labels = [], []
     with path.open(newline="", encoding="utf-8") as fh:
@@ -193,21 +201,21 @@ def load_csv_dataset(path, feature_columns, label_column: str, label_mapping: di
             if label_raw not in label_mapping:
                 raise ValueError(f"line {line}: unknown label value {label_raw!r}; "
                                  f"expected one of {sorted(label_mapping)}")
-            rows.append([_encode_cell(row[c].strip(), encodings.get(c, {}), c, line) for c in feature_columns])
+            rows.append([_encode_cell(row[c].strip(), encodings.get(c, numeric), c, line) for c in feature_columns])
             labels.append(label_mapping[label_raw])
     if not rows:
         raise ValueError(f"{path}: no usable rows")
-    return LabeledDataset(np.array(rows), np.array(labels), role)
+    return LabeledDataset(np.array(rows), np.array(labels))
 
 
-def write_dataset_csv(dataset: LabeledDataset, path, feature_names, label_name="label"):
-    """Write a dataset as a headered CSV with full float precision."""
+def write_dataset_csv(dataset: LabeledDataset, path, feature_names):
+    """Write a dataset as a headered CSV, labels last as "label", with full float precision."""
     if len(feature_names) != dataset.num_features:
         raise ValueError("feature_names length does not match feature count")
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow([*feature_names, label_name])
+        writer.writerow([*feature_names, "label"])
         for x, y in zip(dataset.features, dataset.labels):
             writer.writerow([*(f"{v:.17g}" for v in x), int(y)])
 
@@ -227,8 +235,8 @@ class Manifest:
 
     feature_columns: tuple[str, ...] | None = None
     label_column: str | None = None
-    label_mapping: dict | None = None
-    encodings: dict | None = None
+    label_mapping: dict[str, int] | None = None
+    encodings: dict[str, Encoding] | None = None
     dataset: str | None = None
     standardized: bool = False
     generator: dict | None = None
@@ -250,12 +258,8 @@ def vendored_manifest(name: str) -> Manifest:
 
 def load_pair(train, test, manifest: Manifest) -> tuple[LabeledDataset, LabeledDataset]:
     """The (train, test) datasets in the CSV files train and test, read as manifest says."""
-    train, test = (
-        load_csv_dataset(path, manifest.feature_columns, manifest.label_column, manifest.label_mapping,
-                         role=role, encodings=manifest.encodings)
-        for path, role in ((train, "train"), (test, "test"))
-    )
-    return train, test
+    return tuple(load_csv_dataset(path, manifest.feature_columns, manifest.label_column, manifest.label_mapping,
+                                  encodings=manifest.encodings) for path in (train, test))
 
 
 def load_vendored(name: str) -> tuple[LabeledDataset, LabeledDataset]:

@@ -40,16 +40,11 @@ class ActivationKind(Enum):
 
 @dataclass(frozen=True)
 class Architecture:
-    """Layer widths plus hidden/output activation kinds.
-
-    The output activation is tied to the task: sigmoid for a single
-    output neuron (binary classification), softmax for two or more
-    (multiclass). Omitting ``output_activation`` picks the right one.
-    """
+    """Layer widths plus the hidden activation kind; the output activation
+    follows from the output width (see ``output_activation``)."""
 
     layer_widths: tuple[int, ...]
     hidden_activation: ActivationKind = ActivationKind.SIGMOID
-    output_activation: ActivationKind | None = None  # resolved in __post_init__
 
     def __post_init__(self):
         object.__setattr__(self, "layer_widths", tuple(int(w) for w in self.layer_widths))
@@ -59,16 +54,6 @@ class Architecture:
             raise ValueError("all layer widths must be >= 1")
         if self.hidden_activation is ActivationKind.SOFTMAX:
             raise ValueError("softmax is permitted only at the output layer")
-        required = (
-            ActivationKind.SIGMOID if self.output_dim == 1 else ActivationKind.SOFTMAX
-        )
-        if self.output_activation is None:
-            object.__setattr__(self, "output_activation", required)
-        elif self.output_activation is not required:
-            raise ValueError(
-                f"output layer of width {self.output_dim} requires "
-                f"{required.value}, got {self.output_activation.value}"
-            )
 
     @property
     def input_dim(self) -> int:
@@ -86,6 +71,12 @@ class Architecture:
     @property
     def is_binary(self) -> bool:
         return self.output_dim == 1
+
+    @property
+    def output_activation(self) -> ActivationKind:
+        """Sigmoid for a single output neuron (binary classification),
+        softmax for two or more (multiclass)."""
+        return ActivationKind.SIGMOID if self.is_binary else ActivationKind.SOFTMAX
 
 
 def parameter_count(arch: Architecture) -> int:

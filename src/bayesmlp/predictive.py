@@ -76,23 +76,20 @@ def predictive_distribution(arch: mlp.Architecture, chain_tail, x) -> np.ndarray
     return probs[0] if single else probs
 
 
-def classify(dist, task: str):
-    """Maximum-a-posteriori label(s) from predictive probabilities.
+def classify(dist, arch: mlp.Architecture):
+    """Maximum-a-posteriori label(s) from arch's predictive probabilities.
 
-    Binary rule: predict 1 iff p(y=1) >= 0.5. Multiclass rule: argmax
-    over the 1-based class labels, ties broken by the lowest label.
+    Binary rule (one output neuron): 1 iff p(y=1) >= 0.5. Multiclass rule:
+    argmax over the 1-based class labels, ties broken by the lowest label.
     """
     dist = np.asarray(dist, dtype=float)
-    if task == "binary":
+    if arch.is_binary:
         return (dist[..., 1] >= 0.5).astype(int)
-    if task == "multiclass":
-        return np.argmax(dist, axis=-1) + 1
-    raise ValueError(f"task must be 'binary' or 'multiclass', got {task!r}")
+    return np.argmax(dist, axis=-1) + 1
 
 
 def _report(arch, probs, labels) -> tuple[float, PredictionReport]:
-    task = "binary" if arch.is_binary else "multiclass"
-    predicted = classify(probs, task)
+    predicted = classify(probs, arch)
     rows = np.arange(len(labels))
     prob_predicted = probs[rows, predicted if arch.is_binary else predicted - 1]
     prob_true = probs[rows, labels if arch.is_binary else labels - 1]

@@ -37,15 +37,11 @@ from typing import Sequence
 import numpy as np
 
 from . import mlp
-from .chainio import Chain
+from .chainio import BLOCK_BYTES, Chain, block_rows  # noqa: F401 - BLOCK_BYTES, the block size named above
 from .data import LabeledDataset
 
 #: HMC energy-error threshold beyond which a trajectory counts as divergent.
 DIVERGENCE_THRESHOLD = 1000.0
-
-#: Bytes of a sampler's block of recorded states: below glibc's 128 KiB mmap
-#: threshold, so the one block a group reuses is ordinary heap memory.
-BLOCK_BYTES = 1 << 16
 
 
 class SamplerStartupError(RuntimeError):
@@ -174,7 +170,7 @@ class _Recorder:
         self.sinks = [_Fill(rows) for rows in self.draws] if sink is None else list(sink)
         if len(self.sinks) != m:
             raise ValueError(f"need one sink per chain, {m}, got {len(self.sinks)}")
-        self.block = np.empty((m, max(BLOCK_BYTES // max(8 * m * n, 1), 1), n))
+        self.block = np.empty((m, block_rows(m * n), n))
         self.iterations, self.at = iterations, 0
 
     def __call__(self, states):

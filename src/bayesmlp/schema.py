@@ -1,6 +1,6 @@
 """The one JSON type rule, stdlib only: every JSON file bayesmlp reads (a
 config file's sections, a dataset manifest, a chain sidecar) is built
-through it into the dataclass that describes it. A key must name an init
+through it into the dataclass that describes it. A key must name a
 field; a field without a default must be given; a value must have the JSON
 type of its field's annotation. Any breach is a ConfigError, which
 ``chainio`` reports for a sidecar as a ChainFileError.
@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import sys
 import typing
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -30,8 +30,9 @@ def json_value(where: str, value, hint):
 
     A bool is true or false; an int is a JSON integer (not a bool, not a
     float); a float is a finite integer or float; a tuple is a JSON list
-    of its element type; an Enum is given by its value; ``X | None`` also
-    takes null.
+    of its element type; ``dict[str, X]`` is a JSON object of X values; a
+    dataclass is a JSON object built by from_section; an Enum is given by
+    its value; ``X | None`` also takes null.
     """
     args = typing.get_args(hint)
     if type(None) in args:
@@ -42,6 +43,11 @@ def json_value(where: str, value, hint):
         if not isinstance(value, list):
             raise ConfigError(f"{where} must be a JSON list, got {value!r}")
         return tuple(json_value(f"{where}[{i}]", v, args[0]) for i, v in enumerate(value))
+    if typing.get_origin(hint) is dict:
+        value = json_value(where, value, dict)
+        return {key: json_value(f"{where}.{key}", v, args[1]) for key, v in value.items()}
+    if is_dataclass(hint):
+        return from_section(hint, where, value)
     if isinstance(hint, type) and issubclass(hint, Enum):
         try:
             return hint(value)
@@ -56,21 +62,20 @@ def json_value(where: str, value, hint):
     return value
 
 
-def from_section(cls, name: str, doc, keys=None, hint_names=None):
+def from_section(cls, name: str, doc):
     """An instance of the dataclass cls built from the JSON object doc.
 
-    The object takes the init fields of cls (or those named in keys); a
-    key it leaves out takes its field's default, and every value must have
-    the JSON type of its field's annotation. hint_names binds the names
-    that cls's annotations use beyond its module's globals.
+    The object takes the fields of cls; a key it leaves out takes its
+    field's default, and every value must have the JSON type of its
+    field's annotation.
     """
     doc = json_value(name, doc, dict)
-    hints = typing.get_type_hints(cls, localns=hint_names)
-    keys = keys or [f.name for f in fields(cls) if f.init]
+    hints = typing.get_type_hints(cls)
+    keys = [f.name for f in fields(cls)]
     unknown = set(doc) - set(keys)
     if unknown:
         raise ConfigError(f"unknown {name} fields: {sorted(unknown)}; expected {sorted(keys)}")
-    missing = [f.name for f in fields(cls) if f.name in keys and f.name not in doc
+    missing = [f.name for f in fields(cls) if f.name not in doc
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ConfigError(f"missing {name} fields: {missing}")

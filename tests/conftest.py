@@ -28,4 +28,4 @@ def random_instance(rng, arch, samples=10, theta_scale=1.0):
         y = rng.integers(0, 2, size=samples)
     else:
         y = rng.integers(1, arch.output_dim + 1, size=samples)
-    return theta, LabeledDataset(X, y, "train")
+    return theta, LabeledDataset(X, y)

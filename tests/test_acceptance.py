@@ -124,7 +124,7 @@ def test_criterion_1_gradient_correctness():
                 y = rng.integers(0, 2, size=8)
             else:
                 y = rng.integers(1, arch.output_dim + 1, size=8)
-            data = LabeledDataset(X, y, "train")
+            data = LabeledDataset(X, y)
             grad = grad_log_posterior(arch, theta, data, PRIOR_VARIANCE)
             step = 1e-5
             fd = np.zeros(n)

@@ -567,6 +567,17 @@ class TestPredict:
         assert json.loads(capsys.readouterr().err)["error"] == "dimension"
         assert list(pred.iterdir()) == []
 
+    def test_prior_baseline_takes_no_chains(self, tmp_path, xor_config, capsys):
+        """--chains with --prior-baseline is a config error, not chains
+        silently left unread."""
+        pred = tmp_path / "prior"
+        assert run([
+            "predict", "--config", xor_config, "--prior-baseline", "--num-draws", 200,
+            "--chains", tmp_path / "missing.csv", "--out-dir", pred,
+        ]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+        assert not (pred / "prior_baseline.json").exists()
+
     def test_prior_baseline_routing(self, tmp_path, xor_config, capsys):
         pred = tmp_path / "prior"
         assert run([
@@ -896,6 +907,7 @@ class TestErrors:
         ("architecture", {"layer_widths": [2, 2.9, 1]}),
         ("dataset", {"name": "noisy-xor", "train_per_corner": 5.9}),
         ("dataset", {"name": "noisy-xor", "seed": -3}),
+        ("dataset", {"train": "a.csv", "test": "b.csv", "feature_columns": ["x1"], "label_mapping": {"0": 0.5}}),
     ])
     def test_bad_section_is_config_error(self, tmp_path, xor_config, capsys, section, patch):
         doc = json.loads(xor_config.read_text())
@@ -926,6 +938,18 @@ class TestErrors:
         xor_config.write_text(json.dumps(doc))
         assert run(["sample", "--config", xor_config, "--out-dir", tmp_path / "out"]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+    def test_architecture_takes_no_output_activation(self, tmp_path, xor_config, capsys):
+        """The output width sets the output activation, so an architecture
+        section that names it fails as an unknown key."""
+        doc = json.loads(xor_config.read_text())
+        doc["architecture"] = {"layer_widths": [2, 2, 1], "output_activation": "sigmoid"}
+        xor_config.write_text(json.dumps(doc))
+        assert run(["sample", "--config", xor_config, "--out-dir", tmp_path / "out"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert ("unknown architecture fields: ['output_activation']; "
+                "expected ['hidden_activation', 'layer_widths']") in err["message"]
 
     def test_config_file_not_json_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -1179,7 +1203,13 @@ class TestSidecarRule:
 #: Manifest fields set to a value of another JSON type, and an unknown key.
 BAD_MANIFESTS = {"feature_columns 3": {"feature_columns": 3}, "feature_columns [1, 2]": {"feature_columns": [1, 2]},
                  "label_column 5": {"label_column": 5}, "label_mapping list": {"label_mapping": [0, 1]},
-                 "unknown key": {"labels": "label"}}
+                 "unknown key": {"labels": "label"},
+                 # the values inside encodings and label_mapping are checked too
+                 "encoding 3": {"encodings": {"x1": 3}},
+                 "categorical without levels": {"encodings": {"x1": {"kind": "categorical"}}},
+                 "kind ordinal": {"encodings": {"x1": {"kind": "ordinal"}}},
+                 "label zero": {"label_mapping": {"0": "zero", "1": 1}},
+                 "label 0.5": {"label_mapping": {"0": 0.5, "1": 1}}}
 
 
 @pytest.mark.parametrize("patch", BAD_MANIFESTS.values(), ids=BAD_MANIFESTS.keys())

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -116,9 +118,21 @@ class TestCsvLoader:
             ["size", "color"],
             "label",
             {"0": 0, "1": 1},
-            encodings={"color": {"kind": "categorical", "levels": ["red", "green", "blue"]}},
+            encodings={"color": data.Encoding("categorical", ("red", "green", "blue"))},
         )
         np.testing.assert_array_equal(ds.features[:, 1], [0.0, 2.0, 1.0])
+
+    def test_manifest_encoding(self, tmp_path):
+        """A manifest's encodings are read into the Encodings that load_pair codes cells by."""
+        train = self._write(tmp_path / "train.csv", "color,label\nred,0\nblue,1\n")
+        test = self._write(tmp_path / "test.csv", "color,label\nblue,1\n")
+        manifest = self._write(tmp_path / "manifest.json", json.dumps({
+            "feature_columns": ["color"], "label_column": "label", "label_mapping": {"0": 0, "1": 1},
+            "encodings": {"color": {"kind": "categorical", "levels": ["red", "blue"]}},
+        }))
+        train, test = data.load_pair(train, test, data.read_manifest(manifest))
+        np.testing.assert_array_equal(train.features[:, 0], [0.0, 1.0])
+        np.testing.assert_array_equal(test.features[:, 0], [1.0])
 
     def test_missing_column_rejected(self, tmp_path):
         path = self._write(tmp_path / "d.csv", "a,label\n1,0\n")

@@ -41,7 +41,7 @@ class TestArchitecture:
     def test_softmax_only_at_output(self):
         with pytest.raises(ValueError):
             Architecture((2, 2, 1), hidden_activation=ActivationKind.SOFTMAX)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # the output width alone sets it
             Architecture((2, 2, 3), output_activation=ActivationKind.SIGMOID)
 
 

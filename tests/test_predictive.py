@@ -96,21 +96,17 @@ class TestReusedBuffers:
 
 
 class TestClassify:
-    def test_binary_threshold_is_inclusive(self):
-        assert classify(np.array([0.5, 0.5]), "binary") == 1
-        assert classify(np.array([0.51, 0.49]), "binary") == 0
+    def test_binary_threshold_is_inclusive(self, xor_arch):
+        assert classify(np.array([0.5, 0.5]), xor_arch) == 1
+        assert classify(np.array([0.51, 0.49]), xor_arch) == 0
 
     def test_multiclass_argmax(self):
-        assert classify(np.array([0.2, 0.5, 0.3]), "multiclass") == 2
+        assert classify(np.array([0.2, 0.5, 0.3]), Architecture((2, 2, 3))) == 2
 
     def test_multiclass_tie_breaks_low(self):
-        assert classify(np.array([0.5, 0.5, 0.0]), "multiclass") == 1
+        assert classify(np.array([0.5, 0.5, 0.0]), Architecture((2, 2, 3))) == 1
 
-    def test_unknown_task(self):
-        with pytest.raises(ValueError):
-            classify(np.array([1.0, 0.0]), "ordinal")
-
-    def test_binary_and_two_class_softmax_agree(self, rng):
+    def test_binary_and_two_class_softmax_agree(self, rng, xor_arch):
         """Away from the threshold, the sigmoid rule and the argmax rule
         pick the same event."""
         arch2 = Architecture((2, 2, 2))
@@ -118,8 +114,8 @@ class TestClassify:
         X = rng.normal(size=(40, 2))
         probs = predictive_distribution(arch2, theta[None, :], X)
         away = np.abs(probs[:, 1] - 0.5) > 1e-6
-        binary_rule = classify(probs[away], "binary")
-        argmax_rule = classify(probs[away], "multiclass") - 1  # to {0, 1}
+        binary_rule = classify(probs[away], xor_arch)
+        argmax_rule = classify(probs[away], arch2) - 1  # to {0, 1}
         np.testing.assert_array_equal(binary_rule, argmax_rule)
 
 
@@ -129,7 +125,7 @@ class TestAccuracy:
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
         theta = np.zeros(9)
         theta[8] = 50.0
-        test = LabeledDataset(X, np.array([1, 1]), "test")
+        test = LabeledDataset(X, np.array([1, 1]))
         acc, report = accuracy(xor_arch, theta[None, :], test)
         assert acc == 1.0
         assert report.accuracy == 1.0
@@ -141,14 +137,14 @@ class TestAccuracy:
         theta = np.zeros(parameter_count(arch))  # softmax(0) = uniform, argmax -> class 1
         X = rng.normal(size=(300, 2))
         labels = np.tile([1, 2, 3], 100)
-        acc, _ = accuracy(arch, theta[None, :], LabeledDataset(X, labels, "test"))
+        acc, _ = accuracy(arch, theta[None, :], LabeledDataset(X, labels))
         assert acc == pytest.approx(1 / 3, abs=1e-9)
 
     def test_report_probabilities(self, rng, xor_arch):
         theta = rng.normal(size=(3, 9))
         X = rng.normal(size=(5, 2))
         labels = np.array([0, 1, 0, 1, 1])
-        test = LabeledDataset(X, labels, "test")
+        test = LabeledDataset(X, labels)
         _, report = accuracy(xor_arch, theta, test)
         probs = predictive_distribution(xor_arch, theta, X)
         np.testing.assert_allclose(report.prob_true, probs[np.arange(5), labels], atol=1e-12)
@@ -158,14 +154,14 @@ class TestAccuracy:
 class TestPriorPredictive:
     def test_single_draw_matches_single_network(self, rng, xor_arch):
         X = rng.normal(size=(30, 2))
-        test = LabeledDataset(X, rng.integers(0, 2, 30), "test")
+        test = LabeledDataset(X, rng.integers(0, 2, 30))
         acc = prior_predictive_accuracy(xor_arch, 10.0, test, num_draws=1, seed=9)
         theta = np.random.default_rng(9).normal(0.0, math.sqrt(10.0), (1, 9))
         expected, _ = accuracy(xor_arch, theta, test)
         assert acc == expected
 
     def test_needs_draws(self, xor_arch, rng):
-        test = LabeledDataset(rng.normal(size=(4, 2)), np.zeros(4, dtype=int), "test")
+        test = LabeledDataset(rng.normal(size=(4, 2)), np.zeros(4, dtype=int))
         with pytest.raises(ValueError):
             prior_predictive_accuracy(xor_arch, 10.0, test, num_draws=0, seed=0)
 
